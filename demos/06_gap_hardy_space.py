@@ -55,6 +55,7 @@ print("\n== the radial integral bound ==")
 f = MuntzSeries(squares, (), rule_from_name("inv_n"))
 for theta in (0.0, float(pi) / 2, float(pi)):
     rep = radial_l2_bound(f, theta, K=100, precision_bits=128)
-    print(f"  theta = {theta:5.3f}: integral <= {mp.nstr(rep.numeric_integral, 6)} "
-          f"+ sliver {mp.nstr(rep.remainder_bound, 3)} <= M = {mp.nstr(rep.bound_M, 6)}")
+    print(f"  theta = {theta:5.3f}: integral = {mp.nstr(rep.numeric_integral, 6)} "
+          f"± {mp.nstr(rep.quad_error, 3)}, + sliver {mp.nstr(rep.remainder_bound, 3)} "
+          f"<= M = {mp.nstr(rep.bound_M, 6)}")
 print("M is built from the two tail-certified sums and never involves theta")

@@ -257,10 +257,11 @@ def cmd_hardy(args, cfg):
     if args.theta:
         radial = {}
         for theta in args.theta:
-            M, integral = hardy.radial_l2_bound(f, theta, K=min(args.k, 200),
-                                                precision_bits=bits)
-            radial[str(theta)] = {"bound": decimal_str(M, bits),
-                                  "integral": decimal_str(integral, bits)}
+            rep = hardy.radial_l2_bound(f, theta, K=min(args.k, 200), precision_bits=bits)
+            radial[str(theta)] = {"bound": decimal_str(rep.bound_M, bits),
+                                  "integral": decimal_str(rep.numeric_integral, bits),
+                                  "quad_error": decimal_str(rep.quad_error, bits),
+                                  "remainder": decimal_str(rep.remainder_bound, bits)}
         payload["radial"] = radial
     _emit(dump_json(with_config(payload, cfg), args.out), args.out)
     return 0
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rule", required=True, help="coefficient rule name (e.g. inv_n)")
     s.add_argument("--k", type=int, default=1000)
     s.add_argument("--theta", type=float, action="append", default=None,
-                   help="also estimate the radial integral at this angle (repeatable)")
+                   help="also bound the radial integral at this angle (repeatable)")
     _common(s)
     s.set_defaults(func=cmd_hardy)
 

@@ -25,13 +25,13 @@ from mpmath import mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily, dual_family
 from .config import DEFAULT_TOLERANCES, working_precision
-from .errors import DomainError, InputError, QuadratureError
+from .errors import DomainError, InputError
 from .exponents import ExponentSequence
 from .muntz_space import (
     MuntzSeries,
     QuadratureSpec,
     SeriesOrCallable,
-    evaluate,
+    gram_form,
     l2_norm,
     monomial_moments,
     quad_unit_interval,
@@ -184,11 +184,12 @@ def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily
 
 @dataclass(frozen=True)
 class RadialBoundReport:
-    """bound_M is theta-independent by construction; numeric_integral is a
-    certified estimate over [0, 1 - boundary_cut], and adding
-    remainder_bound (the Cauchy-Schwarz sliver bound) dominates the full
-    integral, so numeric_integral + remainder_bound <= bound_M is the
-    rigorous form of the radial inequality."""
+    """bound_M is theta-independent by construction.  numeric_integral is the
+    closed-form integral of |f(t e^(i theta))|^2 over [0, 1 - boundary_cut]
+    and quad_error its certified truncation-plus-rounding bound, so the full
+    integral over [0, 1] is at most numeric_integral + quad_error +
+    remainder_bound (the Cauchy-Schwarz sliver bound); the radial inequality
+    says this never exceeds bound_M."""
 
     bound_M: object
     numeric_integral: object
@@ -215,19 +216,25 @@ def _sliver_integral_bound(lam: ExponentSequence, h):
 
 def radial_l2_bound(f: MuntzSeries, theta: float, K: int = 200,
                     precision_bits: int = 256, boundary_cut: float = 1e-3) -> RadialBoundReport:
-    """Certified bound M and a numeric estimate of the radial L2 integral.
+    """Certified bound M and the closed-form radial L2 integral.
 
     M = (sum_{n<=K} |c_n|^2 + coefficient tail) * (sum_{n<=K} 1/(2 lambda_n+1)
     + reciprocal tail); both tails must be certified (rule comparison and
     exponent-kind bound), and M does not involve theta.
 
-    The integral of |f(t e^(i theta))|^2 is estimated by Gauss-Legendre
-    panels over [0, 1 - boundary_cut], with the evaluation prefix long
-    enough that the series tail at every node is negligible; the sliver up
-    to t = 1 is covered by the closed-form remainder bound instead of
-    uncertifiable term-by-term evaluation near the boundary.  Finite
-    series are plain sums, so they integrate over the whole interval with
-    zero remainder.
+    With a = 1 - boundary_cut and v_n = c_n e^(i theta lambda_n) a^(lambda_n+1/2),
+    the integral of |sum_{n<=P} c_n (t e^(i theta))^lambda_n|^2 over [0, a]
+    is the Gram form sum_{n,m<=P} v_n conj(v_m) / (lambda_n + lambda_m + 1),
+    over a prefix long enough that t^lambda at the cut is ~ exp(-60).
+    quad_error bounds its distance to the integral of the whole series over
+    [0, a]: the form's rounding at the working precision, plus
+    2 sqrt(I) ||T|| + ||T||^2 for the dropped tail T, where Minkowski and
+    Cauchy-Schwarz give ||T||^2 <= sum_{n>P} |c_n|^2 *
+    sum_{n>P} a^(2 lambda_n+1) / (2 lambda_n+1) and the second sum is
+    bounded geometrically through the exponent gap.  The sliver up to
+    t = 1 is covered by the closed-form remainder bound.  Finite series
+    are plain sums, so they integrate over the whole interval with no tail
+    and zero remainder.
     """
     _require_integer_lambda(f.lam)
     if f.finite and not any(c != 0 for c in f.coeffs):
@@ -274,31 +281,29 @@ def radial_l2_bound(f: MuntzSeries, theta: float, K: int = 200,
         bound_M = (coeff_sum + coeff_tail) * (recip_sum + recip_tail)
 
         if f.finite:
-            cut = mpf(1)
+            a = mpf(1)
             remainder = mpf(0)
         else:
-            cut = 1 - h
+            a = 1 - h
             sliver = _sliver_integral_bound(lam, h)
             remainder = None if sliver is None else (coeff_sum + coeff_tail) * sliver
 
-        phase = mp.e ** (mpc(0, 1) * mpf(theta))
-        eval_tol = 10.0 ** (-(precision_bits // 16))
-
-        def integrand(t):
-            z = mpf(t) * phase
-            return abs(evaluate(f_eval, z, tol=eval_tol, precision_bits=precision_bits)) ** 2
-
-        panels = [mpf(0), cut / 2, 3 * cut / 4, 7 * cut / 8, cut]
-        total = mpf(0)
-        err = mpf(0)
-        for a, b in zip(panels[:-1], panels[1:]):
-            val, e = mp.quad(integrand, [a, b], error=True, method="gauss-legendre")
-            total += val
-            err += abs(e)
-        if err > max(mpf(1e-6), mpf(1e-3) * abs(total)):
-            raise QuadratureError(
-                f"radial integral estimate unreliable (err {mp.nstr(err, 4)})", achieved=total)
-        return RadialBoundReport(bound_M, total, remainder,
+        P = max(need, len(f.coeffs))
+        lams = lam.values[:P]
+        th, root_a = mpf(theta), sqrt(a)
+        vs = [mpc(f_eval.coefficient(n)) * mp.expj(th * v) * a ** v * root_a
+              for n, v in enumerate(lams, start=1)]
+        # c_n, a^(lambda_n + 1/2) and the phase take a few roundings each, and
+        # the phase argument theta * lambda_n is off by at most |theta| lambda_n ulps
+        rel_err = mp.eps * (16 + abs(th) * lams[-1])
+        integral, err = gram_form(lams, vs, rel_err)
+        if not f.finite:
+            # lambda_n >= lambda_P + (n - P) gap: the gaps of both kinds grow
+            lam_next = mpf(lams[-1]) + lam.gap
+            mono_tail = a ** (2 * lam_next + 1) / ((2 * lam_next + 1) * (1 - a ** (2 * lam.gap)))
+            tail = sqrt(f.rule.l2_tail_bound(P) * mono_tail)
+            err += 2 * sqrt(integral + err) * tail + tail ** 2
+        return RadialBoundReport(bound_M, integral, remainder,
                                  0.0 if f.finite else float(h), err)
 
 

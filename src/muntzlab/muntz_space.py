@@ -82,18 +82,25 @@ class CoefficientRule:
 
 
 def power_rule(alpha: float, scale: float = 1.0) -> CoefficientRule:
-    """c_n = scale * n^(-alpha); p-series comparison decides the l2 class."""
-    a = float(alpha)
+    """c_n = scale * n^(-alpha); p-series comparison decides the l2 class.
+
+    Coefficients are mpf at the caller's working precision; an integer
+    alpha takes the cheaper integer power.
+    """
+    a, s = float(alpha), float(scale)
     l2 = "convergent" if a > 0.5 else "divergent"
-    return CoefficientRule("power", {"alpha": a, "scale": float(scale)},
-                           lambda n, a=a, s=scale: s * n ** (-a), l2)
+    e = -int(a) if a.is_integer() else mpf(-a)
+    return CoefficientRule("power", {"alpha": a, "scale": s},
+                           lambda n, e=e, s=s: s * mpf(n) ** e, l2)
 
 
 def geometric_rule(ratio: float, scale: float = 1.0) -> CoefficientRule:
+    """c_n = scale * ratio^n, as mpf at the caller's working precision."""
     if not 0 < abs(ratio) < 1:
         raise ParameterError(f"geometric rule needs 0 < |ratio| < 1, got {ratio}")
-    return CoefficientRule("geometric", {"ratio": float(ratio), "scale": float(scale)},
-                           lambda n, r=ratio, s=scale: s * r ** n, "convergent")
+    r, s = float(ratio), float(scale)
+    return CoefficientRule("geometric", {"ratio": r, "scale": s},
+                           lambda n, r=mpf(r), s=s: s * r ** n, "convergent")
 
 
 NAMED_RULES = {
@@ -266,6 +273,49 @@ def series_inner_product(f: MuntzSeries, g: MuntzSeries, precision_bits: int = 2
             for lk, ck in g.term_items():
                 acc += cj * conj(ck) / (mpf(lj) + mpf(lk) + 1)
         return acc
+
+
+def gram_form(lams: Sequence, vs: Sequence, rel_err=0):
+    """Re sum_{n,m} v_n conj(v_m) / (lambda_n + lambda_m + 1) with a certified error.
+
+    This is ||sum_n v_n t^lambda_n||^2 on (0, 1) for integer exponents.  The
+    form is summed once over the upper triangle in fixed point: the parts of
+    v_n are rounded to integers X_n, Y_n at scale 2^F, with F the working
+    precision above the largest |v_n|, and each pair adds
+    floor((X_n X_m + Y_n Y_m) / (lambda_n + lambda_m + 1)) to an exact sum.
+
+    Returns (value, err).  err bounds |value - form| when each v_n lies
+    within rel_err * |v_n| of its exact value.  With
+    1/(lambda_n + lambda_m + 1) <= w_n w_m, w_n = (2 lambda_n + 1)^(-1/2),
+    moving every v_n by at most eps_n moves the form by at most
+    2 e s + 3 e^2, where s = sum |v_n| w_n and e = sum eps_n w_n; the P^2
+    floors lose under P^2 2^(-2F) and the final rounding one ulp.
+    """
+    if any(v != int(v) for v in lams):
+        raise DomainError("the fixed-point Gram form needs integer exponents")
+    ls = [int(v) for v in lams]
+    vs = [mpc(v) for v in vs]
+    top = max(abs(v) for v in vs)
+    if top == 0:
+        return mpf(0), mpf(0)
+    F = mp.prec - mp.mag(top)
+    X = [int(mp.nint(mp.ldexp(v.real, F))) for v in vs]
+    Y = [int(mp.nint(mp.ldexp(v.imag, F))) for v in vs]
+    P = len(ls)
+    total = 0
+    for n in range(P):
+        xn, yn, ln = X[n], Y[n], ls[n] + 1
+        row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
+        total += 2 * row + (xn * xn + yn * yn) // (2 * ls[n] + 1)
+    value = mp.ldexp(mpf(total), -2 * F)
+
+    w = [1 / sqrt(2 * mpf(v) + 1) for v in ls]
+    s = sum(abs(v) * wn for v, wn in zip(vs, w))
+    # rel_err on each entry plus the 2^(-F) of rounding its parts to integers
+    e = rel_err * s + mp.ldexp(sum(w), -F)
+    err = 2 * e * s + 3 * e ** 2 + mp.ldexp(mpf(P * P), -2 * F) + abs(value) * mp.eps
+    # doubled for the rounding in the bound's own arithmetic
+    return value, 2 * err
 
 
 # ---------------------------------------------------------------------------

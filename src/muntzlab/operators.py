@@ -329,8 +329,8 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         add("kernel_trivial", kernel_sigma > mpf(kernel_tol), kernel_sigma, kernel_tol)
 
         eigs = spectrum_from_matrix(M, bits)
-        spectrum = tuple([mpc(0)] + [mpc(u) for u in op.u])
         with working_precision(bits):
+            spectrum = tuple([mpc(0)] + [mpc(u) for u in op.u])
             match = max(abs(eigs[n] - mpc(op.u[n])) for n in range(N))
         add("spectrum", match < mpf(10) ** (-(bits // 4)), tuple(eigs), None,
             detail="diagonal of the orthonormal representation matches u")

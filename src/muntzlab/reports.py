@@ -15,7 +15,7 @@ from typing import Optional
 
 from mpmath import mp, mpc, mpf
 
-from .config import RunConfig
+from .config import RunConfig, working_precision
 from .errors import InputError
 from .exponents import ExponentSequence
 from .muntz_space import MuntzSeries, rule_from_name
@@ -34,7 +34,8 @@ def decimal_str(x, precision_bits: int) -> str:
 
 
 def complex_pair(z, precision_bits: int):
-    z = mpc(z)
+    with working_precision(precision_bits):
+        z = mpc(z)
     return [decimal_str(z.real, precision_bits), decimal_str(z.imag, precision_bits)]
 
 

@@ -1,9 +1,11 @@
 import json
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
+from muntzlab import dual_family, project, working_precision
 from muntzlab.cli import main
+from muntzlab.reports import load_series
 
 LAMBDA_SQUARES = None
 
@@ -101,6 +103,25 @@ def test_project_and_recover(lambda_file, tmp_path):
     assert abs(mpf(rows[2]["coefficient"][0]) - 2) < mpf(10) ** -40
 
 
+def test_project_artifact_carries_full_precision(lambda_file, tmp_path):
+    # t + t^16 projected onto span{t, t^4, t^9}: coefficients no double holds
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({
+        "lambda_ref": "lambda.json",
+        "coeffs": [[1, 0], [0, 0], [0, 0], [1, 0]],
+    }))
+    out = tmp_path / "proj.json"
+    with mp.workprec(53):  # the ambient precision of a fresh muntz process
+        assert main(["project", "--f", str(series), "--n", "3", "--bits", "256",
+                     "--out", str(out)]) == 0
+    got = read_json(out)["coefficients"]
+    f = load_series(str(series))
+    want = project(f, dual_family(f.lam, 3, 256)).coeffs
+    with working_precision(256):
+        for (re, im), w in zip(got, want):
+            assert abs(mpc(mpf(re), mpf(im)) - mpc(w)) < mpf(10) ** -64
+
+
 def test_eval_complex_point(lambda_file, tmp_path):
     series = tmp_path / "series.json"
     series.write_text(json.dumps({"lambda_ref": "lambda.json", "coeffs": [[1, 0], [1, 0]]}))
@@ -154,6 +175,26 @@ def test_hardy_report(lambda_file, tmp_path):
     assert main(["hardy", "--lambda", str(lambda_file), "--rule", "inv_sqrt_n",
                  "--k", "200", "--out", str(out)]) == 0
     assert read_json(out)["member"] == "no"
+
+
+def test_hardy_radial_report(lambda_file, tmp_path):
+    out = tmp_path / "hardy.json"
+    assert main(["hardy", "--lambda", str(lambda_file), "--rule", "inv_n", "--k", "100",
+                 "--theta", "0.5", "--bits", "64", "--out", str(out)]) == 0
+    radial = read_json(out)["radial"]["0.5"]
+    with working_precision(64):
+        assert mpf(radial["integral"]) + mpf(radial["remainder"]) <= mpf(radial["bound"])
+        assert 0 < mpf(radial["quad_error"]) < 1e-10
+
+
+def test_hardy_radial_integers_kind_is_typed_error(tmp_path, capsys):
+    lam = tmp_path / "ints.json"
+    assert main(["gen-exponents", "--kind", "integers", "--values", "1,4,9,16", "--n", "4",
+                 "--out", str(lam)]) == 0
+    capsys.readouterr()
+    rc = main(["hardy", "--lambda", str(lam), "--rule", "inv_n", "--k", "4", "--theta", "0.5"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
 
 def test_determinism_byte_identical(lambda_file, tmp_path):

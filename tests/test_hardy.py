@@ -1,5 +1,5 @@
 import pytest
-from mpmath import exp, log, mp, mpf, pi, sqrt
+from mpmath import cos, exp, log, mpf, pi, sin
 
 from muntzlab import (
     CoefficientRule,
@@ -185,3 +185,35 @@ def test_radial_bound_requires_certificates():
     with pytest.raises(DomainError):
         lam_frac = generate_exponents("custom", {"values": [0.5, 1.5]}, 2)
         radial_l2_bound(MuntzSeries(lam_frac, (), rule), 0.0)
+
+
+def test_radial_closed_form_phase_on_cross_terms():
+    # |z + z^4|^2 = t^2 + t^8 + 2 t^5 cos(3 theta) on z = t e^(i theta)
+    lam = generate_exponents("integers", {"values": [1, 4]}, 2)
+    theta = float(pi) / 3
+    rep = radial_l2_bound(finite_series(lam, [1, 1]), theta)
+    with working_precision(512):
+        exact = mpf(1) / 3 + mpf(1) / 9 + 2 * cos(3 * mpf(theta)) / 6
+        assert abs(rep.numeric_integral - exact) <= rep.quad_error
+    assert 0 < rep.quad_error < 1e-60
+    assert rep.boundary_cut == 0.0 and rep.remainder_bound == 0
+
+
+@pytest.mark.parametrize("theta", [0.0, float(pi) / 2])
+def test_radial_inv_n_within_quad_error_of_longer_form(theta):
+    rep = radial_l2_bound(series("inv_n"), theta, K=100, precision_bits=128)
+    # the same integral over [0, 1 - cut] from 320 terms at 192 bits; past
+    # n = 320 every term carries (1 - cut)^(n^2) < 1e-44
+    with working_precision(192):
+        a = 1 - mpf(rep.boundary_cut)
+        x = [n * n for n in range(1, 321)]
+        w = [a ** (v + mpf(1) / 2) / n for n, v in enumerate(x, start=1)]
+        cw = [wn * cos(mpf(theta) * v) for wn, v in zip(w, x)]
+        sw = [wn * sin(mpf(theta) * v) for wn, v in zip(w, x)]
+        ref = mpf(0)
+        for n in range(len(x)):
+            ref += w[n] ** 2 / (2 * x[n] + 1)
+            for m in range(n + 1, len(x)):
+                ref += 2 * (cw[n] * cw[m] + sw[n] * sw[m]) / (x[n] + x[m] + 1)
+        assert abs(rep.numeric_integral - ref) <= rep.quad_error
+    assert rep.quad_error < 1e-25

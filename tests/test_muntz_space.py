@@ -28,7 +28,7 @@ from muntzlab import (
     series_inner_product,
     working_precision,
 )
-from muntzlab.muntz_space import quad_unit_interval
+from muntzlab.muntz_space import gram_form, quad_unit_interval
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_SQ = generate_exponents("power", {"p": 2}, 12)
@@ -98,6 +98,18 @@ def test_l2_norm_hand_values():
     assert abs(l2_norm(f) - sqrt(mpf(1) / 30)) < 1e-70
     z = finite_series(LAM_12, [0, 0])
     assert l2_norm(z) == 0
+
+
+def test_gram_form_hand_values_and_error_bound():
+    # ||t - t^2||^2 = 1/3 - 2/4 + 1/5 and ||t + i t^2||^2 = 1/3 + 1/5
+    with working_precision(256):
+        value, err = gram_form([1, 2], [1, -1])
+        assert abs(value - mpf(1) / 30) <= err < 1e-70
+        value, err = gram_form([1, 2], [1, mpc(0, 1)])
+        assert abs(value - (mpf(1) / 3 + mpf(1) / 5)) <= err < 1e-70
+        assert gram_form([1, 2], [0, 0]) == (0, 0)
+    with pytest.raises(DomainError):
+        gram_form([0.5, 1.5], [1, 1])
 
 
 def test_series_inner_product_cross_exponents():
