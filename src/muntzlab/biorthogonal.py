@@ -57,6 +57,16 @@ class BiorthogonalFamily:
         with working_precision(self.precision_bits):
             return lower_triangular_inverse(self.cholesky_factor)
 
+    @cached_property
+    def gram_rows(self) -> list:
+        """G as a list of rows of mpf, for the plain-list kernels."""
+        return self.gram.entries.tolist()
+
+    @cached_property
+    def inverse_rows(self) -> list:
+        """G^-1 (the dual coefficients) as a list of rows of mpf."""
+        return self.coeffs.tolist()
+
     def dual_coefficients(self, n: int):
         """Monomial coefficients of r_n^(N), 1-based n."""
         if not 1 <= n <= self.truncation:

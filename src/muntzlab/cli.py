@@ -16,7 +16,7 @@ import sys
 from mpmath import mpc, mpf
 
 from . import biorthogonal, completeness, gram, hardy, muntz_space, operators
-from .config import RunConfig, default_precision_bits
+from .config import RunConfig, default_precision_bits, working_precision
 from .errors import MuntzError
 from .exponents import generate_exponents
 from .reports import (
@@ -38,12 +38,22 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
-def _parse_complex(raw: str):
+def _parse_complex(raw: str, precision_bits: int):
+    """'a+bi', 'a-bj', 'a' or 'bi' as an mpc, each part read as a decimal at precision_bits."""
     s = raw.strip().replace(" ", "")
-    if "j" not in s:
-        s = s.replace("i", "j")
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    re_part, im_part = s, "0"
+    if s[-1:] in ("i", "j"):
+        # the imaginary part starts at the last sign that is not an exponent's
+        cut = max((k for k in range(1, len(s)) if s[k] in "+-" and s[k - 1] not in "eE"),
+                  default=0)
+        re_part, im_part = s[:cut] or "0", s[cut:-1]
+        if im_part in ("", "+", "-"):
+            im_part += "1"
     try:
-        return complex(s)
+        with working_precision(precision_bits):
+            return mpc(mpf(re_part), mpf(im_part))
     except ValueError as exc:
         raise MuntzError(f"cannot parse complex number {raw!r}") from exc
 
@@ -141,7 +151,7 @@ def cmd_biorthogonal(args, cfg):
 
 
 def cmd_project(args, cfg):
-    f = load_series(args.f)
+    f = load_series(args.f, cfg.precision_bits)
     fam = biorthogonal.dual_family(f.lam if args.lam is None else load_exponents(args.lam),
                                    args.n, cfg.precision_bits)
     f_star = muntz_space.project(f, fam)
@@ -157,7 +167,7 @@ def cmd_project(args, cfg):
 
 
 def cmd_recover(args, cfg):
-    f = load_series(args.f)
+    f = load_series(args.f, cfg.precision_bits)
     fam = biorthogonal.dual_family(f.lam if args.lam is None else load_exponents(args.lam),
                                    args.n, cfg.precision_bits)
     coeffs = muntz_space.recovered_coefficients(f, fam)
@@ -170,11 +180,11 @@ def cmd_recover(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    f = load_series(args.f)
-    z = _parse_complex(args.z)
-    value = muntz_space.evaluate(f, mpc(z), tol=args.tol, precision_bits=cfg.precision_bits)
-    payload = with_config({"z": [decimal_str(mpf(z.real), cfg.precision_bits),
-                                 decimal_str(mpf(z.imag), cfg.precision_bits)],
+    f = load_series(args.f, cfg.precision_bits)
+    z = _parse_complex(args.z, cfg.precision_bits)
+    value = muntz_space.evaluate(f, z, tol=args.tol, precision_bits=cfg.precision_bits)
+    payload = with_config({"z": [decimal_str(z.real, cfg.precision_bits),
+                                 decimal_str(z.imag, cfg.precision_bits)],
                            "value": complex_pair(value, cfg.precision_bits)}, cfg)
     _emit(dump_json(payload, args.out), args.out)
     return 0
@@ -251,8 +261,10 @@ def cmd_hardy(args, cfg):
         "l2_coefficient_partial_sums": [[k, decimal_str(s, bits)] for k, s in report.l2_coeff_sums],
         "notes": report.notes,
     }
+    # a sequence that cannot be extended stops at its last exponent
+    k = args.k if lam.extendable else min(args.k, len(lam))
     qf = hardy.quadratic_form_partial_sums(
-        rule, lam, [max(1, args.k // 8), max(1, args.k // 4), max(1, args.k // 2), args.k])
+        rule, lam, sorted({max(1, k // 8), max(1, k // 4), max(1, k // 2), k}))
     payload["quadratic_form_partial_sums"] = [[k, float(v)] for k, v in qf]
     if args.theta:
         radial = {}

@@ -90,9 +90,14 @@ class ExponentSequence:
             return (q ** mpf(-K)) / (2 * (q - 1))
         return None
 
+    @property
+    def extendable(self) -> bool:
+        """True for the analytic families that ``extended`` can regenerate."""
+        return self.kind in ("power", "lacunary")
+
     def extended(self, N: int) -> "ExponentSequence":
         """Regenerate the same analytic family with a longer prefix."""
-        if self.kind not in ("power", "lacunary"):
+        if not self.extendable:
             raise ParameterError(f"cannot extend a {self.kind!r} sequence")
         if N <= len(self.values):
             return self.prefix(N)

@@ -83,7 +83,7 @@ def h2_membership(f: MuntzSeries, K: int = 1000) -> HardyReport:
         return HardyReport(member="yes", l2_coeff_sums=sums,
                            coefficient_certificate="finite sum")
     with working_precision(128):
-        budget = K if f.lam.kind in ("power", "lacunary") else min(K, len(f.lam))
+        budget = K if f.lam.extendable else min(K, len(f.lam))
         ks = sorted({max(1, budget // 8), max(1, budget // 4), max(1, budget // 2), budget})
         acc = mpf(0)
         sums = []
@@ -251,7 +251,7 @@ def radial_l2_bound(f: MuntzSeries, theta: float, K: int = 200,
                 raise InputError(
                     "rule carries no convergent-tail certificate; the radial bound "
                     "needs established membership")
-            if f.lam.kind not in ("power", "lacunary"):
+            if not f.lam.extendable:
                 raise InputError(
                     f"exponent kind {f.lam.kind!r} has no reciprocal-tail bound")
         h = mpf(boundary_cut)

@@ -587,7 +587,7 @@ def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
     # grow the working prefix until the analytic tail bound fits in eps/2
     K = 256
     tail = _rule_series_tail_product_bound(f.rule, f.lam, K)
-    extendable = f.lam.kind in ("power", "lacunary")
+    extendable = f.lam.extendable
     while tail is not None and tail > eps / 2 and K < max_terms and extendable:
         K = min(2 * K, max_terms)
         tail = _rule_series_tail_product_bound(f.rule, f.lam, K)

@@ -18,7 +18,7 @@ from mpmath import conj, matrix, mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily
 from .config import RunConfig, rank_collapse_threshold, working_precision
-from .errors import InputError, ParameterError, PrecisionInsufficientError
+from .errors import ConvergenceError, InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
 from . import completeness as _completeness
 from .linalg import conj_transpose, frobenius_norm, max_abs, sigma_max, sigma_min
@@ -195,8 +195,8 @@ class SynthesisCertificate:
     """Aggregated pass/fail record for the seven operator properties.
 
     status is "pass" only when every item passed; "inconclusive" when a
-    sub-check ran out of precision (never conflated with a mathematical
-    failure); "fail" otherwise.  The mixed-system (hereditary) sample is
+    sub-check ran out of precision or its iteration stopped at the step
+    limit (never conflated with a mathematical failure); "fail" otherwise.  The mixed-system (hereditary) sample is
     item 8: the structural input that makes synthesis equivalent to the
     spectral data in the first seven.
     """
@@ -294,7 +294,8 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         add("finite_rank_decay", decreasing and under and fr[N][1] == 0,
             tuple((m, c, b) for m, c, b in fr),
             detail="strictly decreasing for m >= 1, zero at m=N, under the envelope")
-    except PrecisionInsufficientError as exc:
+    except (PrecisionInsufficientError, ConvergenceError) as exc:
+        # sigma_max's power iteration can stall (squares, N=10, rho=0.8 at m=0)
         inconclusive = True
         add("finite_rank_decay", None, str(exc))
         fr = ()

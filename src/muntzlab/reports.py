@@ -15,7 +15,7 @@ from typing import Optional
 
 from mpmath import mp, mpc, mpf
 
-from .config import RunConfig, working_precision
+from .config import RunConfig, default_precision_bits, working_precision
 from .errors import InputError
 from .exponents import ExponentSequence
 from .muntz_space import MuntzSeries, rule_from_name
@@ -87,14 +87,18 @@ def load_exponents(path: str) -> ExponentSequence:
     return ExponentSequence.from_dict(data)
 
 
-def load_series(path: str) -> MuntzSeries:
+def load_series(path: str, precision_bits: Optional[int] = None) -> MuntzSeries:
     """Series JSON: {"lambda_ref": file, "coeffs": [[re, im], ...], "rule": {...}}.
 
-    lambda_ref is resolved relative to the series file's directory.
+    lambda_ref is resolved relative to the series file's directory.  The
+    coefficients' decimal literals are read at ``precision_bits`` (default
+    ``default_precision_bits()``), never through a binary float.
     """
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
+        literals = json.loads(text, parse_float=str).get("coeffs", [])
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read series file {path}: {exc}") from exc
     ref = data.get("lambda_ref")
@@ -103,12 +107,14 @@ def load_series(path: str) -> MuntzSeries:
     lam_path = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(os.path.abspath(path)), ref)
     lam = load_exponents(lam_path)
     coeffs = []
-    for entry in data.get("coeffs", []):
-        if isinstance(entry, (list, tuple)):
-            re_part, im_part = entry
-        else:
-            re_part, im_part = entry, 0
-        coeffs.append(mpc(mpf(str(re_part)), mpf(str(im_part))))
+    bits = default_precision_bits() if precision_bits is None else precision_bits
+    with working_precision(bits):
+        for entry in literals:
+            if isinstance(entry, (list, tuple)):
+                re_part, im_part = entry
+            else:
+                re_part, im_part = entry, 0
+            coeffs.append(mpc(mpf(str(re_part)), mpf(str(im_part))))
     rule_spec = data.get("rule")
     rule = None
     if rule_spec:

@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 from mpmath import mp
 
 from muntzlab import dual_family, generate_exponents
+
+# property tests repeat exactly: a fixed example sequence, no example
+# database, no timing-based failures, and a bounded number of examples
+settings.register_profile("muntzlab", derandomize=True, database=None, deadline=None,
+                          max_examples=40)
+settings.load_profile("muntzlab")
 
 
 @pytest.fixture(autouse=True, scope="session")

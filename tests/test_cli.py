@@ -197,6 +197,39 @@ def test_hardy_radial_integers_kind_is_typed_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
 
+def test_hardy_short_integers_file(tmp_path):
+    # the default --k 1000 runs past a 5-value file that cannot be extended
+    lam = tmp_path / "ints.json"
+    assert main(["gen-exponents", "--kind", "integers", "--values", "1,4,9,16,25", "--n", "5",
+                 "--out", str(lam)]) == 0
+    out = tmp_path / "hardy.json"
+    assert main(["hardy", "--lambda", str(lam), "--rule", "inv_n", "--out", str(out)]) == 0
+    data = read_json(out)
+    assert [k for k, _ in data["quadratic_form_partial_sums"]] == [1, 2, 5]
+    assert data["l2_coefficient_partial_sums"][-1][0] == 5
+
+
+def test_decimal_inputs_carry_the_stated_bits(tmp_path):
+    lam = tmp_path / "lam1.json"
+    assert main(["gen-exponents", "--kind", "integers", "--values", "1", "--n", "1",
+                 "--out", str(lam)]) == 0
+    series = tmp_path / "series.json"
+    series.write_text('{"lambda_ref": "lam1.json", "coeffs": [[0.1, 0]]}')
+    out = tmp_path / "eval.json"
+    with mp.workprec(53):  # the ambient precision of a fresh muntz process
+        assert main(["eval", "--f", str(series), "--z=0.3+0.4i", "--bits", "256",
+                     "--out", str(out)]) == 0
+    data = read_json(out)
+    with mp.workprec(320):
+        tol = mpf(2) ** -256
+        z = mpc(mpf(data["z"][0]), mpf(data["z"][1]))
+        assert abs(z - mpc("0.3", "0.4")) < tol
+        # 0.1 * z = 0.03 + 0.04i: neither the coefficient nor z went through a double
+        value = mpc(mpf(data["value"][0]), mpf(data["value"][1]))
+        assert abs(value - mpc("0.03", "0.04")) < tol
+        assert abs(load_series(str(series), 256).coeffs[0] - mpf("0.1")) < tol / 10
+
+
 def test_determinism_byte_identical(lambda_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["operator", "certify", "--lambda", str(lambda_file), "--rho", "0.5",

@@ -203,3 +203,16 @@ def test_certificate_scalar_truncation_is_inconclusive():
     # a 1x1 truncation cannot witness non-normality
     assert cert.item("not_normal").passed is None
     assert cert.status == "inconclusive"
+
+
+def test_certificate_stalled_power_iteration_is_inconclusive():
+    # at rho = 0.8 sigma_max's power iteration on the m = 0 tail stops at its
+    # step limit; that is no verdict on the operator, so the item is open
+    sq = generate_exponents("power", {"p": 2}, 10)
+    cert = synthesis_certificate(dilation_operator(sq, 0.8, 10), dual_family(sq, 10, 512))
+    item = cert.item("finite_rank_decay")
+    assert item.passed is None
+    assert "did not converge" in item.value
+    assert cert.finite_rank_errors == ()
+    assert cert.status == "inconclusive"
+    assert all(it.passed for it in cert.items if it.name != "finite_rank_decay")
