@@ -90,7 +90,7 @@ def test_invertible_rests_on_the_certified_bound(fam_squares_10):
 
 
 def _oracle_sigma_min(values, n1, n2, prec):
-    """sqrt of the smallest eigenvalue over the two blocks, from scratch."""
+    """sqrt of the smallest eigenvalue over the two blocks, rebuilt independently."""
     with mp.workprec(prec):
         N = len(values)
         G = matrix(N, N)
