@@ -53,4 +53,16 @@ print("   m    computed        envelope bound")
 for m, computed, bound in cert.finite_rank_errors:
     print(f"  {m:2d}   {mp.nstr(computed, 6):>12}    {mp.nstr(bound, 6):>12}")
 print("(monotone from m = 1 on; dropping the first rank-one piece of a")
-print("non-normal operator can raise the norm, and at N=10 it does)")
+print("non-normal operator can raise the norm, and at N=10 it does.  Each")
+print("norm is a certified enclosure from hermitian_lambda_max: the item")
+print("passes only if upper(m+1) < lower(m) and upper(m) <= bound.  An")
+print("iteration that reaches its step limit hands its last iterate to the")
+print("certificate; it does not make the item inconclusive.)")
+
+print("\n== rho = 0.8: a certified failure of the decay item ==")
+cert8 = synthesis_certificate(dilation_operator(squares, 0.8, 10), fam10)
+print("status:", cert8.status, " finite_rank_decay passed =",
+      cert8.item("finite_rank_decay").passed)
+for m, lower, upper in cert8.finite_rank_enclosures[1:3]:
+    print(f"  ||T - T_{m}|| in [{mp.nstr(lower, 8)}, {mp.nstr(upper, 8)}]")
+print("(the tails grow from m = 1 to m = 2, with disjoint enclosures)")

@@ -263,8 +263,7 @@ def cmd_hardy(args, cfg):
     }
     # a sequence that cannot be extended stops at its last exponent
     k = args.k if lam.extendable else min(args.k, len(lam))
-    qf = hardy.quadratic_form_partial_sums(
-        rule, lam, sorted({max(1, k // 8), max(1, k // 4), max(1, k // 2), k}))
+    qf = hardy.quadratic_form_partial_sums(rule, lam, hardy.checkpoints(k))
     payload["quadratic_form_partial_sums"] = [[k, float(v)] for k, v in qf]
     if args.theta:
         radial = {}

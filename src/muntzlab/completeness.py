@@ -123,13 +123,9 @@ def mixed_completeness_check(partition: Partition, family: BiorthogonalFamily,
 
     sigma_min^2 is the smallest eigenvalue of diag(G[N1,N1], G^-1[N2,N2]),
     principal blocks of family.gram and family.coeffs; X is never formed.
-    block_diagonal_lambda_min factors both blocks by Cholesky and runs
-    inverse iteration on their direct sum from a fixed start vector until
-    the Rayleigh quotient theta moves by at most SIGMA_REL_TOL relative.
-    A Cholesky of each block shifted below theta by the eigen-residual and
-    a rounding bound certifies s < lambda_min <= theta.  min_singular is
-    sqrt(theta), sigma_lower is sqrt(s), and the system counts as
-    invertible when sigma_lower > threshold (default
+    block_diagonal_lambda_min encloses it as s < lambda_min <= theta.
+    min_singular is sqrt(theta), sigma_lower is sqrt(s), and the system
+    counts as invertible when sigma_lower > threshold (default
     rank_collapse_threshold(bits)).  PrecisionInsufficientError when no
     positive lower bound can be certified at the family's precision.
     """

@@ -58,12 +58,18 @@ def _require_integer_lambda(lam: ExponentSequence):
         raise DomainError("gap Hardy membership is defined for integer exponents only")
 
 
-def _coefficient_partial_sums(f: MuntzSeries, K: int):
-    ks = sorted({max(1, K // 8), max(1, K // 4), max(1, K // 2), K})
+def checkpoints(K: int) -> list:
+    """The reported prefix lengths K/8, K/4, K/2 and K, each at least 1."""
+    return sorted({max(1, K // 8), max(1, K // 4), max(1, K // 2), K})
+
+
+def _coefficient_partial_sums(coefficient, K: int):
+    """((k, sum_{n<=k} |c_n|^2), ...) at the checkpoints of K; c_n = coefficient(n)."""
+    ks = checkpoints(K)
     sums = []
     acc = mpf(0)
     for n in range(1, K + 1):
-        acc += abs(mpc(f.coefficient(n))) ** 2
+        acc += abs(mpc(coefficient(n))) ** 2
         if n in ks:
             sums.append((n, acc))
     return tuple(sums)
@@ -79,18 +85,12 @@ def h2_membership(f: MuntzSeries, K: int = 1000) -> HardyReport:
     _require_integer_lambda(f.lam)
     if f.finite:
         with working_precision(128):
-            sums = _coefficient_partial_sums(f, min(K, f.n_terms))
+            sums = _coefficient_partial_sums(f.coefficient, min(K, f.n_terms))
         return HardyReport(member="yes", l2_coeff_sums=sums,
                            coefficient_certificate="finite sum")
     with working_precision(128):
         budget = K if f.lam.extendable else min(K, len(f.lam))
-        ks = sorted({max(1, budget // 8), max(1, budget // 4), max(1, budget // 2), budget})
-        acc = mpf(0)
-        sums = []
-        for n in range(1, budget + 1):
-            acc += abs(mpc(f.rule.coefficient(n))) ** 2
-            if n in ks:
-                sums.append((n, acc))
+        sums = _coefficient_partial_sums(f.rule.coefficient, budget)
     cert = f.rule.l2_class
     if cert == "convergent":
         member = "yes"
@@ -101,7 +101,7 @@ def h2_membership(f: MuntzSeries, K: int = 1000) -> HardyReport:
     else:
         member = "inconclusive"
         note = "no comparison certificate on the rule; partial sums only"
-    return HardyReport(member=member, l2_coeff_sums=tuple(sums),
+    return HardyReport(member=member, l2_coeff_sums=sums,
                        coefficient_certificate=cert, notes=note)
 
 

@@ -1,21 +1,19 @@
 """Small dense linear-algebra kernels at mpmath working precision.
 
-Everything here operates on mpmath matrices of modest size (N <= ~16 in
-practice) where dense O(N^3) factorizations are cheap even at 512 bits.
-Operator norms are largest singular values obtained by power iteration on
-A^H A; smallest singular values use inverse iteration through a reusable
-LU factorization.  Symmetric positive definite blocks given as row lists
-get a plain-list Cholesky kernel instead: inverse iteration on a direct
-sum of blocks with a certified enclosure of its smallest eigenvalue.
-Start vectors are fixed (no RNG) so results are deterministic.
+Matrices are small (N <= ~16), so dense O(N^3) work is cheap even at 512
+bits.  Two kernels on row lists enclose an extreme eigenvalue:
+block_diagonal_lambda_min and hermitian_lambda_max.  They share the fixed
+start vector (no RNG), the stopping rule and a shifted-Cholesky
+certificate; a step limit only ends an iteration, and a value that cannot
+be certified raises PrecisionInsufficientError.
 """
 
 from __future__ import annotations
 
-from mpmath import conj, matrix, mp, mpf, sqrt
+from mpmath import conj, matrix, mp, mpc, mpf, sqrt
 
 from .config import working_precision
-from .errors import ConvergenceError, DegenerateInputError, InputError, PrecisionInsufficientError
+from .errors import DegenerateInputError, InputError, PrecisionInsufficientError
 
 SIGMA_REL_TOL = 1e-20
 MAX_POWER_ITER = 2000
@@ -37,46 +35,16 @@ def max_abs(A: matrix):
     return worst
 
 
-def conj_transpose(A: matrix) -> matrix:
-    B = matrix(A.cols, A.rows)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            B[j, i] = conj(A[i, j])
-    return B
-
-
 def _vec_norm(v):
     return sqrt(sum(abs(x) ** 2 for x in v))
 
 
 def _start_vector(n):
-    # fixed, mildly uneven start so it is not orthogonal to the top
-    # singular vector by accident of symmetry
-    return [mpf(1) + mpf(i) / (2 * n) for i in range(n)]
-
-
-def sigma_max(A: matrix, rel_tol: float = SIGMA_REL_TOL, max_iter: int = MAX_POWER_ITER):
-    """Largest singular value of A by power iteration on A^H A."""
-    n = A.cols
-    if n == 0:
-        return mpf(0)
-    AH = conj_transpose(A)
-    v = _start_vector(n)
-    nv = _vec_norm(v)
-    v = [x / nv for x in v]
-    sigma = mpf(0)
-    for _ in range(max_iter):
-        w = A * matrix(v)
-        z = AH * w
-        zn = _vec_norm(z)
-        if zn == 0:
-            return mpf(0)
-        new_sigma = sqrt(zn)
-        v = [z[i] / zn for i in range(n)]
-        if sigma > 0 and abs(new_sigma - sigma) <= mpf(rel_tol) * new_sigma:
-            return new_sigma
-        sigma = new_sigma
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    # fixed, mildly uneven unit start, not orthogonal to the extreme
+    # eigenvector by accident of symmetry
+    x = [mpf(1) + mpf(i) / (2 * n) for i in range(n)]
+    nx = _vec_norm(x)
+    return [v / nx for v in x]
 
 
 class LUFactors:
@@ -141,38 +109,6 @@ class LUFactors:
         return d
 
 
-def sigma_min(A: matrix, rel_tol: float = SIGMA_REL_TOL, max_iter: int = MAX_POWER_ITER):
-    """Smallest singular value via inverse iteration on (A^H A)^-1.
-
-    Each step solves A z = v and A^H w = z through one shared LU, so the
-    per-iteration cost is O(N^2).  Returns 0 when the matrix is exactly
-    singular at working precision.
-    """
-    n = A.cols
-    if n == 0:
-        return mpf(0)
-    try:
-        lu = LUFactors(A)
-    except DegenerateInputError:
-        return mpf(0)
-    v = _start_vector(n)
-    nv = _vec_norm(v)
-    v = [x / nv for x in v]
-    mu = mpf(0)
-    for _ in range(max_iter):
-        z = lu.solve(v)
-        w = lu.solve_adjoint(z)
-        wn = _vec_norm(w)
-        if wn == 0 or not mp.isfinite(wn):
-            return mpf(0)
-        new_mu = sqrt(wn)  # converges to 1/sigma_min^2 under the sqrt pairing
-        v = [w[i] / wn for i in range(n)]
-        if mu > 0 and abs(new_mu - mu) <= mpf(rel_tol) * new_mu:
-            return 1 / new_mu
-        mu = new_mu
-    raise ConvergenceError(f"inverse iteration did not converge in {max_iter} steps")
-
-
 def lower_triangular_inverse(L: matrix) -> matrix:
     """Inverse of a lower-triangular matrix by forward substitution."""
     n = L.rows
@@ -188,6 +124,23 @@ def lower_triangular_inverse(L: matrix) -> matrix:
         for i in range(n):
             inv[i, col] = x[i]
     return inv
+
+
+def _settled(old, new):
+    """The stopping rule: the estimate moved by at most SIGMA_REL_TOL relative."""
+    return old is not None and abs(new - old) <= mpf(SIGMA_REL_TOL) * new
+
+
+def _margin(n, trace):
+    """Rounding margin e = (n + 2) 2^(1-p) trace for an n x n Cholesky at p bits.
+
+    Demmel (LAPACK Working Note 14, 1989) bounds the backward error of a
+    Cholesky of A that runs to completion by |E_ij| <= gamma_(n+1)
+    sqrt(a_ii a_jj), so |E| <= gamma_(n+1) tr A.  With trace >= tr A, e is
+    about twice that: the rest covers forming a shifted diagonal and the
+    roundings of the shift and of the certified end.
+    """
+    return (n + 2) * mpf(2) ** (1 - mp.prec) * trace
 
 
 def _cholesky_rows(B, shift=0):
@@ -233,28 +186,17 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
     with s < lambda_min <= theta.
 
     Every block is Cholesky-factored once.  Inverse iteration then runs on
-    the direct sum from the fixed start vector: y = B^-1 x blockwise (one
-    forward and one back substitution per block), theta = x.x / x.y (no
-    matrix-vector product), x = y/|y|, until theta moves by at most
-    SIGMA_REL_TOL relative (at most MAX_POWER_ITER steps).
-
-    theta only estimates lambda_min.  The lower bound is certified: with
-    r = |Bx - theta x| for the final unit x, every block is factored again
-    shifted by c = theta - r - e, and s = c - e.  Here e is the largest
-    over blocks of (n_b + 2) 2^(1-p) tr(B_b), p the working bits.  Demmel
-    (LAPACK Working Note 14, 1989) bounds the backward error of a
-    Cholesky that runs to completion by |E_ij| <= gamma_(n+1) sqrt(a_ii a_jj),
-    so |E| <= gamma_(n+1) tr(B - cI); the rest of e covers forming the
-    shifted diagonal and the roundings of c and s.  A complete shifted
-    factorization thus proves lambda_min(B_b) > c - e for every block.  The
-    first e is a margin: theta and r only place the shift, so their
-    rounding can make the shifted factorization fail, never make s wrong.
-    The enclosure is for the blocks as given; the factorizations read
-    their lower triangles.
-
-    Raises PrecisionInsufficientError when a block is not numerically
-    positive definite, when s is not positive, or when a shifted
-    factorization fails; an uncertified value is never returned.
+    the direct sum from the fixed start vector: y = B^-1 x blockwise,
+    theta = x.x / x.y, x = y/|y|, until theta settles (_settled) or
+    MAX_POWER_ITER steps have run.  With r = |Bx - theta x| for the final
+    unit x, every block is factored again shifted by c = theta - r - e, and
+    s = c - e, with e the largest _margin(n_b, tr B_b) (tr(B_b - cI) < tr B_b).
+    A complete shifted factorization proves lambda_min(B_b) > c - e for
+    every block.  The first e is a margin: theta and r only place the
+    shift, so their rounding can make the shifted factorization fail, never
+    make s wrong.  The enclosure is for the blocks as given (their lower
+    triangles).  PrecisionInsufficientError when a block is not numerically
+    positive definite, s is not positive, or a shifted factorization fails.
     """
     blocks = [B for B in blocks if len(B)]
     if not blocks:
@@ -265,10 +207,9 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
             raise PrecisionInsufficientError(
                 "block is not numerically positive definite", precision_bits=precision_bits)
         x = _start_vector(sum(len(B) for B in blocks))
-        nx = _vec_norm(x)
         xs, start = [], 0
         for B in blocks:
-            xs.append([v / nx for v in x[start:start + len(B)]])
+            xs.append(x[start:start + len(B)])
             start += len(B)
         theta = None
         for iterations in range(1, MAX_POWER_ITER + 1):
@@ -277,17 +218,14 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
                          / mp.fsum(mp.fdot(xb, yb) for xb, yb in zip(xs, ys)))
             scale = 1 / sqrt(mp.fsum(mp.fdot(yb, yb) for yb in ys))
             xs = [[v * scale for v in yb] for yb in ys]
-            done = theta is not None and abs(new_theta - theta) <= mpf(SIGMA_REL_TOL) * new_theta
+            done = _settled(theta, new_theta)
             theta = new_theta
             if done:
                 break
-        else:
-            raise ConvergenceError(f"inverse iteration did not converge in {MAX_POWER_ITER} steps")
 
         r = sqrt(mp.fsum((mp.fdot(row, xb) - theta * xb[i]) ** 2
                          for B, xb in zip(blocks, xs) for i, row in enumerate(B)))
-        ulp = mpf(2) ** (1 - mp.prec)
-        e = max((len(B) + 2) * ulp * mp.fsum(B[i][i] for i in range(len(B))) for B in blocks)
+        e = max(_margin(len(B), mp.fsum(B[i][i] for i in range(len(B)))) for B in blocks)
         shift = theta - r - e
         s = shift - e
         if not s > 0 or any(_cholesky_rows(B, shift) is None for B in blocks):
@@ -295,3 +233,55 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
                 f"cannot certify lambda_min above {mp.nstr(s, 5)} (estimate {mp.nstr(theta, 5)})",
                 residual=r, precision_bits=precision_bits)
         return theta, s, iterations
+
+
+def hermitian_lambda_max(H, precision_bits: int):
+    """Largest eigenvalue of a Hermitian positive semidefinite H, certified.
+
+    H is a list of rows of mpf or mpc.  Returns (lower, theta, upper) with
+    lower <= lambda_max < upper.  Power iteration from the fixed start
+    vector: theta = x.Hx / x.x, x = Px/|Px|, until theta settles or
+    MAX_POWER_ITER steps have run.  P is H for n steps, then squared every
+    step, so a near-tie at the top costs a few dozen steps, not thousands.
+
+    theta is a Rayleigh quotient and lower = theta - e.  With r = |Hx - theta x|
+    for the final unit x, a complete Cholesky of cI - H at c = theta + r + e
+    proves lambda_max < upper = c + e (block_diagonal_lambda_min from the
+    other side), with e = _margin(n, n (theta + r) + tr H): tr(cI - H) <= n c,
+    and tr H also covers the rounding of theta.  The enclosure is for H as
+    given.  PrecisionInsufficientError when Px = 0 or that Cholesky fails.
+    """
+    if not len(H):
+        raise InputError("empty matrix")
+    with working_precision(precision_bits):
+        if any(isinstance(h, mpc) for row in H for h in row):
+            # [[A, -B], [B, A]] for H = A + iB: real symmetric, each eigenvalue twice
+            A, B = [[mp.re(h) for h in row] for row in H], [[mp.im(h) for h in row] for row in H]
+            H = [a + [-v for v in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)]
+        n = len(H)
+        x = _start_vector(n)
+        theta, P = None, H
+        for step in range(MAX_POWER_ITER):
+            Hx = [mp.fdot(row, x) for row in H]
+            new_theta = mp.fdot(x, Hx) / mp.fdot(x, x)
+            done = _settled(theta, new_theta) or step == MAX_POWER_ITER - 1
+            theta = new_theta
+            if done:
+                break
+            if step >= n:
+                P = [[mp.fdot(a, b) for b in P] for a in P]
+            y = Hx if P is H else [mp.fdot(row, x) for row in P]
+            ny = _vec_norm(y)
+            if not ny > 0:
+                raise PrecisionInsufficientError("the iterate lies in the kernel of H",
+                                                 precision_bits=precision_bits)
+            x = [v / ny for v in y]
+
+        r = _vec_norm([v - theta * u for v, u in zip(Hx, x)])
+        e = _margin(n, n * (theta + r) + mp.fsum(H[i][i] for i in range(n)))
+        shift = theta + r + e
+        if _cholesky_rows([[-h for h in row] for row in H], -shift) is None:
+            raise PrecisionInsufficientError(
+                f"cannot certify lambda_max below {mp.nstr(shift + e, 5)} "
+                f"(estimate {mp.nstr(theta, 5)})", residual=r, precision_bits=precision_bits)
+        return theta - e, theta, shift + e

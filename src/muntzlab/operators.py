@@ -6,6 +6,9 @@ In the orthonormal coordinates produced by the Cholesky factor of the
 Gram matrix (G = L L^T) the truncated operator is M = L^T diag(u) L^(-T),
 an upper-triangular matrix similar to diag(u); every certificate item is
 a statement about M or about exact inner-product identities.
+Every norm the certificate uses is ||M_w|| = ||L^T diag(w) L^(-T)||,
+enclosed by linalg.hermitian_lambda_max: the tails ||T - T_m||
+(w = (0..0, u_{m+1}..u_N)) and sigma_min(M) = 1/||M^-1|| (w = 1/u).
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from typing import Optional, Sequence
 
 from mpmath import conj, matrix, mp, mpc, mpf, sqrt
 
-from .biorthogonal import BiorthogonalFamily
+from .biorthogonal import BiorthogonalFamily, norm_growth_check
 from .config import RunConfig, rank_collapse_threshold, working_precision
-from .errors import ConvergenceError, InputError, ParameterError, PrecisionInsufficientError
+from .errors import InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
 from . import completeness as _completeness
-from .linalg import conj_transpose, frobenius_norm, max_abs, sigma_max, sigma_min
+from .linalg import frobenius_norm, hermitian_lambda_max, max_abs
 from .muntz_space import (
     MuntzSeries,
     QuadratureSpec,
@@ -95,25 +98,30 @@ def apply_operator(op: MuntzOperator, f: SeriesOrCallable, family: BiorthogonalF
     return MuntzSeries(family.lam.prefix(op.truncation), scaled)
 
 
-def _orthonormal_matrix(u: Sequence, L: matrix, precision_bits: int) -> matrix:
-    """M = L^T diag(u) L^(-T): upper triangular with diagonal u."""
-    from .linalg import lower_triangular_inverse
-
+def _orthonormal_matrix(w: Sequence, L: matrix, Linv: matrix, precision_bits: int) -> matrix:
+    """M_w = L^T diag(w) L^(-T): upper triangular with diagonal w."""
     with working_precision(precision_bits):
-        N = L.rows
-        Lt = L.T
-        Linv_t = lower_triangular_inverse(L).T
-        D = matrix(N, N)
-        for n in range(N):
-            D[n, n] = u[n]
-        return Lt * D * Linv_t
+        LtD = [[L[k, i] * w[k] for k in range(L.rows)] for i in range(L.rows)]
+        rows = Linv.tolist()
+        return matrix([[mp.fdot(a, b) for b in rows] for a in LtD])
+
+
+def _norm_enclosure(w: Sequence, family: BiorthogonalFamily):
+    """(lower, estimate, upper) for ||M_w||, from M_w^H M_w as formed at the family's bits."""
+    bits = family.precision_bits
+    M = _orthonormal_matrix(w, family.cholesky_factor, family.cholesky_inverse_factor, bits)
+    with working_precision(bits):
+        cols = M.T.tolist()
+        H = [[mp.fdot(b, a, conjugate=True) for b in cols] for a in cols]
+        return tuple(sqrt(v) for v in hermitian_lambda_max(H, bits))
 
 
 def matrix_representation(op: MuntzOperator, family: BiorthogonalFamily) -> matrix:
     """Truncated operator in orthonormal coordinates (similar to diag(u))."""
     if family.truncation != op.truncation:
         raise InputError("operator and family truncations differ")
-    return _orthonormal_matrix(op.u, family.cholesky_factor, family.precision_bits)
+    return _orthonormal_matrix(op.u, family.cholesky_factor, family.cholesky_inverse_factor,
+                               family.precision_bits)
 
 
 def spectrum_from_matrix(M: matrix, precision_bits: int):
@@ -143,38 +151,40 @@ def normality_defect(op: MuntzOperator, family: BiorthogonalFamily):
 
 def normality_defect_from_matrix(M: matrix, precision_bits: int):
     with working_precision(precision_bits):
-        MH = conj_transpose(M)
+        MH = M.H
         return frobenius_norm(M * MH - MH * M)
 
 
-def finite_rank_error(op: MuntzOperator, family: BiorthogonalFamily, m: int,
-                      growth_epsilon: Optional[float] = None):
-    """(computed, bound) for ||T - T_m||, the tail beyond the m-term head.
-
-    computed is the largest singular value of L^T diag(0..0, u_{m+1}..u_N) L^(-T).
-    bound is the envelope m_fit * sum_{n>m} ((rho+1)/2)^lambda_n with m_fit
-    fitted at eps = (1-rho)/(2 rho), the choice that turns (1+eps) rho into
-    exactly (rho+1)/2.
-    """
-    from .biorthogonal import norm_growth_check
-
+def _tail_enclosure(op: MuntzOperator, family: BiorthogonalFamily, m: int):
+    """(lower, estimate, upper) for ||T - T_m||, zero at m = N."""
     N = op.truncation
     if not 0 <= m <= N:
         raise InputError(f"m={m} outside 0..{N}")
-    bits = family.precision_bits
-    with working_precision(bits):
-        tail_u = [mpf(0)] * m + list(op.u[m:])
-        if m == N:
-            computed = mpf(0)
-        else:
-            Mtail = _orthonormal_matrix(tail_u, family.cholesky_factor, bits)
-            computed = sigma_max(Mtail)
+    if m == N:
+        return (mpf(0),) * 3
+    return _norm_enclosure([0] * m + list(op.u[m:]), family)
+
+
+def _envelope_bounds(op: MuntzOperator, family: BiorthogonalFamily,
+                     growth_epsilon: Optional[float] = None):
+    """m_fit * sum_{n>m} ((rho+1)/2)^lambda_n for m = 0..N, m_fit fitted at
+    eps = (1-rho)/(2 rho), the choice that turns (1+eps) rho into (rho+1)/2."""
+    N = op.truncation
+    with working_precision(family.precision_bits):
         if growth_epsilon is None:
             growth_epsilon = (1 - op.rho) / (2 * op.rho)
         growth = norm_growth_check(family, min(growth_epsilon, 1 - 1e-12))
         envelope_base = (mpf(op.rho) + 1) / 2
-        bound = growth.m_fit * sum(envelope_base ** mpf(op.lam.values[n]) for n in range(m, N))
-        return computed, bound
+        terms = [envelope_base ** mpf(v) for v in op.lam.values[:N]]
+        return [growth.m_fit * sum(terms[m:]) for m in range(N + 1)]
+
+
+def finite_rank_error(op: MuntzOperator, family: BiorthogonalFamily, m: int,
+                      growth_epsilon: Optional[float] = None):
+    """(computed, bound) for ||T - T_m||: the estimate inside the certified
+    enclosure of the tail L^T diag(0..0, u_{m+1}..u_N) L^(-T), and its envelope."""
+    _, computed, _ = _tail_enclosure(op, family, m)
+    return computed, _envelope_bounds(op, family, growth_epsilon)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +204,11 @@ class CertificateItem:
 class SynthesisCertificate:
     """Aggregated pass/fail record for the seven operator properties.
 
-    status is "pass" only when every item passed; "inconclusive" when a
-    sub-check ran out of precision or its iteration stopped at the step
-    limit (never conflated with a mathematical failure); "fail" otherwise.  The mixed-system (hereditary) sample is
-    item 8: the structural input that makes synthesis equivalent to the
-    spectral data in the first seven.
+    status is "pass" when every item passed, "fail" when one failed, and
+    otherwise "inconclusive": a sub-check could not be certified at the
+    family's precision (a step limit alone never does that).  Item 8, the
+    mixed-system (hereditary) sample, is the structural input that makes
+    synthesis equivalent to the spectral data in the first seven.
     """
 
     items: tuple
@@ -209,6 +219,7 @@ class SynthesisCertificate:
     kernel_min_singular: object
     normality_defect: object
     finite_rank_errors: tuple
+    finite_rank_enclosures: tuple
     simplicity_flag: bool
 
     def item(self, name: str) -> CertificateItem:
@@ -260,6 +271,11 @@ def _adjoint_relation_residual(op, family):
         return worst
 
 
+def _verdict(proved: bool, refuted: bool) -> Optional[bool]:
+    """True when certified, False when certified false, None (inconclusive) otherwise."""
+    return True if proved else (False if refuted else None)
+
+
 def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
                           config: Optional[RunConfig] = None,
                           hereditary_samples: int = 64) -> SynthesisCertificate:
@@ -271,34 +287,38 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
     orthonormal representation, (5) spectrum report {0} union {u_k},
     (6) simplicity (distinct eigenvalues), (7) positive normality defect,
     (8) sampled mixed-system invertibility at this truncation.
+
+    Items 1 and 4 decide on certified ends (finite_rank_enclosures): the
+    tails decrease when upper(m+1) < lower(m), lie under the envelope when
+    upper(m) <= bound, and the kernel is trivial when the lower end of
+    sigma_min(M), the item value, exceeds rank_collapse_threshold(bits).
+    Ends that prove the opposite fail an item; overlaps leave it open.
     """
     config = config or RunConfig(precision_bits=family.precision_bits)
     N = op.truncation
     bits = family.precision_bits
     items = []
-    inconclusive = False
 
     def add(name, passed, value, tol=None, detail=""):
         items.append(CertificateItem(name, passed, value, tol, detail))
 
-    # 1. finite-rank errors
+    # 1. finite-rank errors, each norm enclosed; the tail at m = N is zero
     try:
-        fr = []
-        for m in range(N + 1):
-            computed, bound = finite_rank_error(op, family, m)
-            fr.append((m, computed, bound))
+        bounds = _envelope_bounds(op, family)
+        lo, est, hi = zip(*(_tail_enclosure(op, family, m) for m in range(N + 1)))
+        fr = tuple(zip(range(N + 1), est, bounds))
+        fr_enclosures = tuple(zip(range(N + 1), lo, hi))
         # monotonicity holds from m=1 on; dropping the first rank-one piece
         # of a non-normal operator can raise the norm (observed at N=10)
-        decreasing = all(fr[i + 1][1] < fr[i][1] for i in range(1, N))
-        under = all(c <= b * (1 + mpf(10) ** -20) for _, c, b in fr)
-        add("finite_rank_decay", decreasing and under and fr[N][1] == 0,
-            tuple((m, c, b) for m, c, b in fr),
+        proved = (all(hi[m + 1] < lo[m] for m in range(1, N))
+                  and all(h <= b for h, b in zip(hi, bounds)))
+        refuted = (any(lo[m + 1] >= hi[m] for m in range(1, N))
+                   or any(v > b for v, b in zip(lo, bounds)))
+        add("finite_rank_decay", _verdict(proved, refuted), fr,
             detail="strictly decreasing for m >= 1, zero at m=N, under the envelope")
-    except (PrecisionInsufficientError, ConvergenceError) as exc:
-        # sigma_max's power iteration can stall (squares, N=10, rho=0.8 at m=0)
-        inconclusive = True
+    except PrecisionInsufficientError as exc:
         add("finite_rank_decay", None, str(exc))
-        fr = ()
+        fr = fr_enclosures = ()
 
     # 2. eigen relations
     tol_eig = config.tolerance("eigen_residual")
@@ -306,7 +326,7 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         eig_res = _eigen_relation_residual(op, family)
         add("eigen_relations", eig_res < mpf(tol_eig), eig_res, tol_eig)
     except PrecisionInsufficientError as exc:
-        inconclusive, eig_res = True, None
+        eig_res = None
         add("eigen_relations", None, str(exc))
 
     # 3. adjoint relations
@@ -315,20 +335,25 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         adj_res = _adjoint_relation_residual(op, family)
         add("adjoint_relations", adj_res < mpf(tol_adj), adj_res, tol_adj)
     except PrecisionInsufficientError as exc:
-        inconclusive, adj_res = True, None
+        adj_res = None
         add("adjoint_relations", None, str(exc))
 
-    # 4-7 need the orthonormal representation
-    spectrum = ()
-    kernel_sigma = None
-    defect = None
-    simple = None
+    # 4. kernel triviality: sigma_min(M) = 1/||M^-1||, M^-1 = L^T diag(1/u) L^(-T)
+    kernel_tol = rank_collapse_threshold(bits)
+    try:
+        with working_precision(bits):
+            inverse_ends = _norm_enclosure([1 / mp.mpmathify(u) for u in op.u], family)
+            sigma_lower, kernel_sigma, sigma_upper = (1 / v for v in reversed(inverse_ends))
+        add("kernel_trivial", _verdict(sigma_lower > kernel_tol, sigma_upper <= kernel_tol),
+            sigma_lower, kernel_tol)
+    except PrecisionInsufficientError as exc:
+        kernel_sigma = None
+        add("kernel_trivial", None, str(exc))
+
+    # 5-7 need the orthonormal representation
+    spectrum, defect, simple = (), None, None
     try:
         M = matrix_representation(op, family)
-        kernel_tol = rank_collapse_threshold(bits)
-        kernel_sigma = sigma_min(M)
-        add("kernel_trivial", kernel_sigma > mpf(kernel_tol), kernel_sigma, kernel_tol)
-
         eigs = spectrum_from_matrix(M, bits)
         with working_precision(bits):
             spectrum = tuple([mpc(0)] + [mpc(u) for u in op.u])
@@ -345,11 +370,7 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         tol_defect = config.tolerance("normality_defect_min")
         add("not_normal", defect > mpf(tol_defect) if N >= 2 else None, defect, tol_defect,
             detail="non-orthogonal eigenvectors force a positive commutator norm")
-        if N < 2:
-            inconclusive = True
     except PrecisionInsufficientError as exc:
-        inconclusive = True
-        add("kernel_trivial", None, str(exc))
         add("spectrum", None, str(exc))
         add("simple_eigenvalues", None, str(exc))
         add("not_normal", None, str(exc))
@@ -361,23 +382,15 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
             parts = list(_completeness.all_partitions(N))
         else:
             parts = [_completeness.sample_partition(N, rng) for _ in range(hereditary_samples)]
-        worst_sigma = None
-        ok = True
-        for part in parts:
-            check = _completeness.mixed_completeness_check(part, family)
-            if worst_sigma is None or check.min_singular < worst_sigma:
-                worst_sigma = check.min_singular
-            ok = ok and check.invertible
-        add("mixed_system_sample", ok, worst_sigma, rank_collapse_threshold(bits),
+        checks = [_completeness.mixed_completeness_check(part, family) for part in parts]
+        add("mixed_system_sample", all(c.invertible for c in checks),
+            min(c.min_singular for c in checks), rank_collapse_threshold(bits),
             detail=f"{len(parts)} partitions, smallest sigma_min reported")
     except PrecisionInsufficientError as exc:
-        inconclusive = True
         add("mixed_system_sample", None, str(exc))
 
-    if inconclusive or any(it.passed is None for it in items):
-        status = "inconclusive" if all(it.passed is not False for it in items) else "fail"
-    else:
-        status = "pass" if all(it.passed for it in items) else "fail"
+    verdicts = [it.passed for it in items]
+    status = "fail" if False in verdicts else "inconclusive" if None in verdicts else "pass"
 
     return SynthesisCertificate(
         items=tuple(items),
@@ -387,6 +400,7 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         adjoint_residual=adj_res,
         kernel_min_singular=kernel_sigma,
         normality_defect=defect,
-        finite_rank_errors=tuple(fr),
+        finite_rank_errors=fr,
+        finite_rank_enclosures=fr_enclosures,
         simplicity_flag=bool(simple),
     )

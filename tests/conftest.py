@@ -1,8 +1,15 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 from mpmath import mp
 
+import muntzlab
 from muntzlab import dual_family, generate_exponents
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # property tests repeat exactly: a fixed example sequence, no example
 # database, no timing-based failures, and a bounded number of examples
@@ -55,3 +62,17 @@ def fam_squares_10_512(lam_squares):
 @pytest.fixture(scope="session")
 def fam_squares_12(lam_squares):
     return dual_family(lam_squares, 12, 256)
+
+
+@pytest.fixture(scope="session")
+def custom_set():
+    """The benchmark's non-integer squares-like set for a seed.
+
+    perfbench.workloads.custom_exponents with random.Random(seed), so a
+    seed names the same exponents as in a benchmark run.
+    """
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import custom_exponents
+
+    return lambda seed: custom_exponents(muntzlab, random.Random(seed))

@@ -1,9 +1,13 @@
-"""linalg.block_diagonal_lambda_min and the mixed-system checks built on it.
+"""linalg's certified eigenvalue kernels and the checks built on them.
 
-The property tests draw admissible exponent sets and partitions and hold
-the certified enclosure against an independent oracle: the Gram matrix
-and its inverse rebuilt at twice the bits, with mpmath.eigsy on both
-principal blocks of X^H X = diag(G[N1,N1], G^-1[N2,N2]).
+block_diagonal_lambda_min under the mixed-system checks, and
+hermitian_lambda_max under the operator norms of the synthesis
+certificate.  The property tests draw admissible exponent sets and hold
+each certified enclosure against an independent oracle.  For the mixed
+systems that is the Gram matrix and its inverse rebuilt at twice the
+bits, with mpmath.eigsy on both principal blocks of
+X^H X = diag(G[N1,N1], G^-1[N2,N2]).  For the operator norms it is
+mpmath.eigsy at twice the bits on M_w^H M_w as the kernel receives it.
 """
 
 import pytest
@@ -14,15 +18,15 @@ from muntzlab import (
     InputError,
     Partition,
     PrecisionInsufficientError,
+    dilation_operator,
     dual_family,
     generate_exponents,
     mixed_completeness_check,
-    mixed_system_matrix,
-    sample_partitions,
     working_precision,
 )
 from muntzlab.exponents import DEFAULT_DELTA_MIN
-from muntzlab.linalg import _start_vector, block_diagonal_lambda_min, sigma_min
+from muntzlab.linalg import _start_vector, block_diagonal_lambda_min, hermitian_lambda_max
+from muntzlab.operators import _orthonormal_matrix
 
 BITS = 256
 
@@ -67,13 +71,30 @@ def test_no_block_is_an_input_error():
         block_diagonal_lambda_min([[], []], BITS)
 
 
-def test_agrees_with_lu_inverse_iteration(fam_squares_10):
-    for part in sample_partitions(10, 6, seed=5):
-        check = mixed_completeness_check(part, fam_squares_10)
-        with working_precision(BITS):
-            old = sigma_min(mixed_system_matrix(part, fam_squares_10))
-            assert abs(check.min_singular - old) <= mpf(10) ** -20 * old
-            assert check.sigma_lower < check.min_singular
+def test_lambda_max_of_a_scalar_is_certified():
+    # theta = h and r = 0 exactly: only the rounding margin lifts the shift
+    lo, theta, hi = hermitian_lambda_max([[mpf(3)]], BITS)
+    assert theta == 3
+    assert 3 - mpf(2) ** -200 < lo < 3 < hi < 3 + mpf(2) ** -200
+
+
+def test_lambda_max_start_vector_eigenvector_is_refused():
+    # H = 5I - 4 v v^T/|v|^2: the start vector v is an eigenvector for 1, so
+    # power iteration stays there although lambda_max = 5; only the shifted
+    # Cholesky can tell
+    with working_precision(BITS):
+        v = _start_vector(2)
+        vv = sum(c * c for c in v)
+        H = [[(5 if i == j else 0) - 4 * v[i] * v[j] / vv for j in range(2)] for i in range(2)]
+    with pytest.raises(PrecisionInsufficientError):
+        hermitian_lambda_max(H, BITS)
+
+
+def test_lambda_max_zero_matrix_is_refused():
+    with pytest.raises(PrecisionInsufficientError):
+        hermitian_lambda_max([[mpf(0)] * 2] * 2, BITS)
+    with pytest.raises(InputError):
+        hermitian_lambda_max([], BITS)
 
 
 def test_invertible_rests_on_the_certified_bound(fam_squares_10):
@@ -142,6 +163,29 @@ def test_certified_enclosure_property(lam, data):
             assert check.sigma_lower <= want <= check.min_singular * (1 + mpf(2) ** (-bits // 2))
             assert abs(check.min_singular - want) <= mpf(10) ** -20 * want
         assert check.invertible
+
+
+@given(lam=exponent_sets(), data=st.data())
+def test_lambda_max_enclosure_property(lam, data):
+    # the tail M_w of a dilation operator beyond a drawn head m, and
+    # M^-1 (w = 1/u), whose top eigenvalue dwarfs the rest
+    N = len(lam)
+    fam = dual_family(lam, N, BITS)
+    bits = fam.precision_bits
+    m = data.draw(st.integers(0, N - 1))
+    op = dilation_operator(lam, data.draw(st.floats(0.2, 0.6)), N)
+    with working_precision(bits):
+        weights = ([0] * m + list(op.u[m:]), [1 / u for u in op.u])
+    for w in weights:
+        M = _orthonormal_matrix(w, fam.cholesky_factor, fam.cholesky_inverse_factor, bits)
+        with working_precision(bits):
+            H = [[mp.fdot(M.column(j), M.column(i)) for j in range(N)] for i in range(N)]
+        lo, theta, hi = hermitian_lambda_max(H, bits)
+        with mp.workprec(2 * bits):
+            want = max(mp.eigsy(matrix(H), eigvals_only=True))
+            assert lo <= want <= hi
+            assert lo <= theta <= hi
+            assert hi - lo <= mpf(10) ** -9 * want
 
 
 @pytest.mark.parametrize("value", [1, 0.37, 2.5, 7])

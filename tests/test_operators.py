@@ -1,6 +1,6 @@
 import mpmath
 import pytest
-from mpmath import matrix, mpc, mpf, sqrt
+from mpmath import matrix, mp, mpc, mpf, sqrt
 
 from muntzlab import (
     InputError,
@@ -17,8 +17,13 @@ from muntzlab import (
     synthesis_certificate,
     working_precision,
 )
-from muntzlab.linalg import sigma_max, sigma_min
-from muntzlab.operators import _orthonormal_matrix, normality_defect_from_matrix, spectrum_from_matrix
+from muntzlab.operators import (
+    _norm_enclosure,
+    _orthonormal_matrix,
+    _tail_enclosure,
+    normality_defect_from_matrix,
+    spectrum_from_matrix,
+)
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_SQ = generate_exponents("power", {"p": 2}, 12)
@@ -142,7 +147,7 @@ def test_normality_defect_identity_gram_is_zero():
     # representation diagonal, hence normal
     with working_precision(256):
         L = mpmath.eye(3)
-        M = _orthonormal_matrix([mpf("0.5"), mpf("0.25"), mpf("0.125")], L, 256)
+        M = _orthonormal_matrix([mpf("0.5"), mpf("0.25"), mpf("0.125")], L, L, 256)
         assert normality_defect_from_matrix(M, 256) == 0
 
 
@@ -167,14 +172,35 @@ def test_finite_rank_sweep_decreasing_under_envelope(fam_squares_10):
     assert all(values[i + 1] < values[i] for i in range(len(values) - 1))
 
 
-def test_sigma_routines_against_svd_oracle(fam_12):
+def test_tail_norm_enclosure_hand_value(fam_12):
     op = dilation_operator(LAM_12, 0.5, 2)
-    M = matrix_representation(op, fam_12)
+    lo, est, hi = _tail_enclosure(op, fam_12, 1)
     with working_precision(256):
-        Mf = matrix([[float(M[i, j]) for j in range(2)] for i in range(2)])
-        _, S, _ = mpmath.svd_r(Mf)
-        assert abs(sigma_max(M) - max(S)) < 1e-12
-        assert abs(sigma_min(M) - min(S)) < 1e-12
+        assert lo <= est <= hi
+        assert abs(est - 1) < mpf(10) ** -70
+        assert hi - lo < mpf(10) ** -70
+    assert _tail_enclosure(op, fam_12, 2) == (0, 0, 0)
+
+
+def _oracle_norm(M, prec):
+    """||M|| from mpmath.eighe on M^H M at prec bits."""
+    with mp.workprec(prec):
+        return sqrt(max(mpmath.eighe(M.H * M, eigvals_only=True)))
+
+
+def test_complex_operator_enclosures_against_eighe(fam_12):
+    op = MuntzOperator(LAM_12, (mpc(0, "0.5"), mpc("0.2", "0.1")), 0.5, 2)
+    L, Linv = fam_12.cholesky_factor, fam_12.cholesky_inverse_factor
+    with working_precision(256):
+        weights = [[0] * m + list(op.u[m:]) for m in range(2)] + [[1 / u for u in op.u]]
+    for w in weights:
+        lo, est, hi = _norm_enclosure(w, fam_12)
+        want = _oracle_norm(_orthonormal_matrix(w, L, Linv, 256), 512)
+        with mp.workprec(512):
+            assert lo <= want <= hi
+            # theta settles to 1e-20, the residual r only to about its root
+            assert hi - lo < mpf(10) ** -9 * want
+    assert synthesis_certificate(op, fam_12).status == "pass"
 
 
 def test_certificate_two_by_two(fam_12):
@@ -205,14 +231,60 @@ def test_certificate_scalar_truncation_is_inconclusive():
     assert cert.status == "inconclusive"
 
 
-def test_certificate_stalled_power_iteration_is_inconclusive():
-    # at rho = 0.8 sigma_max's power iteration on the m = 0 tail stops at its
-    # step limit; that is no verdict on the operator, so the item is open
+def test_certificate_rho_08_decay_is_a_certified_fail():
+    # the two largest singular values of the m = 0 tail differ by 5e-5
+    # relative (about 5e5 plain power steps); the enclosures still settle
+    # every item.  ||T - T_1|| < ||T - T_2||, so the tail norms are not
+    # strictly decreasing from m = 1 on at rho = 0.8
     sq = generate_exponents("power", {"p": 2}, 10)
-    cert = synthesis_certificate(dilation_operator(sq, 0.8, 10), dual_family(sq, 10, 512))
-    item = cert.item("finite_rank_decay")
-    assert item.passed is None
-    assert "did not converge" in item.value
-    assert cert.finite_rank_errors == ()
-    assert cert.status == "inconclusive"
+    fam = dual_family(sq, 10, 512)
+    op = dilation_operator(sq, 0.8, 10)
+    cert = synthesis_certificate(op, fam)
+    L, Linv = fam.cholesky_factor, fam.cholesky_inverse_factor
+    for (m, est, bound), (m2, lo, hi) in zip(cert.finite_rank_errors, cert.finite_rank_enclosures):
+        assert m == m2
+        want = (_oracle_norm(_orthonormal_matrix([0] * m + list(op.u[m:]), L, Linv, 512), 1024)
+                if m < 10 else 0)
+        with mp.workprec(1024):
+            assert lo <= want <= hi and lo <= est <= hi
+            assert hi <= bound
+    lo1, hi1 = cert.finite_rank_enclosures[1][1:]
+    lo2, hi2 = cert.finite_rank_enclosures[2][1:]
+    assert hi1 < lo2
+    assert abs(hi1 - mpf("3.7885")) < 1e-4 and abs(lo2 - mpf("9.8842")) < 1e-4
+    assert cert.item("finite_rank_decay").passed is False
     assert all(it.passed for it in cert.items if it.name != "finite_rank_decay")
+    assert cert.status == "fail"
+
+
+def _oracle_min_singular(op, fam, prec):
+    """sqrt of the smallest eigenvalue of M^H M from mpmath.eigsy at prec bits."""
+    M = matrix_representation(op, fam)
+    with mp.workprec(prec):
+        return sqrt(min(mpmath.eigsy(M.H * M, eigvals_only=True)))
+
+
+@pytest.mark.parametrize("seed", [28, 44, 51])
+def test_certificate_custom_set_at_ambient_53_bits(custom_set, seed):
+    # these seeds crashed the kernel item when it ran at the ambient 53 bits
+    lam = custom_set(seed)
+    fam = dual_family(lam, 8, 256)
+    op = dilation_operator(fam.lam, 0.3, 8)
+    with mp.workprec(53):
+        cert = synthesis_certificate(op, fam)
+    want = _oracle_min_singular(op, fam, 512)
+    with mp.workprec(512):
+        assert abs(cert.kernel_min_singular - want) <= mpf(10) ** -40 * want
+    assert cert.item("kernel_trivial").passed
+    assert cert.status == "pass"
+
+
+def test_certificate_squares_kernel_at_ambient_53_bits(fam_squares_10_512):
+    op = dilation_operator(fam_squares_10_512.lam, 0.5, 10)
+    with mp.workprec(53):
+        cert = synthesis_certificate(op, fam_squares_10_512)
+    want = _oracle_min_singular(op, fam_squares_10_512, 1024)
+    with mp.workprec(1024):
+        assert abs(cert.kernel_min_singular - want) <= mpf(10) ** -40 * want
+        assert cert.item("kernel_trivial").value <= want <= cert.kernel_min_singular * (1 + mpf(2) ** -256)
+    assert cert.status == "pass"
