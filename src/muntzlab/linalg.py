@@ -206,11 +206,8 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
         if any(f is None for f in factors):
             raise PrecisionInsufficientError(
                 "block is not numerically positive definite", precision_bits=precision_bits)
-        x = _start_vector(sum(len(B) for B in blocks))
-        xs, start = [], 0
-        for B in blocks:
-            xs.append(x[start:start + len(B)])
-            start += len(B)
+        x = iter(_start_vector(sum(len(B) for B in blocks)))
+        xs = [[next(x) for _ in B] for B in blocks]
         theta = None
         for iterations in range(1, MAX_POWER_ITER + 1):
             ys = [_cholesky_solve(f, xb) for f, xb in zip(factors, xs)]

@@ -6,9 +6,11 @@ In the orthonormal coordinates produced by the Cholesky factor of the
 Gram matrix (G = L L^T) the truncated operator is M = L^T diag(u) L^(-T),
 an upper-triangular matrix similar to diag(u); every certificate item is
 a statement about M or about exact inner-product identities.
+
 Every norm the certificate uses is ||M_w|| = ||L^T diag(w) L^(-T)||,
 enclosed by linalg.hermitian_lambda_max: the tails ||T - T_m||
-(w = (0..0, u_{m+1}..u_N)) and sigma_min(M) = 1/||M^-1|| (w = 1/u).
+(w = (0..0, u_{m+1}..u_N)) and sigma_min(M) = 1/||M^-1|| (w = 1/u).  A
+step limit never makes an item inconclusive; a failed certificate does.
 """
 
 from __future__ import annotations
