@@ -17,7 +17,7 @@ from mpmath import mpc, mpf
 
 from . import biorthogonal, completeness, gram, hardy, muntz_space, operators
 from .config import RunConfig, default_precision_bits, working_precision
-from .errors import MuntzError
+from .errors import InputError, MuntzError
 from .exponents import generate_exponents
 from .reports import (
     complex_pair,
@@ -250,6 +250,8 @@ def cmd_hereditary(args, cfg):
 
 
 def cmd_hardy(args, cfg):
+    if args.k < 1:
+        raise InputError(f"--k must be at least 1, got {args.k}")
     lam = load_exponents(args.lam)
     rule = muntz_space.rule_from_name(args.rule)
     f = muntz_space.MuntzSeries(lam, (), rule)

@@ -91,6 +91,8 @@ class MixedCheck:
     min_singular is the inverse-iteration estimate sqrt(theta);
     sigma_lower is certified, sigma_lower < sigma_min <= min_singular up to
     the rounding of theta.  invertible is sigma_lower > threshold.
+    iterations counts the mpmath inverse-iteration steps after the float
+    pre-phase that seeds them (linalg._float_seed).
     """
 
     partition: Partition

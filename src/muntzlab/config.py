@@ -34,7 +34,9 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "normality_defect_min": 1e-12,
     # default absolute tolerance for adaptive quadrature
     "quadrature": 1e-30,
-    # relative convergence of power/inverse iteration singular values
+    # stopping rule of the eigenvalue kernels (linalg.SIGMA_REL_TOL); a
+    # --config override is recorded in the artifact, but the kernels stop
+    # on this default
     "singular_value_rel": 1e-20,
     # residual threshold below which a projection counts as exact
     "closure_residual": 1e-10,

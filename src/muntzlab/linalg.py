@@ -5,17 +5,24 @@ bits.  Two kernels on row lists enclose an extreme eigenvalue:
 block_diagonal_lambda_min and hermitian_lambda_max.  They share the fixed
 start vector (no RNG), the stopping rule and a shifted-Cholesky
 certificate; a step limit only ends an iteration, and a value that cannot
-be certified raises PrecisionInsufficientError.
+be certified raises PrecisionInsufficientError.  Before the mpmath loop,
+_float_seed runs the same iteration in plain doubles from the fixed start
+vector and hands over its last vector as the start.  It only places the
+start: the estimate still comes from the mpmath loop and the enclosure
+from the shifted Cholesky, so a poor seed costs steps, never correctness.
 """
 
 from __future__ import annotations
 
+import math
+
 from mpmath import conj, matrix, mp, mpc, mpf, sqrt
 
-from .config import working_precision
+from .config import DEFAULT_TOLERANCES, working_precision
 from .errors import DegenerateInputError, InputError, PrecisionInsufficientError
 
-SIGMA_REL_TOL = 1e-20
+# the kernels stop on the default; a --config override is only recorded
+SIGMA_REL_TOL = DEFAULT_TOLERANCES["singular_value_rel"]
 MAX_POWER_ITER = 2000
 
 
@@ -45,6 +52,82 @@ def _start_vector(n):
     x = [mpf(1) + mpf(i) / (2 * n) for i in range(n)]
     nx = _vec_norm(x)
     return [v / nx for v in x]
+
+
+def _float_seed(mats, step):
+    """Start vector for an mpmath loop: the same iteration run in doubles.
+
+    mats holds row lists of mpf (ragged rows are fine), one row per entry
+    of the vector they act on.  They are rounded to double after one
+    common power-of-two scale to unit largest entry, so no entry overflows
+    and their relative sizes survive.  From the fixed start vector,
+    x = step(mats, x) normalised runs until x moves by at most 2^-50,
+    moves no less than the step before (rounding noise), or
+    MAX_POWER_ITER steps have run.  Only + - * / and math.sqrt touch the
+    values, summed left to right, so the seed is the same on every
+    platform and Python version.  The fixed start vector comes back when
+    the largest entry is 0, a step returns None or a value is not finite.
+    """
+    n = sum(map(len, mats))
+    big = max((abs(v) for rows in mats for row in rows for v in row), default=0)
+    if not big:
+        return _start_vector(n)
+    k = mp.frexp(big)[1]
+    mats = [[[float(mp.ldexp(v, -k)) for v in row] for row in rows] for rows in mats]
+    # the direction of _start_vector(n); the first step normalises it
+    x = [1 + i / (2 * n) for i in range(n)]
+    moved = math.inf
+    for _ in range(MAX_POWER_ITER):
+        y = step(mats, x)
+        if y is None or not all(map(math.isfinite, y)):
+            return _start_vector(n)
+        top = max(map(abs, y))
+        if not top:
+            return _start_vector(n)
+        y = [v / top for v in y]
+        ny = math.sqrt(_float_dot(y, y))
+        y = [v / ny for v in y]
+        step_moved = max(abs(a - b) for a, b in zip(x, y))
+        x = y
+        if step_moved <= 2.0 ** -50 or step_moved >= moved:
+            break
+        moved = step_moved
+    return [mpf(v) for v in x]
+
+
+def _float_dot(a, b):
+    # left to right: builtin sum() adds floats differently across Python versions
+    acc = 0.0
+    for u, v in zip(a, b):
+        acc += u * v
+    return acc
+
+
+def _float_block_solve(factors, x):
+    """y = B^-1 x on a direct sum, B_b = L_b L_b^T with L_b as double rows."""
+    y = []
+    for L in factors:
+        n, at = len(L), len(y)
+        if not all(L[i][i] for i in range(n)):
+            return None
+        z = []
+        for i, row in enumerate(L):
+            acc = x[at + i]
+            for j in range(i):
+                acc -= row[j] * z[j]
+            z.append(acc / row[i])
+        yb = [0.0] * n
+        for i in reversed(range(n)):
+            acc = z[i]
+            for j in range(i + 1, n):
+                acc -= L[j][i] * yb[j]
+            yb[i] = acc / L[i][i]
+        y += yb
+    return y
+
+
+def _float_matvec(mats, x):
+    return [_float_dot(row, x) for row in mats[0]]
 
 
 class LUFactors:
@@ -185,16 +268,19 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
     rows of mpf; empty blocks are skipped.  Returns (theta, s, iterations)
     with s < lambda_min <= theta.
 
-    Every block is Cholesky-factored once.  Inverse iteration then runs on
-    the direct sum from the fixed start vector: y = B^-1 x blockwise,
-    theta = x.x / x.y, x = y/|y|, until theta settles (_settled) or
-    MAX_POWER_ITER steps have run.  With r = |Bx - theta x| for the final
-    unit x, every block is factored again shifted by c = theta - r - e, and
+    Every block is Cholesky-factored once.  _float_seed runs inverse
+    iteration on the direct sum in doubles, on those factors rounded after
+    one common power-of-two scale (the factors, not the blocks: kappa(L) is
+    the root of kappa(B)), and its last vector starts the mpmath loop:
+    y = B^-1 x blockwise, theta = x.x / x.y, x = y/|y|, until theta settles
+    (_settled) or MAX_POWER_ITER steps have run.  With r = |Bx - theta x|
+    for the final unit x, read off the last solve (B x = x_old/|y|), every
+    block is factored again shifted by c = theta - r - e, and
     s = c - e, with e the largest _margin(n_b, tr B_b) (tr(B_b - cI) < tr B_b).
     A complete shifted factorization proves lambda_min(B_b) > c - e for
-    every block.  The first e is a margin: theta and r only place the
-    shift, so their rounding can make the shifted factorization fail, never
-    make s wrong.  The enclosure is for the blocks as given (their lower
+    every block.  The first e is a margin: the seed, theta and r only place
+    the shift, so their rounding can make the shifted factorization fail,
+    never make s wrong.  The enclosure is for the blocks as given (their lower
     triangles).  PrecisionInsufficientError when a block is not numerically
     positive definite, s is not positive, or a shifted factorization fails.
     """
@@ -206,7 +292,7 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
         if any(f is None for f in factors):
             raise PrecisionInsufficientError(
                 "block is not numerically positive definite", precision_bits=precision_bits)
-        x = iter(_start_vector(sum(len(B) for B in blocks)))
+        x = iter(_float_seed([f[0] for f in factors], _float_block_solve))
         xs = [[next(x) for _ in B] for B in blocks]
         theta = None
         for iterations in range(1, MAX_POWER_ITER + 1):
@@ -214,14 +300,15 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
             new_theta = (mp.fsum(mp.fdot(xb, xb) for xb in xs)
                          / mp.fsum(mp.fdot(xb, yb) for xb, yb in zip(xs, ys)))
             scale = 1 / sqrt(mp.fsum(mp.fdot(yb, yb) for yb in ys))
-            xs = [[v * scale for v in yb] for yb in ys]
+            old, xs = xs, [[v * scale for v in yb] for yb in ys]
             done = _settled(theta, new_theta)
             theta = new_theta
             if done:
                 break
 
-        r = sqrt(mp.fsum((mp.fdot(row, xb) - theta * xb[i]) ** 2
-                         for B, xb in zip(blocks, xs) for i, row in enumerate(B)))
+        # B x = scale * old for the final unit x, so no product with B is needed
+        r = sqrt(mp.fsum((scale * u - theta * v) ** 2
+                         for ob, xb in zip(old, xs) for u, v in zip(ob, xb)))
         e = max(_margin(len(B), mp.fsum(B[i][i] for i in range(len(B)))) for B in blocks)
         shift = theta - r - e
         s = shift - e
@@ -236,10 +323,12 @@ def hermitian_lambda_max(H, precision_bits: int):
     """Largest eigenvalue of a Hermitian positive semidefinite H, certified.
 
     H is a list of rows of mpf or mpc.  Returns (lower, theta, upper) with
-    lower <= lambda_max < upper.  Power iteration from the fixed start
-    vector: theta = x.Hx / x.x, x = Px/|Px|, until theta settles or
-    MAX_POWER_ITER steps have run.  P is H for n steps, then squared every
-    step, so a near-tie at the top costs a few dozen steps, not thousands.
+    lower <= lambda_max < upper.  _float_seed runs plain power iteration in
+    doubles on H scaled by a power of two to unit largest entry, and its
+    last vector starts the mpmath loop: theta = x.Hx / x.x, x = Px/|Px|,
+    until theta settles or MAX_POWER_ITER steps have run.  P is H for n
+    steps, then squared every step, so a near-tie at the top costs a few
+    dozen steps, not thousands.  The seed only places the start.
 
     theta is a Rayleigh quotient and lower = theta - e.  With r = |Hx - theta x|
     for the final unit x, a complete Cholesky of cI - H at c = theta + r + e
@@ -256,7 +345,7 @@ def hermitian_lambda_max(H, precision_bits: int):
             A, B = [[mp.re(h) for h in row] for row in H], [[mp.im(h) for h in row] for row in H]
             H = [a + [-v for v in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)]
         n = len(H)
-        x = _start_vector(n)
+        x = _float_seed([H], _float_matvec)
         theta, P = None, H
         for step in range(MAX_POWER_ITER):
             Hx = [mp.fdot(row, x) for row in H]

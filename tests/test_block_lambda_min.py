@@ -24,6 +24,8 @@ from muntzlab import (
     mixed_completeness_check,
     working_precision,
 )
+from muntzlab import linalg
+from muntzlab.completeness import all_partitions
 from muntzlab.exponents import DEFAULT_DELTA_MIN
 from muntzlab.linalg import _start_vector, block_diagonal_lambda_min, hermitian_lambda_max
 from muntzlab.operators import _orthonormal_matrix
@@ -97,11 +99,73 @@ def test_lambda_max_zero_matrix_is_refused():
         hermitian_lambda_max([], BITS)
 
 
+def _misleading_seed(monkeypatch, vector):
+    # the float pre-phase hands over an eigenvector of a non-extreme eigenvalue
+    calls = []
+
+    def seed(mats, step):
+        calls.append(sum(map(len, mats)))
+        return [mpf(v) for v in vector]
+
+    monkeypatch.setattr(linalg, "_float_seed", seed)
+    return calls
+
+
+def test_misleading_seed_is_refused(monkeypatch):
+    # spectrum {2, 4} + {5}: (1, 1, 0) is the eigenvector for 4, so the mpmath
+    # loop settles on 4 at once; the shifted Cholesky must refuse it
+    calls = _misleading_seed(monkeypatch, [1, 1, 0])
+    blocks = [[[mpf(3), mpf(1)], [mpf(1), mpf(3)]], [[mpf(5)]]]
+    with pytest.raises(PrecisionInsufficientError):
+        block_diagonal_lambda_min(blocks, BITS)
+    assert calls == [3]
+
+
+def test_lambda_max_misleading_seed_is_refused(monkeypatch):
+    # spectrum {2, 4} + {1}: (1, -1, 0) is the eigenvector for 2
+    calls = _misleading_seed(monkeypatch, [1, -1, 0])
+    H = [[mpf(3), mpf(1), mpf(0)], [mpf(1), mpf(3), mpf(0)], [mpf(0), mpf(0), mpf(1)]]
+    with pytest.raises(PrecisionInsufficientError):
+        hermitian_lambda_max(H, BITS)
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("k", [1500, -1500])
+def test_entries_beyond_double_range_are_certified(fam_squares_10, k):
+    # one common power-of-two scale brings the seed's data back into double
+    # range, so the scaled run repeats the unscaled one to the bit
+    part = Partition.from_monomial_set({1, 3, 5, 7, 9}, 10)
+    G, Ginv = fam_squares_10.gram_rows, fam_squares_10.inverse_rows
+    blocks = [[[A[i - 1][j - 1] for j in idx] for i in idx]
+              for A, idx in ((G, sorted(part.n1)), (Ginv, sorted(part.n2)))]
+    scaled = [[[mp.ldexp(v, k) for v in row] for row in B] for B in blocks]
+    theta, s, iterations = block_diagonal_lambda_min(blocks, BITS)
+    assert block_diagonal_lambda_min(scaled, BITS) == (mp.ldexp(theta, k), mp.ldexp(s, k),
+                                                       iterations)
+    assert iterations <= 3
+
+    H = blocks[0]
+    lo, theta, hi = hermitian_lambda_max(H, BITS)
+    assert hermitian_lambda_max([[mp.ldexp(v, k) for v in row] for row in H], BITS) == (
+        mp.ldexp(lo, k), mp.ldexp(theta, k), mp.ldexp(hi, k))
+
+
+def test_seeded_sweep_takes_few_steps(lam_squares):
+    # the float pre-phase leaves the mpmath loop about two steps on the
+    # N = 8 sweep (mean 9.65, max 19 from the fixed start vector alone)
+    fam = dual_family(lam_squares, 8, BITS)
+    steps = [mixed_completeness_check(part, fam).iterations for part in all_partitions(8)]
+    assert sum(steps) / len(steps) <= 3
+    assert max(steps) <= 8
+
+
 def test_invertible_rests_on_the_certified_bound(fam_squares_10):
     part = Partition.from_monomial_set({1, 3, 5, 7, 9}, 10)
     check = mixed_completeness_check(part, fam_squares_10)
     assert check.iterations >= 2
-    between = float((check.sigma_lower + check.min_singular) / 2)
+    # the enclosure is narrower than one double ulp: keep the midpoint an mpf
+    with working_precision(BITS):
+        between = (check.sigma_lower + check.min_singular) / 2
     assert check.sigma_lower < between < check.min_singular
     assert not mixed_completeness_check(part, fam_squares_10, threshold=between).invertible
 

@@ -209,6 +209,16 @@ def test_hardy_short_integers_file(tmp_path):
     assert data["l2_coefficient_partial_sums"][-1][0] == 5
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_hardy_nonpositive_k_is_typed_error(lambda_file, tmp_path, capsys, k):
+    out = tmp_path / "hardy.json"
+    rc = main(["hardy", "--lambda", str(lambda_file), "--rule", "inv_n", "--k", k,
+               "--out", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+    assert not out.exists()
+
+
 def test_decimal_inputs_carry_the_stated_bits(tmp_path):
     lam = tmp_path / "lam1.json"
     assert main(["gen-exponents", "--kind", "integers", "--values", "1", "--n", "1",
