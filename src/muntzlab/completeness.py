@@ -33,12 +33,9 @@ from .config import rank_collapse_threshold, working_precision
 from .errors import InputError
 from .linalg import LUFactors, block_diagonal_lambda_min
 from .muntz_space import (
-    MuntzSeries,
     QuadratureSpec,
     SeriesOrCallable,
-    l2_norm,
-    monomial_moments,
-    quad_unit_interval,
+    moments_and_norm2,
 )
 
 
@@ -160,15 +157,11 @@ def mixed_reconstruction_residual(target: SeriesOrCallable, partition: Partition
     N = family.truncation
     bits = family.precision_bits
     with working_precision(bits):
-        b = monomial_moments(target, family.lam, N, quad, bits)
+        b, norm2 = moments_and_norm2(target, family.lam, N, quad, bits)
         # coefficients of the in-span part and its orthonormal coordinates
         a = [sum(family.coeffs[k, n] * b[k] for k in range(N)) for n in range(N)]
         Lt = family.cholesky_factor.T
         y = [sum(Lt[i, j] * a[j] for j in range(N)) for i in range(N)]
-        if isinstance(target, MuntzSeries):
-            norm2 = l2_norm(target, bits) ** 2
-        else:
-            norm2, _ = quad_unit_interval(lambda t: abs(target(t)) ** 2, quad, bits)
         inside2 = sum(abs(v) ** 2 for v in y)
         dist2 = norm2 - inside2
         if dist2 < 0:

@@ -32,9 +32,7 @@ from .muntz_space import (
     QuadratureSpec,
     SeriesOrCallable,
     gram_form,
-    l2_norm,
-    monomial_moments,
-    quad_unit_interval,
+    moments_and_norm2,
 )
 
 
@@ -129,11 +127,7 @@ def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily
     # moments and the target norm are computed once; each sub-truncation
     # reuses the prefix of the moment vector through its own Gram inverse
     with working_precision(bits):
-        b = monomial_moments(f, family.lam, N, quad, bits)
-        if isinstance(f, MuntzSeries):
-            norm2 = l2_norm(f, bits) ** 2
-        else:
-            norm2, _ = quad_unit_interval(lambda t: abs(f(t)) ** 2, quad, bits)
+        b, norm2 = moments_and_norm2(f, family.lam, N, quad, bits)
 
     trend = []
     steps = sorted({max(2, N - 6), max(2, N - 4), max(2, N - 2), N})

@@ -9,6 +9,12 @@ is computed once (analytically or by quadrature) and every dual pairing
 <f, r_n> is an exact linear combination of it, so the huge alternating
 dual coefficients cancel inside working-precision sums instead of inside
 an oscillatory integral.
+
+For a black box f, every integral that shares the factor f(t) (the whole
+moment vector, ||f||^2, the moments behind <f, f*>) runs in one panelled
+tanh-sinh pass that calls f once per node.  Each integral keeps mpmath's
+own stopping rule per panel and escalates on its own, so its value and
+error estimate are those of a separate mp.quad run, bit for bit.
 """
 
 from __future__ import annotations
@@ -329,7 +335,11 @@ class QuadratureSpec:
     Panels are geometrically refined toward t = 0 (integrands behave like
     t^lambda_1 there); each panel runs tanh-sinh at working precision with
     its own error estimate, and the whole ladder escalates (more panels,
-    higher degree) until the summed estimate meets ``tol``.
+    higher degree) until the summed estimate meets ``tol``.  Every
+    integral sharing one black box f runs in the same pass, which calls f
+    once per node; each keeps its own stopping rule per panel and its own
+    escalation, and only the integrals still above ``tol`` run the next
+    round.
     """
 
     tol: float = 1e-30
@@ -347,32 +357,102 @@ class QuadratureSpec:
         # meaningless zero error estimate
         if self.maxdegree < 3:
             raise ParameterError("maxdegree must be >= 3 for a usable error estimate")
+        if self.levels < 0:
+            raise ParameterError(f"levels must be >= 0, got {self.levels}")
+        if self.max_rounds < 0:
+            raise ParameterError(f"max_rounds must be >= 0, got {self.max_rounds}")
+
+
+def _tanh_sinh_panel(f, parts, a, b, maxdegree):
+    """mp.quad(lambda t: p(t, f(t)), [a, b], maxdegree) for every part p at once.
+
+    Follows mpmath's TanhSinh.summation on one panel: degree d reuses the
+    degree d-1 step sum and adds the new nodes from the rule's own node
+    cache, and each part stops at the first degree whose estimate_error
+    meets eps/8 at the working precision, with 20 guard bits.  f is called
+    once per node while any part still runs.  Returns one (value, error)
+    per part, each value rounded to the working precision.
+    """
+    rule = mp._tanh_sinh    # the TanhSinh instance, and node cache, that mp.quad uses
+    prec = mp.prec
+    eps = mp.eps / 8
+    sums = [[] for _ in parts]
+    errs = [mp.zero] * len(parts)
+    running = list(range(len(parts)))
+    with mp.workprec(prec + 20):
+        for degree in range(1, maxdegree + 1):
+            if not running:
+                break
+            nodes = rule.get_nodes(a, b, degree, prec)
+            ts = [x for x, _ in nodes]
+            ws = [w for _, w in nodes]
+            fs = [f(x) for x in ts]
+            h = mpf(2) ** -degree
+            for k in running:
+                S = sums[k][-1] / (h * 2) if sums[k] else mp.zero
+                S += mp.fdot(ws, [parts[k](x, v) for x, v in zip(ts, fs)])
+                sums[k].append(h * S)
+            if degree > 1:
+                for k in running:
+                    errs[k] = rule.estimate_error(sums[k], prec, eps)
+                running = [k for k in running if not errs[k] <= eps]
+    return [(+s[-1], e) for s, e in zip(sums, errs)]
+
+
+def _panel_quad(f, parts, spec: QuadratureSpec, bits: int):
+    """Integrate every part p(t, f(t)) over (0, 1) in one pass of f.
+
+    Each part gets exactly the value and error estimate of its own
+    quad_unit_interval call: the same panels, the same tanh-sinh rule and
+    stopping rule, and the same escalation, which re-runs only the parts
+    whose summed estimate is still above spec.tol.  Returns one
+    (value, error) per part; QuadratureError carries the first part that
+    never met the tolerance.
+    """
+    results = [None] * len(parts)
+    todo = list(range(len(parts)))
+    with working_precision(bits):
+        tol = mpf(spec.tol)
+        levels, degree = spec.levels, spec.maxdegree
+        for _ in range(spec.max_rounds + 1):
+            points = [mpf(0)]
+            points += [mpf(spec.ratio) ** j for j in range(levels, 0, -1)]
+            points.append(mpf(1))
+            sums = [(mpc(0), mpf(0))] * len(todo)
+            for a, b in zip(points[:-1], points[1:]):
+                panel = _tanh_sinh_panel(f, [parts[k] for k in todo], a, b, degree)
+                sums = [(total + v, err + abs(e)) for (total, err), (v, e) in zip(sums, panel)]
+            failed = []
+            for k, (total, err) in zip(todo, sums):
+                results[k] = (total if total.imag != 0 else total.real), err
+                if not err <= tol:
+                    failed.append((k, total, err))
+            if not failed:
+                return results
+            todo = [k for k, _, _ in failed]
+            levels += 4
+            degree += 1
+    _, total, err = failed[0]
+    raise QuadratureError(f"quadrature error {mp.nstr(err, 5)} above tol={spec.tol}",
+                          achieved=total)
+
+
+def _moment_parts(exponents):
+    """The parts f(t) t^lambda of the moments, one per exponent.
+
+    t is a tanh-sinh node, already an mpf at the pass's precision.
+    """
+    return [lambda t, v, lv=lv: v * _power(t, lv) for lv in exponents]
+
+
+def _norm2_part(t, v):
+    return abs(v) ** 2
 
 
 def quad_unit_interval(integrand: Callable, spec: QuadratureSpec = QuadratureSpec(),
                        precision_bits: int = 256):
     """Integrate over (0,1) with panelled tanh-sinh; returns (value, error)."""
-    with working_precision(precision_bits):
-        levels, degree = spec.levels, spec.maxdegree
-        achieved = None
-        for _ in range(spec.max_rounds + 1):
-            points = [mpf(0)]
-            points += [mpf(spec.ratio) ** j for j in range(levels, 0, -1)]
-            points.append(mpf(1))
-            total = mpc(0)
-            err = mpf(0)
-            for a, b in zip(points[:-1], points[1:]):
-                val, e = mp.quad(integrand, [a, b], error=True, maxdegree=degree)
-                total += val
-                err += abs(e)
-            achieved = (total, err)
-            if err <= mpf(spec.tol):
-                return (total if total.imag != 0 else total.real), err
-            levels += 4
-            degree += 1
-    raise QuadratureError(
-        f"quadrature error {mp.nstr(achieved[1], 5)} above tol={spec.tol}",
-        achieved=achieved[0])
+    return _panel_quad(integrand, [lambda t, v: v], spec, precision_bits)[0]
 
 
 def quadrature_inner_product(f: SeriesOrCallable, g: MuntzSeries,
@@ -381,39 +461,53 @@ def quadrature_inner_product(f: SeriesOrCallable, g: MuntzSeries,
     """<f, g> for black-box f against a finite series g.
 
     Realised as sum_k conj(c_k) * integral f(t) t^lambda_k dt: one smooth,
-    well-scaled integral per monomial of g, so coefficient cancellation
-    happens in exact sums rather than inside the integrand.
-    Returns (value, error_estimate).
+    well-scaled integral per monomial of g, all from one pass of f, so
+    coefficient cancellation happens in exact sums rather than inside the
+    integrand.  Returns (value, error_estimate).
     """
     if isinstance(f, MuntzSeries):
         return series_inner_product(f, g, precision_bits), mpf(0)
     with working_precision(precision_bits):
+        items = [(lv, ck) for lv, ck in g.term_items() if ck != 0]
+        moments = _panel_quad(f, _moment_parts([lv for lv, _ in items]), quad, precision_bits)
         total = mpc(0)
         err = mpf(0)
-        for lam_val, ck in g.term_items():
-            if ck == 0:
-                continue
-            val, e = quad_unit_interval(
-                lambda t, lv=lam_val: f(t) * _power(mpf(t), lv), quad, precision_bits)
+        for (_, ck), (val, e) in zip(items, moments):
             total += conj(ck) * val
             err += abs(ck) * e
         return (total if total.imag != 0 else total.real), err
 
 
+def _exponent_prefix(lam: ExponentSequence, N: int):
+    if not 0 <= N <= len(lam):
+        raise InputError(f"N={N} outside 0..{len(lam)} exponents")
+    return lam.values[:N]
+
+
 def monomial_moments(f: SeriesOrCallable, lam: ExponentSequence, N: int,
                      quad: QuadratureSpec = QuadratureSpec(), precision_bits: int = 256):
-    """Moment vector b_k = <f, e_k> = integral f(t) t^lambda_k dt, k <= N."""
+    """Moment vector b_k = <f, e_k> = integral f(t) t^lambda_k dt, k <= N.
+
+    A black box f is integrated against every t^lambda_k in one pass.
+    """
+    exponents = _exponent_prefix(lam, N)
     with working_precision(precision_bits):
         if isinstance(f, MuntzSeries):
             items = f.term_items()
-            return [sum(cj / (mpf(lj) + mpf(lam.values[k]) + 1) for lj, cj in items)
-                    for k in range(N)]
-        out = []
-        for k in range(N):
-            val, _ = quad_unit_interval(
-                lambda t, lv=lam.values[k]: f(t) * _power(mpf(t), lv), quad, precision_bits)
-            out.append(val)
-        return out
+            return [sum(cj / (mpf(lj) + mpf(lv) + 1) for lj, cj in items) for lv in exponents]
+        return [val for val, _ in _panel_quad(f, _moment_parts(exponents), quad, precision_bits)]
+
+
+def moments_and_norm2(f: SeriesOrCallable, lam: ExponentSequence, N: int,
+                      quad: QuadratureSpec = QuadratureSpec(), precision_bits: int = 256):
+    """(monomial_moments(f, lam, N), ||f||^2); a black box gives both from one pass."""
+    with working_precision(precision_bits):
+        if isinstance(f, MuntzSeries):
+            return (monomial_moments(f, lam, N, quad, precision_bits),
+                    l2_norm(f, precision_bits) ** 2)
+        parts = _moment_parts(_exponent_prefix(lam, N)) + [_norm2_part]
+        values = [val for val, _ in _panel_quad(f, parts, quad, precision_bits)]
+        return values[:-1], values[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +562,13 @@ def projection_residual(f: SeriesOrCallable, family: BiorthogonalFamily,
             norm2 = l2_norm(f, bits) ** 2
             cross = series_inner_product(f, f_star, bits)
         else:
-            norm2, _ = quad_unit_interval(lambda t: abs(f(t)) ** 2, quad, bits)
-            cross, _ = quadrature_inner_product(f, f_star, quad, bits)
+            # ||f||^2 and the moments behind <f, f*> from one pass of f
+            items = [(lv, ck) for lv, ck in f_star.term_items() if ck != 0]
+            parts = [_norm2_part] + _moment_parts([lv for lv, _ in items])
+            (norm2, _), *moments = _panel_quad(f, parts, quad, bits)
+            cross = mpc(0)
+            for (_, ck), (val, _) in zip(items, moments):
+                cross += conj(ck) * val
         star2 = l2_norm(f_star, bits) ** 2
         res2 = norm2 - 2 * mpc(cross).real + star2
         return sqrt(res2) if res2 > 0 else mpf(0)

@@ -28,7 +28,7 @@ from muntzlab import (
     series_inner_product,
     working_precision,
 )
-from muntzlab.muntz_space import gram_form, quad_unit_interval
+from muntzlab.muntz_space import gram_form, monomial_moments, quad_unit_interval
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_SQ = generate_exponents("power", {"p": 2}, 12)
@@ -142,8 +142,18 @@ def test_quadrature_failure_reports_achieved():
     with pytest.raises(QuadratureError) as info:
         quad_unit_interval(lambda t: mp.sin(1 / (t + mpf("1e-30"))), spec, 64)
     assert info.value.achieved is not None
+
+
+@pytest.mark.parametrize("bad", [{"maxdegree": 1}, {"levels": -1}, {"max_rounds": -1}])
+def test_quadrature_spec_rejects_out_of_range_counts(bad):
     with pytest.raises(ParameterError):
-        QuadratureSpec(maxdegree=1)
+        QuadratureSpec(**bad)
+
+
+def test_monomial_moments_rejects_more_moments_than_exponents():
+    for f in (lambda t: t, finite_series(LAM_12, [1, 1])):
+        with pytest.raises(InputError):
+            monomial_moments(f, LAM_12, 3)
 
 
 # ---------------------------------------------------------------------------
