@@ -30,7 +30,7 @@ def oracle(f, part, spec, bits):
     failure value is the unnormalised complex total, as QuadratureError
     carries it.
     """
-    counted = f if isinstance(f, Counted) else Counted(f)
+    counted = Counted(f)
     with working_precision(bits):
         levels, degree = spec.levels, spec.maxdegree
         for _ in range(spec.max_rounds + 1):
