@@ -7,7 +7,8 @@ These truncated duals are computable proxies for the duals of the full
 system; their drift under growing N is measured, never assumed away.
 
 All inner products among monomials use the exact formula
-<t^a, t^b> = 1/(a+b+1); no quadrature enters any check in this module.
+<t^a, t^b> = 1/(a+b+1), and norms of coefficient vectors go through the
+exact kernel gram.gram_form; no quadrature enters any check in this module.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from mpmath import cholesky, log, matrix, mpf, sqrt
 from .config import working_precision
 from .errors import InputError, ParameterError
 from .exponents import ExponentSequence
-from .gram import GramMatrix, identity_residual, inverse_with_escalation
+from .gram import GramMatrix, gram_form, identity_residual, inverse_with_escalation
 from .linalg import lower_triangular_inverse
 
 
@@ -172,7 +173,7 @@ def truncation_convergence(lam: ExponentSequence, n: int, N1: int, N2: int,
     """L2 drift ||r_n^(N2) - r_n^(N1)|| between truncation levels.
 
     The N1 coefficient vector is zero-padded to length N2 and the
-    difference is measured through the Gram quadratic form at size N2.
+    difference is measured by the exact Gram form at size N2.
     """
     if not 1 <= n <= N1 <= N2 <= len(lam):
         raise InputError(f"need 1 <= n <= N1 <= N2 <= {len(lam)}, got n={n}, N1={N1}, N2={N2}")
@@ -182,8 +183,6 @@ def truncation_convergence(lam: ExponentSequence, n: int, N1: int, N2: int,
     fam2 = dual_family(lam, N2, precision_bits)
     bits = max(fam1.precision_bits, fam2.precision_bits)
     with working_precision(bits):
-        d = matrix(N2, 1)
-        for k in range(N2):
-            d[k] = fam2.coeffs[k, n - 1] - (fam1.coeffs[k, n - 1] if k < N1 else mpf(0))
-        q = (d.T * (fam2.gram.entries * d))[0]
+        d = [fam2.coeffs[k, n - 1] - (fam1.coeffs[k, n - 1] if k < N1 else 0) for k in range(N2)]
+        q, _ = gram_form(fam2.lam.values, d)
         return sqrt(abs(q))

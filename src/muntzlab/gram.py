@@ -7,14 +7,18 @@ Products are accumulated in log-space with sign tracking: already for
 lambda = {n^2} and N around 12 they span more than thirty orders of
 magnitude, which would overflow any fixed-exponent representation of the
 intermediate factors.
+
+gram_form is the one exact kernel for the norm of a Muntz polynomial and
+the pairing of two, for any int or mpf exponents: one power-of-two scale
+makes every denominator an integer, so the sum is exact in Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from mpmath import exp, log, matrix, mp, mpf
+from mpmath import exp, log, matrix, mp, mpc, mpf, sqrt
 
 from .config import inverse_residual_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, ParameterError, PrecisionInsufficientError
@@ -249,3 +253,82 @@ def distance_lower_bound_check(lam: ExponentSequence, N: int, epsilon: float,
         for rep, _ in base
     ]
     return reports, m_fit
+
+
+
+def _dyadic(lams):
+    """(L, s): integers L_n = lambda_n 2^s for the least s >= 0.  An int or
+    mpf exponent is m 2^e exactly, so s = max(0, -min e)."""
+    s = max([0] + [-mp.mpmathify(v).exp for v in lams if not isinstance(v, int)])
+    return [v << s if isinstance(v, int) else int(mp.ldexp(v, s)) for v in lams], s
+
+
+def _fixed_point(lams, vs, rel_err):
+    """(F, X, Y, s, e) for a nonzero list, else None.  X, Y are the parts of
+    vs rounded to integers at scale 2^F, F the working precision above the
+    largest |v|; s = sum |v_n| w_n with w_n = (2 lambda_n + 1)^(-1/2), and e
+    the same sum over the entry errors, rel_err |v_n| plus 2^(-F) of rounding."""
+    top = max((abs(v) for v in vs), default=0)
+    if top == 0:
+        return None
+    F = mp.prec - mp.mag(top)
+    X = [int(mp.nint(mp.ldexp(v.real, F))) for v in vs]
+    Y = [int(mp.nint(mp.ldexp(v.imag, F))) for v in vs]
+    w = [1 / sqrt(2 * mpf(v) + 1) for v in lams]
+    s = sum(abs(v) * wn for v, wn in zip(vs, w))
+    return F, X, Y, s, rel_err * s + mp.ldexp(sum(w), -F)
+
+
+def gram_form(lams: Sequence, vs: Sequence, rel_err=0, other=None):
+    """Exact Gram form of Muntz coefficient lists, with a certified error.
+
+    One list: Re sum_{n,m} v_n conj(v_m) / (lambda_n + lambda_m + 1), that is
+    ||sum_n v_n t^lambda_n||^2 on (0, 1), summed once over the upper triangle.
+    With other = (mus, ws): the pairing sum_{n,m} v_n conj(w_m) /
+    (lambda_n + mu_m + 1), that is <sum_n v_n t^lambda_n, sum_m w_m t^mu_m>.
+    Exponents are ints or mpf, so 1/(lambda_n + mu_m + 1) = 2^s / (L_n + M_m
+    + 2^s) with the integers of _dyadic over both lists (s = 0 for integer
+    exponents).  Each pair adds the floor of its fixed-point numerator over
+    that integer denominator to an exact integer sum.
+
+    Returns (value, err), value an mpf for one list and an mpc for two; err
+    bounds |value - form| when each coefficient lies within rel_err of its
+    modulus from its exact value.  AM-GM gives 1/(lambda_n + mu_m + 1) <=
+    w_n w_m, so moving the coefficients moves the pairing by at most
+    e s' + s e' + e e' and the squared norm by at most 2 e s + 3 e^2 (s, e
+    from _fixed_point, primes for the second list); each floor loses under
+    one unit of the last scale and the final rounding one ulp.
+    """
+    mus, ws = other or ((), ())
+    ls, sh = _dyadic(list(lams) + list(mus))
+    one = 1 << sh
+    a = _fixed_point(lams, [mpc(v) for v in vs], rel_err)
+    if other is None:
+        if a is None:
+            return mpf(0), mpf(0)
+        F, X, Y, s, e = a
+        P = len(X)
+        total = 0
+        for n in range(P):
+            xn, yn, ln = X[n] << sh, Y[n] << sh, ls[n] + one
+            row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
+            total += 2 * row + (xn * X[n] + yn * Y[n]) // (ln + ls[n])
+        value = mp.ldexp(mpf(total), -2 * F)
+        err = 2 * e * s + 3 * e ** 2 + mp.ldexp(mpf(P * P), -2 * F) + abs(value) * mp.eps
+        # doubled for the rounding in the bound's own arithmetic
+        return value, 2 * err
+    b = _fixed_point(mus, [mpc(w) for w in ws], rel_err)
+    if a is None or b is None:
+        return mpc(0), mpf(0)
+    (F, X, Y, s, e), (Fb, U, V, s2, e2) = a, b
+    ms = ls[len(X):]
+    re = im = 0
+    for xn, yn, ln in zip(X, Y, ls):
+        xn, yn, ln = xn << sh, yn << sh, ln + one
+        for um, vm, mm in zip(U, V, ms):
+            re += (xn * um + yn * vm) // (ln + mm)
+            im += (yn * um - xn * vm) // (ln + mm)
+    F += Fb
+    value = mpc(mp.ldexp(mpf(re), -F), mp.ldexp(mpf(im), -F))
+    err = e * s2 + s * e2 + e * e2 + mp.ldexp(mpf(2 * len(X) * len(U)), -F) + abs(value) * mp.eps
+    return value, 2 * err

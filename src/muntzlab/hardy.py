@@ -27,13 +27,8 @@ from .biorthogonal import BiorthogonalFamily, dual_family
 from .config import DEFAULT_TOLERANCES, working_precision
 from .errors import DomainError, InputError
 from .exponents import ExponentSequence
-from .muntz_space import (
-    MuntzSeries,
-    QuadratureSpec,
-    SeriesOrCallable,
-    gram_form,
-    moments_and_norm2,
-)
+from .gram import gram_form
+from .muntz_space import MuntzSeries, QuadratureSpec, SeriesOrCallable, moments_and_norm2
 
 
 @dataclass(frozen=True)
@@ -135,10 +130,7 @@ def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily
         fam_s = family if Ns == N else dual_family(family.lam, Ns, bits)
         with working_precision(bits):
             a = [sum(fam_s.coeffs[k, n] * b[k] for k in range(Ns)) for n in range(Ns)]
-            inside2 = mpf(0)
-            for i in range(Ns):
-                for j in range(Ns):
-                    inside2 += (a[i] * mpc(a[j]).conjugate() * fam_s.gram.entries[i, j]).real
+            inside2, _ = gram_form(fam_s.lam.values, a)
             cross = sum((mpc(a[n]).conjugate() * b[n]).real for n in range(Ns))
             res2 = norm2 - 2 * cross + inside2
             trend.append((Ns, sqrt(res2) if res2 > 0 else mpf(0)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from mpmath import conj, matrix, mp, mpc, mpf, sqrt
+from mpmath import matrix, mp, mpc, mpf, sqrt
 
 from .config import DEFAULT_TOLERANCES, working_precision
 from .errors import DegenerateInputError, InputError, PrecisionInsufficientError
@@ -138,7 +138,6 @@ class LUFactors:
         self.n = n
         self.lu = A.copy()
         self.perm = list(range(n))
-        self.sign = 1
         lu = self.lu
         for col in range(n):
             pivot_row = max(range(col, n), key=lambda r: abs(lu[r, col]))
@@ -148,7 +147,6 @@ class LUFactors:
                 for j in range(n):
                     lu[col, j], lu[pivot_row, j] = lu[pivot_row, j], lu[col, j]
                 self.perm[col], self.perm[pivot_row] = self.perm[pivot_row], self.perm[col]
-                self.sign = -self.sign
             for r in range(col + 1, n):
                 f = lu[r, col] / lu[col, col]
                 lu[r, col] = f
@@ -167,29 +165,6 @@ class LUFactors:
                 y[i] -= lu[i, j] * y[j]
             y[i] /= lu[i, i]
         return y
-
-    def solve_adjoint(self, b):
-        """Solve A^H x = b using the same factorization."""
-        n, lu = self.n, self.lu
-        # A^H = (P^T L U)^H = U^H L^H P, so solve U^H z = b, L^H w = z, x = P^T w
-        z = list(b)
-        for i in range(n):
-            for j in range(i):
-                z[i] -= conj(lu[j, i]) * z[j]
-            z[i] /= conj(lu[i, i])
-        for i in reversed(range(n)):
-            for j in range(i + 1, n):
-                z[i] -= conj(lu[j, i]) * z[j]
-        x = [None] * n
-        for i in range(n):
-            x[self.perm[i]] = z[i]
-        return x
-
-    def det(self):
-        d = mpf(self.sign)
-        for i in range(self.n):
-            d *= self.lu[i, i]
-        return d
 
 
 def lower_triangular_inverse(L: matrix) -> matrix:

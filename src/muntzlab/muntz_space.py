@@ -1,14 +1,14 @@
 """Muntz series on the slit disk: evaluation, inner products, projection.
 
 A MuntzSeries pairs an exponent prefix with coefficients (stored, or
-produced by a named rule).  Inner products between monomials are always
-the exact rational formula <t^a, t^b> = 1/(a+b+1); quadrature only ever
-touches genuine black-box integrands.  Coefficient recovery against a
-dual family is organised as moments-first: the moment vector b_k = <f, e_k>
-is computed once (analytically or by quadrature) and every dual pairing
-<f, r_n> is an exact linear combination of it, so the huge alternating
-dual coefficients cancel inside working-precision sums instead of inside
-an oscillatory integral.
+produced by a named rule).  Norms and inner products of series are the
+exact Gram form gram.gram_form, for any int or mpf exponents, one term
+list or two; quadrature only ever touches genuine black-box integrands.
+Coefficient recovery against a dual family is organised as moments-first:
+the moment vector b_k = <f, e_k> is computed once (analytically or by
+quadrature) and every dual pairing <f, r_n> is an exact linear combination
+of it, so the huge alternating dual coefficients cancel inside
+working-precision sums instead of inside an oscillatory integral.
 
 For a black box f, every integral that shares the factor f(t) (the whole
 moment vector, ||f||^2, the moments behind <f, f*>) runs in one panelled
@@ -36,6 +36,7 @@ from .errors import (
     QuadratureError,
 )
 from .exponents import ExponentSequence
+from .gram import gram_form
 
 
 # ---------------------------------------------------------------------------
@@ -260,68 +261,22 @@ def _tail_bound_at(f: MuntzSeries, n_next: int, r, extrapolate: bool = False):
 # exact inner products
 
 
+def _terms(f: MuntzSeries):
+    """(exponents, coefficients) over the usable prefix."""
+    return list(f.lam.values[:f.n_terms]), [f.coefficient(n) for n in range(1, f.n_terms + 1)]
+
+
 def l2_norm(f: MuntzSeries, precision_bits: int = 256):
-    """Prefix L2 norm via the Gram quadratic form (exact kernel)."""
+    """Prefix L2 norm: the square root of the exact Gram form of its terms."""
     with working_precision(precision_bits):
-        items = f.term_items()
-        acc = mpf(0)
-        for lj, cj in items:
-            for lk, ck in items:
-                acc += (cj * conj(ck)).real / (mpf(lj) + mpf(lk) + 1)
-        return sqrt(acc) if acc > 0 else mpf(0)
+        value, _ = gram_form(*_terms(f))
+        return sqrt(value) if value > 0 else mpf(0)
 
 
 def series_inner_product(f: MuntzSeries, g: MuntzSeries, precision_bits: int = 256):
-    """<f, g> = integral of f * conj(g), exact per-monomial formula."""
+    """<f, g> = integral of f * conj(g), by the exact Gram form of the two term lists."""
     with working_precision(precision_bits):
-        acc = mpc(0)
-        for lj, cj in f.term_items():
-            for lk, ck in g.term_items():
-                acc += cj * conj(ck) / (mpf(lj) + mpf(lk) + 1)
-        return acc
-
-
-def gram_form(lams: Sequence, vs: Sequence, rel_err=0):
-    """Re sum_{n,m} v_n conj(v_m) / (lambda_n + lambda_m + 1) with a certified error.
-
-    This is ||sum_n v_n t^lambda_n||^2 on (0, 1) for integer exponents.  The
-    form is summed once over the upper triangle in fixed point: the parts of
-    v_n are rounded to integers X_n, Y_n at scale 2^F, with F the working
-    precision above the largest |v_n|, and each pair adds
-    floor((X_n X_m + Y_n Y_m) / (lambda_n + lambda_m + 1)) to an exact sum.
-
-    Returns (value, err).  err bounds |value - form| when each v_n lies
-    within rel_err * |v_n| of its exact value.  With
-    1/(lambda_n + lambda_m + 1) <= w_n w_m, w_n = (2 lambda_n + 1)^(-1/2),
-    moving every v_n by at most eps_n moves the form by at most
-    2 e s + 3 e^2, where s = sum |v_n| w_n and e = sum eps_n w_n; the P^2
-    floors lose under P^2 2^(-2F) and the final rounding one ulp.
-    """
-    if any(v != int(v) for v in lams):
-        raise DomainError("the fixed-point Gram form needs integer exponents")
-    ls = [int(v) for v in lams]
-    vs = [mpc(v) for v in vs]
-    top = max(abs(v) for v in vs)
-    if top == 0:
-        return mpf(0), mpf(0)
-    F = mp.prec - mp.mag(top)
-    X = [int(mp.nint(mp.ldexp(v.real, F))) for v in vs]
-    Y = [int(mp.nint(mp.ldexp(v.imag, F))) for v in vs]
-    P = len(ls)
-    total = 0
-    for n in range(P):
-        xn, yn, ln = X[n], Y[n], ls[n] + 1
-        row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
-        total += 2 * row + (xn * xn + yn * yn) // (2 * ls[n] + 1)
-    value = mp.ldexp(mpf(total), -2 * F)
-
-    w = [1 / sqrt(2 * mpf(v) + 1) for v in ls]
-    s = sum(abs(v) * wn for v, wn in zip(vs, w))
-    # rel_err on each entry plus the 2^(-F) of rounding its parts to integers
-    e = rel_err * s + mp.ldexp(sum(w), -F)
-    err = 2 * e * s + 3 * e ** 2 + mp.ldexp(mpf(P * P), -2 * F) + abs(value) * mp.eps
-    # doubled for the rounding in the bound's own arithmetic
-    return value, 2 * err
+        return gram_form(*_terms(f), other=_terms(g))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +508,18 @@ def project(f: SeriesOrCallable, family: BiorthogonalFamily,
 def projection_residual(f: SeriesOrCallable, family: BiorthogonalFamily,
                         f_star: Optional[MuntzSeries] = None,
                         quad: QuadratureSpec = QuadratureSpec()):
-    """L2 distance ||f - f*|| from f to the truncated span."""
+    """L2 distance ||f - f*|| from f to the truncated span.
+
+    For a series, ||f - f*||^2 is one exact Gram form over both term lists,
+    so it carries no cancellation between separately rounded norms.
+    """
     bits = family.precision_bits
     if f_star is None:
         f_star = project(f, family, quad)
     with working_precision(bits):
         if isinstance(f, MuntzSeries):
-            norm2 = l2_norm(f, bits) ** 2
-            cross = series_inner_product(f, f_star, bits)
+            (lf, cf), (ls, cs) = _terms(f), _terms(f_star)
+            res2, _ = gram_form(lf + ls, cf + [-c for c in cs])
         else:
             # ||f||^2 and the moments behind <f, f*> from one pass of f
             items = [(lv, ck) for lv, ck in f_star.term_items() if ck != 0]
@@ -569,8 +528,7 @@ def projection_residual(f: SeriesOrCallable, family: BiorthogonalFamily,
             cross = mpc(0)
             for (_, ck), (val, _) in zip(items, moments):
                 cross += conj(ck) * val
-        star2 = l2_norm(f_star, bits) ** 2
-        res2 = norm2 - 2 * mpc(cross).real + star2
+            res2 = norm2 - 2 * cross.real + l2_norm(f_star, bits) ** 2
         return sqrt(res2) if res2 > 0 else mpf(0)
 
 

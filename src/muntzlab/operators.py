@@ -25,6 +25,7 @@ from .biorthogonal import BiorthogonalFamily, norm_growth_check
 from .config import RunConfig, rank_collapse_threshold, working_precision
 from .errors import InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
+from .gram import gram_form
 from . import completeness as _completeness
 from .linalg import frobenius_norm, hermitian_lambda_max, max_abs
 from .muntz_space import (
@@ -231,36 +232,23 @@ class SynthesisCertificate:
         raise KeyError(name)
 
 
-def _eigen_relation_residual(op, family):
-    """max_k ||T e_k - u_k e_k|| via the exact-coefficient path."""
-    bits = family.precision_bits
+def _eigen_relation_residual(op, family, B):
+    """max_k ||T e_k - u_k e_k||: T e_k = sum_n u_n B_kn e_n, B_kn = <e_k, r_n>."""
     N = op.truncation
-    with working_precision(bits):
-        G = family.gram.entries
+    with working_precision(family.precision_bits):
+        lams = family.lam.values[:N]
         worst = mpf(0)
         for k in range(N):
-            # coefficients of T e_k: (G^-1 G)_nk * u_n, target u_k at slot k
-            d = matrix(N, 1)
-            for n in range(N):
-                acc = mpc(0)
-                for j in range(N):
-                    acc += family.coeffs[j, n] * G[j, k]
-                d[n] = acc * op.u[n] - (op.u[k] if n == k else 0)
-            q = mpc(0)
-            for i in range(N):
-                for j in range(N):
-                    q += d[i] * conj(d[j]) * G[i, j]
+            d = [B[k, n] * op.u[n] - (op.u[k] if n == k else 0) for n in range(N)]
+            q, _ = gram_form(lams, d)
             worst = max(worst, sqrt(abs(q)))
         return worst
 
 
-def _adjoint_relation_residual(op, family):
-    """max_{j,k} |<T e_j, r_k> - u_k delta_jk| over the basis."""
-    bits = family.precision_bits
+def _adjoint_relation_residual(op, family, B):
+    """max_{j,k} |<T e_j, r_k> - u_k delta_jk| over the basis, B_jn = <e_j, r_n>."""
     N = op.truncation
-    with working_precision(bits):
-        # B_jn = <e_j, r_n> = (G * G^-1)_jn, the biorthogonality matrix
-        B = family.gram.entries * family.coeffs
+    with working_precision(family.precision_bits):
         worst = mpf(0)
         for j in range(N):
             for k in range(N):
@@ -322,10 +310,14 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         add("finite_rank_decay", None, str(exc))
         fr = fr_enclosures = ()
 
+    # 2 and 3 read the biorthogonality matrix B_jn = <e_j, r_n> = (G G^-1)_jn
+    with working_precision(bits):
+        B = family.gram.entries * family.coeffs
+
     # 2. eigen relations
     tol_eig = config.tolerance("eigen_residual")
     try:
-        eig_res = _eigen_relation_residual(op, family)
+        eig_res = _eigen_relation_residual(op, family, B)
         add("eigen_relations", eig_res < mpf(tol_eig), eig_res, tol_eig)
     except PrecisionInsufficientError as exc:
         eig_res = None
@@ -334,7 +326,7 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
     # 3. adjoint relations
     tol_adj = config.tolerance("adjoint_residual")
     try:
-        adj_res = _adjoint_relation_residual(op, family)
+        adj_res = _adjoint_relation_residual(op, family, B)
         add("adjoint_relations", adj_res < mpf(tol_adj), adj_res, tol_adj)
     except PrecisionInsufficientError as exc:
         adj_res = None

@@ -12,6 +12,7 @@ from muntzlab import (
     working_precision,
 )
 from muntzlab.biorthogonal import biorthogonality_residual
+from muntzlab.gram import log_distance
 
 LAM_1 = generate_exponents("integers", {"values": [1]}, 1)
 
@@ -85,14 +86,16 @@ def test_truncation_drift_zero_at_equal_levels(lam_squares):
     assert truncation_convergence(lam_squares, 1, 4, 4, 256) == 0
 
 
-def test_truncation_drift_via_norm_identity(lam_squares):
-    # biorthogonality forces <r_n^(N2), r_n^(N1)> = ||r_n^(N1)||^2, so the
-    # drift collapses to sqrt(||r_n^(N2)||^2 - ||r_n^(N1)||^2): an
-    # independent oracle for the quadratic-form computation
-    drift = truncation_convergence(lam_squares, 1, 6, 10, 256)
-    n6 = dual_family(lam_squares, 6, 256).norms[0]
-    n10 = dual_family(lam_squares, 10, 256).norms[0]
-    assert abs(drift - sqrt(n10 ** 2 - n6 ** 2)) < 1e-25
+@pytest.mark.parametrize("p", [2, 1.5], ids=["squares", "power1.5"])
+def test_truncation_drift_via_norm_identity(p):
+    # biorthogonality forces <r_n^(N2), r_n^(N1)> = ||r_n^(N1)||^2 and
+    # ||r_n^(N)|| = 1/D_{n,N}, so the drift is sqrt(1/D_{n,N2}^2 - 1/D_{n,N1}^2):
+    # an independent oracle from the closed-form distances, held to the bits
+    lam = generate_exponents("power", {"p": p}, 12)
+    drift = truncation_convergence(lam, 1, 6, 10, 256)
+    with mpmath.workprec(512):
+        want = sqrt(mpmath.exp(-2 * log_distance(lam, 1, 10)) - mpmath.exp(-2 * log_distance(lam, 1, 6)))
+        assert abs(drift - want) <= mpf(2) ** -250 * want
     assert drift > 0
 
 

@@ -171,7 +171,3 @@ def test_lu_solver_roundtrip(fam_squares_10):
         for i in range(10):
             ri = b[i] - sum(X[i, j] * x[j] for j in range(10))
             assert abs(ri) < 1e-50
-        y = lu.solve_adjoint(b)
-        for j in range(10):
-            rj = b[j] - sum(X[i, j] * y[i] for i in range(10))
-            assert abs(rj) < 1e-50

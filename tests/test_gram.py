@@ -1,6 +1,7 @@
 import mpmath
 import pytest
-from mpmath import matrix, mp, mpf, sqrt
+from hypothesis import given, strategies as st
+from mpmath import matrix, mp, mpc, mpf, sqrt
 
 from muntzlab import (
     DegenerateInputError,
@@ -15,7 +16,8 @@ from muntzlab import (
     gram_matrix,
     working_precision,
 )
-from muntzlab.gram import inverse_with_escalation
+from muntzlab.exponents import ExponentSequence
+from muntzlab.gram import gram_form, inverse_with_escalation
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_1 = generate_exponents("integers", {"values": [1]}, 1)
@@ -190,3 +192,65 @@ def test_lower_bound_epsilon_domain():
         distance_lower_bound_check(LAM_12, 2, 0.0)
     with pytest.raises(ParameterError):
         distance_lower_bound_check(LAM_12, 2, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the exact Gram-form kernel against a plain double sum at 256 more bits
+
+
+@st.composite
+def _exponent_values(draw, bits):
+    """Admissible exponents as the package stores them: ints, 53-bit mpf from
+    a JSON file (from_dict) or working-precision mpf from generate_exponents."""
+    kind = draw(st.sampled_from(["integers", "doubles", "power", "lacunary"]))
+    n = draw(st.integers(1, 10))
+    if kind == "integers":
+        values = sorted(draw(st.sets(st.integers(1, 400), min_size=n, max_size=n)))
+        return generate_exponents("integers", {"values": values}, n).values
+    if kind == "doubles":
+        steps = draw(st.lists(st.floats(1e-3, 40), min_size=n, max_size=n))
+        values = [sum(steps[:k + 1]) for k in range(n)]
+        return ExponentSequence.from_dict({"kind": "custom", "values": values}).values
+    if kind == "power":
+        p = draw(st.sampled_from([1.25, 1.5, 2.5, 3.3]))
+        return generate_exponents("power", {"p": p}, n, bits).values
+    q = draw(st.sampled_from([1.5, 2.7]))
+    return generate_exponents("lacunary", {"q": q}, n, bits).values
+
+
+@st.composite
+def _coefficients(draw, n, bits):
+    """Real or complex doubles at a common power-of-two scale, optionally
+    divided by 3 at the working precision to fill every bit."""
+    scale = draw(st.integers(-60, 60))
+    re = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    im = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)) if draw(st.booleans()) else [0] * n
+    thirds = draw(st.booleans())
+    with working_precision(bits):
+        vs = [mpc(mp.ldexp(x, scale), mp.ldexp(y, scale)) for x, y in zip(re, im)]
+        return [v / 3 for v in vs] if thirds else vs
+
+
+def _double_sum(lams, vs, mus, ws, prec):
+    with mp.workprec(prec):
+        return mp.fsum(mpc(a) * mp.conj(mpc(b)) / (mpf(lam) + mpf(mu) + 1)
+                       for lam, a in zip(lams, vs) for mu, b in zip(mus, ws))
+
+
+@st.composite
+def _gram_form_case(draw):
+    bits = draw(st.sampled_from([64, 256, 512]))
+    lams = draw(_exponent_values(bits))
+    mus = draw(_exponent_values(bits))
+    return bits, lams, draw(_coefficients(len(lams), bits)), mus, draw(_coefficients(len(mus), bits))
+
+
+@given(_gram_form_case())
+def test_gram_form_within_its_error_bound(case):
+    bits, lams, vs, mus, ws = case
+    with working_precision(bits):
+        norm2, err = gram_form(lams, vs)
+        pairing, err2 = gram_form(lams, vs, other=(mus, ws))
+    want = _double_sum(lams, vs, lams, vs, bits + 256)
+    assert abs(norm2 - want.real) <= err
+    assert abs(pairing - _double_sum(lams, vs, mus, ws, bits + 256)) <= err2

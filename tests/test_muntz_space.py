@@ -28,7 +28,8 @@ from muntzlab import (
     series_inner_product,
     working_precision,
 )
-from muntzlab.muntz_space import gram_form, monomial_moments, quad_unit_interval
+from muntzlab.gram import gram_form
+from muntzlab.muntz_space import monomial_moments, quad_unit_interval
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_SQ = generate_exponents("power", {"p": 2}, 12)
@@ -108,8 +109,13 @@ def test_gram_form_hand_values_and_error_bound():
         value, err = gram_form([1, 2], [1, mpc(0, 1)])
         assert abs(value - (mpf(1) / 3 + mpf(1) / 5)) <= err < 1e-70
         assert gram_form([1, 2], [0, 0]) == (0, 0)
-    with pytest.raises(DomainError):
-        gram_form([0.5, 1.5], [1, 1])
+        # non-integer exponents: ||t^(1/2) - t^(3/2)||^2 = 1/2 - 2/3 + 1/4 and
+        # <t^(1/2), t^(3/2)> = 1/3, both dyadic exponents summed exactly
+        half, three_halves = mpf(1) / 2, mpf(3) / 2
+        value, err = gram_form([half, three_halves], [1, -1])
+        assert abs(value - mpf(1) / 12) <= err < 1e-70
+        value, err = gram_form([half], [1], other=([three_halves], [1]))
+        assert abs(value - mpf(1) / 3) <= err < 1e-70
 
 
 def test_series_inner_product_cross_exponents():
