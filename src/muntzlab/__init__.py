@@ -27,7 +27,6 @@ from .completeness import (
     all_partitions,
     mixed_completeness_check,
     mixed_reconstruction_residual,
-    mixed_system_matrix,
     sample_partitions,
 )
 from .config import RunConfig, working_precision

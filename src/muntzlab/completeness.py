@@ -3,17 +3,18 @@
 For a partition {1..N} = N1 (disjoint union) N2 the mixed system keeps the
 monomial e_n for n in N1 and swaps in the dual r_n^(N) for n in N2.  In
 orthonormal coordinates (G = L L^T) the monomial column is column n of
-L^T and the dual column is column n of L^(-1); mixed_system_matrix builds
-that square matrix X, which the reconstruction residual solves with.
+L^T and the dual column is column n of L^(-1); call that square matrix X.
 
-Its Gram matrix needs no X: monomials pair to G, duals to G^-1, and a
-monomial e_j (j in N1) meets a dual r_k (k in N2) with j != k, where
+No code forms X.  Monomials pair to G, duals to G^-1, and a monomial e_j
+(j in N1) meets a dual r_k (k in N2) with j != k, where
 <e_j, r_k> = delta_jk = 0.  So, up to a permutation,
 X^H X = diag(G[N1,N1], G^-1[N2,N2]) and
 sigma_min(X)^2 = min(lambda_min(G[N1,N1]), lambda_min(G^-1[N2,N2])).
 mixed_completeness_check reads both blocks off the family and encloses
 that eigenvalue with linalg.block_diagonal_lambda_min; its invertibility
-verdict rests on the certified lower bound, not on the estimate.
+verdict rests on the certified lower bound, not on the estimate.  The
+reconstruction residual solves its normal equations block by block with
+the same two blocks.
 At finite truncation invertibility always holds (principal submatrices
 of positive definite matrices); the sigma_min trend over N is the
 reported desk-scale evidence, with no uniform-conditioning claim attached.
@@ -26,15 +27,17 @@ from itertools import combinations
 from random import Random
 from typing import Optional
 
-from mpmath import matrix, mpf, sqrt
+from mpmath import mp, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily
 from .config import rank_collapse_threshold, working_precision
-from .errors import InputError
-from .linalg import LUFactors, block_diagonal_lambda_min
+from .errors import InputError, PrecisionInsufficientError
+from .linalg import _cholesky_rows, _cholesky_solve, block_diagonal_lambda_min
 from .muntz_space import (
     QuadratureSpec,
     SeriesOrCallable,
+    distance_to,
+    dual_pairings,
     moments_and_norm2,
 )
 
@@ -100,20 +103,14 @@ class MixedCheck:
     iterations: int
 
 
-def mixed_system_matrix(partition: Partition, family: BiorthogonalFamily) -> matrix:
-    """Orthonormal coordinates of the mixed system, one column per index."""
-    N = family.truncation
-    if partition.truncation != N:
+def _mixed_blocks(partition: Partition, family: BiorthogonalFamily):
+    """(N1, N2, G[N1,N1], G^-1[N2,N2]): the blocks of X^H X, as row lists."""
+    if partition.truncation != family.truncation:
         raise InputError("partition truncation differs from the family's")
-    with working_precision(family.precision_bits):
-        Lt = family.cholesky_factor.T
-        Linv = family.cholesky_inverse_factor
-        X = matrix(N, N)
-        for j in range(1, N + 1):
-            src = Lt if j in partition.n1 else Linv
-            for i in range(N):
-                X[i, j - 1] = src[i, j - 1]
-        return X
+    n1, n2 = sorted(partition.n1), sorted(partition.n2)
+    G, C = family.gram_rows, family.inverse_rows
+    return (n1, n2, [[G[i - 1][j - 1] for j in n1] for i in n1],
+            [[C[i - 1][j - 1] for j in n2] for i in n2])
 
 
 def mixed_completeness_check(partition: Partition, family: BiorthogonalFamily,
@@ -128,19 +125,22 @@ def mixed_completeness_check(partition: Partition, family: BiorthogonalFamily,
     rank_collapse_threshold(bits)).  PrecisionInsufficientError when no
     positive lower bound can be certified at the family's precision.
     """
-    N = family.truncation
-    if partition.truncation != N:
-        raise InputError("partition truncation differs from the family's")
+    _, _, *blocks = _mixed_blocks(partition, family)
     if threshold is None:
         threshold = rank_collapse_threshold(family.precision_bits)
-    n1, n2 = sorted(partition.n1), sorted(partition.n2)
-    G, Ginv = family.gram_rows, family.inverse_rows
-    blocks = ([[G[i - 1][j - 1] for j in n1] for i in n1],
-              [[Ginv[i - 1][j - 1] for j in n2] for i in n2])
     theta, s, iterations = block_diagonal_lambda_min(blocks, family.precision_bits)
     with working_precision(family.precision_bits):
         sigma, lower = sqrt(theta), sqrt(s)
     return MixedCheck(partition, sigma, bool(lower > mpf(threshold)), threshold, lower, iterations)
+
+
+def _block_solve(B, rhs, bits):
+    """B^-1 rhs for a symmetric positive definite row-list block (may be empty)."""
+    factor = _cholesky_rows(B)
+    if factor is None:
+        raise PrecisionInsufficientError(
+            "mixed block is not numerically positive definite", precision_bits=bits)
+    return _cholesky_solve(factor, rhs)
 
 
 def mixed_reconstruction_residual(target: SeriesOrCallable, partition: Partition,
@@ -148,29 +148,26 @@ def mixed_reconstruction_residual(target: SeriesOrCallable, partition: Partition
                                   quad: QuadratureSpec = QuadratureSpec()):
     """Least-squares residual of the target against the mixed system.
 
-    Split into the distance from the target to the truncated span (shared
-    by every partition) and the in-span solve residual of the square mixed
-    system (rounding-level when the system is invertible); the total is
-    the root of the sum of squares.  Partition dependence can only enter
-    through the solve, which is what the invariance tests exercise.
+    The normal equations split by the block identity: the monomial block
+    solves G[N1,N1] beta = b[N1] and the dual block G^-1[N2,N2] beta = a[N2],
+    with b the target's moments and a = dual_pairings(family, b).  The
+    least-squares element sum_j beta_j e_j + sum_k beta_k r_k is the
+    projection onto the span of the system, so by Pythagoras its
+    distance_to the target is the whole residual.
+    PrecisionInsufficientError when a block is not numerically positive
+    definite.
     """
-    N = family.truncation
-    bits = family.precision_bits
+    n1, n2, B1, B2 = _mixed_blocks(partition, family)
+    N, bits = family.truncation, family.precision_bits
+    b, norm2 = moments_and_norm2(target, family.lam, N, quad, bits)
+    a = dual_pairings(family, b)
+    C = family.inverse_rows
     with working_precision(bits):
-        b, norm2 = moments_and_norm2(target, family.lam, N, quad, bits)
-        # coefficients of the in-span part and its orthonormal coordinates
-        a = [sum(family.coeffs[k, n] * b[k] for k in range(N)) for n in range(N)]
-        Lt = family.cholesky_factor.T
-        y = [sum(Lt[i, j] * a[j] for j in range(N)) for i in range(N)]
-        inside2 = sum(abs(v) ** 2 for v in y)
-        dist2 = norm2 - inside2
-        if dist2 < 0:
-            dist2 = mpf(0)
-
-        X = mixed_system_matrix(partition, family)
-        beta = LUFactors(X).solve(y)
-        solve_res2 = mpf(0)
-        for i in range(N):
-            ri = y[i] - sum(X[i, j] * beta[j] for j in range(N))
-            solve_res2 += abs(ri) ** 2
-        return sqrt(dist2 + solve_res2)
+        beta1 = _block_solve(B1, [b[j - 1] for j in n1], bits)
+        beta2 = _block_solve(B2, [a[k - 1] for k in n2], bits)
+        c = [mpf(0)] * N
+        for j, v in zip(n1, beta1):
+            c[j - 1] = v
+        # r_k = sum_m C_mk e_m
+        c = [c[m] + mp.fdot([C[m][k - 1] for k in n2], beta2) for m in range(N)]
+        return distance_to(target, family.lam.values[:N], c, b, norm2)

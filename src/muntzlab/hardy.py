@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
 from mpmath import mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily, dual_family
@@ -28,7 +27,8 @@ from .config import DEFAULT_TOLERANCES, working_precision
 from .errors import DomainError, InputError
 from .exponents import ExponentSequence
 from .gram import gram_form
-from .muntz_space import MuntzSeries, QuadratureSpec, SeriesOrCallable, moments_and_norm2
+from .muntz_space import (MuntzSeries, QuadratureSpec, SeriesOrCallable, distance_to,
+                          dual_pairings, moments_and_norm2)
 
 
 @dataclass(frozen=True)
@@ -120,28 +120,22 @@ def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily
     bits = family.precision_bits
 
     # moments and the target norm are computed once; each sub-truncation
-    # reuses the prefix of the moment vector through its own Gram inverse
-    with working_precision(bits):
-        b, norm2 = moments_and_norm2(f, family.lam, N, quad, bits)
-
+    # pairs the prefix of the moment vector with its own Gram inverse, and
+    # the last step (Ns = N) leaves the family's pairings in coeffs
+    b, norm2 = moments_and_norm2(f, family.lam, N, quad, bits)
     trend = []
     steps = sorted({max(2, N - 6), max(2, N - 4), max(2, N - 2), N})
     for Ns in steps:
         fam_s = family if Ns == N else dual_family(family.lam, Ns, bits)
+        coeffs = dual_pairings(fam_s, b)
         with working_precision(bits):
-            a = [sum(fam_s.coeffs[k, n] * b[k] for k in range(Ns)) for n in range(Ns)]
-            inside2, _ = gram_form(fam_s.lam.values, a)
-            cross = sum((mpc(a[n]).conjugate() * b[n]).real for n in range(Ns))
-            res2 = norm2 - 2 * cross + inside2
-            trend.append((Ns, sqrt(res2) if res2 > 0 else mpf(0)))
+            trend.append((Ns, distance_to(f, fam_s.lam.values, coeffs, b, norm2)))
 
     with working_precision(bits):
-        coeffs = [sum(family.coeffs[k, n] * b[k] for k in range(N)) for n in range(N)]
-        sq = [abs(mpc(c)) ** 2 for c in coeffs]
         sums = []
         acc = mpf(0)
-        for n, v in enumerate(sq, start=1):
-            acc += v
+        for n, c in enumerate(coeffs, start=1):
+            acc += abs(mpc(c)) ** 2
             sums.append((n, acc))
         scale = max(mpf(1), sqrt(acc))
 
@@ -301,6 +295,8 @@ def quadratic_form_partial_sums(rule, lam: ExponentSequence, checkpoints: Sequen
     partial sums for series (like c_n = n^(-1/2) on squares) whose
     coefficient square-sum diverges.
     """
+    import numpy as np
+
     checkpoints = sorted(set(int(k) for k in checkpoints))
     K = checkpoints[-1]
     if len(lam) < K:

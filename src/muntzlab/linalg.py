@@ -131,7 +131,11 @@ def _float_matvec(mats, x):
 
 
 class LUFactors:
-    """In-place LU with partial pivoting, reusable for many solves."""
+    """In-place LU with partial pivoting, reusable for many solves.
+
+    No kernel in the package solves with it; the tests keep it as a
+    reference solver for square systems.
+    """
 
     def __init__(self, A: matrix):
         n = A.rows

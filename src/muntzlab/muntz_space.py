@@ -19,10 +19,10 @@ error estimate are those of a separate mp.quad run, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
 from mpmath import conj, mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily
@@ -455,34 +455,60 @@ def monomial_moments(f: SeriesOrCallable, lam: ExponentSequence, N: int,
 
 def moments_and_norm2(f: SeriesOrCallable, lam: ExponentSequence, N: int,
                       quad: QuadratureSpec = QuadratureSpec(), precision_bits: int = 256):
-    """(monomial_moments(f, lam, N), ||f||^2); a black box gives both from one pass."""
-    with working_precision(precision_bits):
-        if isinstance(f, MuntzSeries):
-            return (monomial_moments(f, lam, N, quad, precision_bits),
-                    l2_norm(f, precision_bits) ** 2)
-        parts = _moment_parts(_exponent_prefix(lam, N)) + [_norm2_part]
-        values = [val for val, _ in _panel_quad(f, parts, quad, precision_bits)]
-        return values[:-1], values[-1]
+    """(monomial_moments(f, lam, N), ||f||^2); a black box gives both from one pass.
+
+    A series, whose distances are exact Gram forms, gets None for ||f||^2.
+    """
+    if isinstance(f, MuntzSeries):
+        return monomial_moments(f, lam, N, quad, precision_bits), None
+    parts = _moment_parts(_exponent_prefix(lam, N)) + [_norm2_part]
+    values = [val for val, _ in _panel_quad(f, parts, quad, precision_bits)]
+    return values[:-1], values[-1]
 
 
 # ---------------------------------------------------------------------------
 # coefficient recovery and projection
 
 
-def recovered_coefficients(f: SeriesOrCallable, family: BiorthogonalFamily,
-                           quad: QuadratureSpec = QuadratureSpec()):
-    """All dual pairings <f, r_n^(N)>, n = 1..N, moments computed once."""
+def dual_pairings(family: BiorthogonalFamily, b):
+    """<f, r_n^(N)> = sum_k C_kn b_k, n <= N, from the moments b_k = <f, e_k>.
+
+    C is the family's Gram inverse; only the first N moments of b enter.
+    """
+    C = family.inverse_rows
     N = family.truncation
-    bits = family.precision_bits
-    with working_precision(bits):
-        b = monomial_moments(f, family.lam, N, quad, bits)
-        out = []
+    out = []
+    with working_precision(family.precision_bits):
         for n in range(N):
             acc = mpc(0)
             for k in range(N):
-                acc += family.coeffs[k, n] * b[k]
+                acc += C[k][n] * b[k]
             out.append(acc if acc.imag != 0 else acc.real)
-        return out
+    return out
+
+
+def distance_to(f: SeriesOrCallable, lams, cs, b, norm2):
+    """||f - sum_n c_n t^lambda_n||, at the working precision.
+
+    For a series f, one exact Gram form over both term lists (no
+    cancellation between separately rounded norms; b and norm2 unused).
+    For a black box with moments b_n = <f, t^lambda_n> and norm2 = ||f||^2,
+    norm2 - 2 Re sum_n conj(c_n) b_n + ||sum_n c_n t^lambda_n||^2.
+    """
+    if isinstance(f, MuntzSeries):
+        lf, cf = _terms(f)
+        res2, _ = gram_form(lf + list(lams), cf + [-c for c in cs])
+    else:
+        cross = sum((conj(c) * v).real for c, v in zip(cs, b))
+        res2 = norm2 - 2 * cross + gram_form(lams, cs)[0]
+    return sqrt(res2) if res2 > 0 else mpf(0)
+
+
+def recovered_coefficients(f: SeriesOrCallable, family: BiorthogonalFamily,
+                           quad: QuadratureSpec = QuadratureSpec()):
+    """All dual pairings <f, r_n^(N)>, n = 1..N, moments computed once."""
+    b = monomial_moments(f, family.lam, family.truncation, quad, family.precision_bits)
+    return dual_pairings(family, b)
 
 
 def coefficient_recover(f: SeriesOrCallable, family: BiorthogonalFamily, n: int,
@@ -508,28 +534,21 @@ def project(f: SeriesOrCallable, family: BiorthogonalFamily,
 def projection_residual(f: SeriesOrCallable, family: BiorthogonalFamily,
                         f_star: Optional[MuntzSeries] = None,
                         quad: QuadratureSpec = QuadratureSpec()):
-    """L2 distance ||f - f*|| from f to the truncated span.
+    """L2 distance_to(f, f*) from f to the truncated span.
 
-    For a series, ||f - f*||^2 is one exact Gram form over both term lists,
-    so it carries no cancellation between separately rounded norms.
+    Without f_star, f* comes from the moments of one moments_and_norm2 pass.
     """
     bits = family.precision_bits
-    if f_star is None:
-        f_star = project(f, family, quad)
     with working_precision(bits):
-        if isinstance(f, MuntzSeries):
-            (lf, cf), (ls, cs) = _terms(f), _terms(f_star)
-            res2, _ = gram_form(lf + ls, cf + [-c for c in cs])
+        if f_star is None:
+            b, norm2 = moments_and_norm2(f, family.lam, family.truncation, quad, bits)
+            lams, cs = family.lam.values[:family.truncation], dual_pairings(family, b)
         else:
-            # ||f||^2 and the moments behind <f, f*> from one pass of f
-            items = [(lv, ck) for lv, ck in f_star.term_items() if ck != 0]
-            parts = [_norm2_part] + _moment_parts([lv for lv, _ in items])
-            (norm2, _), *moments = _panel_quad(f, parts, quad, bits)
-            cross = mpc(0)
-            for (_, ck), (val, _) in zip(items, moments):
-                cross += conj(ck) * val
-            res2 = norm2 - 2 * cross.real + l2_norm(f_star, bits) ** 2
-        return sqrt(res2) if res2 > 0 else mpf(0)
+            lams, cs = _terms(f_star)
+            b = norm2 = None
+            if not isinstance(f, MuntzSeries):
+                b, norm2 = moments_and_norm2(f, f_star.lam, f_star.n_terms, quad, bits)
+        return distance_to(f, lams, cs, b, norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +584,12 @@ def _rule_series_tail_product_bound(rule: CoefficientRule, lam: ExponentSequence
             p = float(lam.params["p"])
             beta = alpha + p / 2.0
             if beta > 1:
-                return scale / np.sqrt(2.0) * K ** (1 - beta) / (beta - 1)
+                return scale / math.sqrt(2.0) * K ** (1 - beta) / (beta - 1)
         if lam.kind == "lacunary":
             q = float(lam.params["q"])
             if alpha >= 0:
                 r = q ** -0.5
-                return scale / np.sqrt(2.0) * (K + 1) ** (-alpha) * r ** (K + 1) / (1 - r)
+                return scale / math.sqrt(2.0) * (K + 1) ** (-alpha) * r ** (K + 1) / (1 - r)
         return None
     if rule.name == "geometric":
         r, scale = abs(rule.params["ratio"]), abs(rule.params["scale"])
@@ -578,44 +597,9 @@ def _rule_series_tail_product_bound(rule: CoefficientRule, lam: ExponentSequence
     return None
 
 
-def _prefix_arrays(f: MuntzSeries, K: int):
-    lam = f.lam if len(f.lam) >= K else f.lam.extended(K)
-    lams = np.array([float(v) for v in lam.values[:K]])
-    cs = np.array([complex(f.coefficient(n)) if n <= len(f.coeffs)
-                   else complex(f.rule.coefficient(n)) for n in range(1, K + 1)])
-    if np.allclose(cs.imag, 0.0):
-        cs = cs.real
-    return lam, lams, cs
-
-
-def _gram_kernel(lams: np.ndarray) -> np.ndarray:
-    return 1.0 / (lams[:, None] + lams[None, :] + 1.0)
-
-
-def _quad_form_norm(d: np.ndarray, A: np.ndarray) -> float:
-    val = float(np.real(np.conj(d) @ A @ d))
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def _check_prefix_norm_bounded(cs, A):
-    """Monotone-bounded check on the prefix quadratic form.
-
-    Partial norms at K/4, K/2, K must show shrinking increments; a flat
-    increment trend (like c_n = 1 on squares, whose norm diverges
-    logarithmically) is treated as a non-membership signal.
-    """
-    K = len(cs)
-    ks = [max(1, K // 4), max(1, K // 2), K]
-    sums = []
-    for k in ks:
-        d = cs[:k]
-        sums.append(float(np.real(np.conj(d) @ A[:k, :k] @ d)))
-    inc1 = sums[1] - sums[0]
-    inc2 = sums[2] - sums[1]
-    if inc2 > 1e-12 and inc1 > 1e-12 and inc2 > 0.9 * inc1:
-        raise NonMemberSignal(
-            f"prefix norm increments do not decay ({inc1:.3e} -> {inc2:.3e}); "
-            "the quadratic form looks divergent")
+def _quad_form_norm(d, A) -> float:
+    val = float((d.conj() @ A @ d).real)
+    return math.sqrt(max(val, 0.0))
 
 
 def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
@@ -629,10 +613,14 @@ def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
     returned polynomial is below 2*eps.  Runs in float64: the certificate
     tolerances (eps >= ~1e-6) are far above double rounding.
 
-    Raises NonMemberSignal when the dilation error cannot be brought
-    below eps for rho up to ``rho_cap``, or when the prefix quadratic
-    form fails its monotone-bounded precondition.
+    Raises ConvergenceError when it failed within budget: the dilation
+    error is still above eps at ``rho_cap`` although the rule's tail bound
+    is finite, which proves sum |c_n| ||e_n|| < inf and so f in the closed
+    span.  Without that bound the same failure raises NonMemberSignal, as
+    does a prefix quadratic form whose increments do not decay.
     """
+    import numpy as np
+
     if not eps > 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     if f.finite:
@@ -651,9 +639,21 @@ def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
     if not extendable:
         K = min(K, len(f.lam))
 
-    lam, lams, cs = _prefix_arrays(f, K)
-    A = _gram_kernel(lams)
-    _check_prefix_norm_bounded(cs, A)
+    lam = f.lam if len(f.lam) >= K else f.lam.extended(K)
+    lams = np.array([float(v) for v in lam.values[:K]])
+    cs = np.array([complex(f.coefficient(n)) if n <= len(f.coeffs)
+                   else complex(f.rule.coefficient(n)) for n in range(1, K + 1)])
+    if np.allclose(cs.imag, 0.0):
+        cs = cs.real
+    A = 1.0 / (lams[:, None] + lams[None, :] + 1.0)
+    # monotone-bounded precondition: partial norms at K/4, K/2, K must show
+    # shrinking increments (c_n = 1 on squares diverges logarithmically)
+    sums = [float((cs[:k].conj() @ A[:k, :k] @ cs[:k]).real)
+            for k in (max(1, K // 4), max(1, K // 2), K)]
+    inc1, inc2 = sums[1] - sums[0], sums[2] - sums[1]
+    if inc2 > 1e-12 and inc1 > 1e-12 and inc2 > 0.9 * inc1:
+        raise NonMemberSignal(f"prefix norm increments do not decay ({inc1:.3e} -> {inc2:.3e}); "
+                              "the quadratic form looks divergent")
 
     def dilation_error(rho: float) -> float:
         with np.errstate(under="ignore"):
@@ -662,8 +662,10 @@ def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
 
     lo, hi = 0.5, rho_cap
     if dilation_error(hi) > eps:
-        raise NonMemberSignal(
-            f"dilation error {dilation_error(hi):.3e} still above eps={eps} at rho={hi}")
+        # a finite tail bound proves membership: then only the budget ran out
+        error = NonMemberSignal if tail is None else ConvergenceError
+        raise error(f"dilation error {dilation_error(hi):.3e} still above eps={eps} "
+                    f"at rho={hi} within the budget of {K} terms")
     e_lo = dilation_error(lo)
     while e_lo <= eps and lo > 1e-6:
         lo /= 2
@@ -689,11 +691,7 @@ def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
         dilated = cs * np.power(rho, lams)
     weights = np.abs(dilated) / np.sqrt(2.0 * lams + 1.0)
     suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    n_terms = K
-    for N in range(1, K + 1):
-        if suffix[N] <= eps:
-            n_terms = N
-            break
+    n_terms = next((N for N in range(1, K + 1) if suffix[N] <= eps), K)
 
     poly = MuntzSeries(lam.prefix(n_terms), tuple(dilated[:n_terms]))
     d = np.array(cs, dtype=complex)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -282,3 +286,15 @@ def test_stdout_when_no_out_flag(lambda_file, capsys):
     assert main(["gram", "--lambda", str(lambda_file), "--n", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "entries" in payload and "config" in payload
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is imported only by the float paths (approximate_in_span,
+    # quadratic_form_partial_sums), not on the command line's import path
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, muntzlab.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

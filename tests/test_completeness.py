@@ -1,5 +1,5 @@
 import pytest
-from mpmath import mpf, sqrt
+from mpmath import exp, log, matrix, mpf
 
 from muntzlab import (
     InputError,
@@ -10,15 +10,36 @@ from muntzlab import (
     generate_exponents,
     mixed_completeness_check,
     mixed_reconstruction_residual,
-    mixed_system_matrix,
     projection_residual,
     sample_partitions,
     working_precision,
 )
+from muntzlab import completeness
 from muntzlab.linalg import LUFactors
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 T3 = finite_series(generate_exponents("integers", {"values": [3]}, 1), [1])
+
+
+def mixed_matrix(partition, family):
+    """Oracle X: column n is column n of L^T (n in N1) or of L^-1 (n in N2)."""
+    N = family.truncation
+    with working_precision(family.precision_bits):
+        Lt, Linv = family.cholesky_factor.T, family.cholesky_inverse_factor
+        X = matrix(N, N)
+        for j in range(N):
+            src = Lt if j + 1 in partition.n1 else Linv
+            for i in range(N):
+                X[i, j] = src[i, j]
+        return X
+
+
+def product_distance(mu, N):
+    """Closed-form distance from t^mu to span{t^(k^2): k <= N}, for mu not a square."""
+    acc = -log(2 * mpf(mu) + 1) / 2
+    for k in range(1, N + 1):
+        acc += log(abs(mu - k * k)) - log(mu + k * k + 1)
+    return exp(acc)
 
 
 def test_partition_validation():
@@ -48,7 +69,7 @@ def test_sample_partitions_deterministic():
 
 def test_mixed_matrix_columns(fam_12):
     part = Partition.from_monomial_set({1}, 2)
-    X = mixed_system_matrix(part, fam_12)
+    X = mixed_matrix(part, fam_12)
     with working_precision(256):
         Lt = fam_12.cholesky_factor.T
         # column 1: monomial coordinates L^T e_1; column 2: L^T (-60, 80)
@@ -60,7 +81,7 @@ def test_mixed_matrix_columns(fam_12):
 def test_mixed_pair_gram_is_diagonal(fam_12):
     # Gram of {e_1, r_2} = [[1/3, 0], [0, 80]] by biorthogonality
     part = Partition.from_monomial_set({1}, 2)
-    X = mixed_system_matrix(part, fam_12)
+    X = mixed_matrix(part, fam_12)
     with working_precision(256):
         P = X.T * X
         assert abs(P[0, 0] - mpf(1) / 3) < 1e-55
@@ -72,17 +93,25 @@ def test_mixed_pair_gram_is_diagonal(fam_12):
 
 
 def test_extreme_partitions(fam_squares_10):
+    # the block identity X^T X = diag(G[N1,N1], G^-1[N2,N2]) at both extremes
+    # and in between, on the oracle X
     N = 10
-    all_monomials = Partition.from_monomial_set(range(1, N + 1), N)
-    all_duals = Partition.from_monomial_set((), N)
-    with working_precision(fam_squares_10.precision_bits):
-        X = mixed_system_matrix(all_monomials, fam_squares_10)
-        Lt = fam_squares_10.cholesky_factor.T
-        assert max(abs(X[i, j] - Lt[i, j]) for i in range(N) for j in range(N)) == 0
-        Y = mixed_system_matrix(all_duals, fam_squares_10)
-        Linv = fam_squares_10.cholesky_inverse_factor
-        assert max(abs(Y[i, j] - Linv[i, j]) for i in range(N) for j in range(N)) == 0
-    assert mixed_completeness_check(all_duals, fam_squares_10).invertible
+    G, C = fam_squares_10.gram_rows, fam_squares_10.inverse_rows
+    for n1 in (range(1, N + 1), (), (2, 4, 6, 8, 10)):
+        part = Partition.from_monomial_set(n1, N)
+        X = mixed_matrix(part, fam_squares_10)
+        with working_precision(fam_squares_10.precision_bits):
+            P = X.T * X
+            for i in range(N):
+                for j in range(N):
+                    if i + 1 in part.n1 and j + 1 in part.n1:
+                        want = G[i][j]
+                    elif i + 1 in part.n2 and j + 1 in part.n2:
+                        want = C[i][j]
+                    else:
+                        want = 0
+                    assert abs(P[i, j] - want) <= 1e-50 * (1 + abs(want))
+        assert mixed_completeness_check(part, fam_squares_10).invertible
 
 
 def test_exhaustive_small_truncation():
@@ -142,6 +171,34 @@ def test_residual_partition_invariance_squares(fam_squares_10):
     assert max(values) - min(values) < 1e-20
 
 
+def test_residual_matches_product_distance_squares(fam_squares_10):
+    want = product_distance(3, 10)
+    for part in sample_partitions(10, 16, seed=1):
+        got = mixed_reconstruction_residual(T3, part, fam_squares_10)
+        assert abs(got - want) <= 1e-78 * want
+
+
+def test_residual_black_box_every_partition(lam_squares, monkeypatch):
+    # t^2.3 log t reaches the residual only through its quadrature moments
+    # and ||f||^2; every partition's residual must be the distance to the span
+    fam = dual_family(lam_squares, 6, 256)
+
+    def f(t):
+        return t ** mpf("2.3") * log(t)
+
+    want = projection_residual(f, fam)
+    assert want > 1e-6
+    first = mixed_reconstruction_residual(f, Partition.from_monomial_set({1, 4}, 6), fam)
+    # the quadrature pass is the same for every partition: run it once
+    moments = completeness.moments_and_norm2(f, fam.lam, 6, precision_bits=256)
+    monkeypatch.setattr(completeness, "moments_and_norm2", lambda *args: moments)
+    for part in all_partitions(6):
+        got = mixed_reconstruction_residual(f, part, fam)
+        assert abs(got - want) <= 1e-70 * want
+        if part.n1 == {1, 4}:
+            assert got == first
+
+
 def test_residual_monotone_in_truncation(lam_squares):
     res = []
     for N in (4, 6, 8, 10):
@@ -155,15 +212,17 @@ def test_residual_monotone_in_truncation(lam_squares):
         assert abs(float(got) - want) < 1e-9
 
 
-def test_mixed_matrix_truncation_mismatch(fam_12, fam_squares_10):
+def test_mixed_truncation_mismatch(fam_12, fam_squares_10):
     part = Partition.from_monomial_set({1}, 2)
     with pytest.raises(InputError):
-        mixed_system_matrix(part, fam_squares_10)
+        mixed_reconstruction_residual(T3, part, fam_squares_10)
+    with pytest.raises(InputError):
+        mixed_completeness_check(part, fam_squares_10)
 
 
 def test_lu_solver_roundtrip(fam_squares_10):
-    # LUFactors is the solve engine under the residuals; check it directly
-    X = mixed_system_matrix(Partition.from_monomial_set({2, 4, 6, 8, 10}, 10), fam_squares_10)
+    # LUFactors stays as a reference solver; check it on an oracle mixed system
+    X = mixed_matrix(Partition.from_monomial_set({2, 4, 6, 8, 10}, 10), fam_squares_10)
     with working_precision(256):
         lu = LUFactors(X)
         b = [mpf(k + 1) for k in range(10)]

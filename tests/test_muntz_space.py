@@ -29,7 +29,12 @@ from muntzlab import (
     working_precision,
 )
 from muntzlab.gram import gram_form
-from muntzlab.muntz_space import monomial_moments, quad_unit_interval
+from muntzlab.muntz_space import (
+    _rule_series_tail_product_bound,
+    moments_and_norm2,
+    monomial_moments,
+    quad_unit_interval,
+)
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_SQ = generate_exponents("power", {"p": 2}, 12)
@@ -208,6 +213,22 @@ def test_project_hand_example(fam_12):
     assert abs(res - mpf("0.02520")) < 1e-4
 
 
+def test_projection_residual_takes_one_pass(fam_12):
+    # without f_star, moments and ||f||^2 come from one pass of the black box
+    def counted():
+        def f(t):
+            f.calls += 1
+            return t ** 3
+        f.calls = 0
+        return f
+
+    f, g = counted(), counted()
+    res = projection_residual(f, fam_12)
+    moments_and_norm2(g, fam_12.lam, 2, precision_bits=fam_12.precision_bits)
+    assert f.calls == g.calls > 0
+    assert abs(res - sqrt(mpf(1) / 1575)) < 1e-20
+
+
 def test_project_idempotent(fam_squares_10):
     f = MuntzSeries(fam_squares_10.lam, tuple(mpf(1) / (k + 1) for k in range(10)))
     once = project(f, fam_squares_10)
@@ -283,6 +304,27 @@ def test_approximate_divergent_rule_raises():
     f = MuntzSeries(LAM_SQ, (), rule_from_name("unit"))
     with pytest.raises(NonMemberSignal):
         approximate_in_span(f, 1e-3)
+
+
+@pytest.mark.parametrize("rule, eps", [("inv_n", 1e-6), ("inv_sqrt_n", 1e-4)])
+def test_approximate_budget_runs_out_on_a_member(rule, eps):
+    # a finite tail bound proves membership, so running out of terms or of
+    # rho is a budget failure, not a non-membership signal
+    f = MuntzSeries(LAM_SQ, (), rule_from_name(rule))
+    assert _rule_series_tail_product_bound(f.rule, f.lam, 4096) is not None
+    with pytest.raises(ConvergenceError, match="budget"):
+        approximate_in_span(f, eps)
+
+
+def test_approximate_dilation_without_tail_bound_signals():
+    # custom exponents carry no tail bound, so a dilation error above eps
+    # at rho_cap stays a non-membership signal; squares get the budget error
+    custom = generate_exponents("custom", {"values": [k * k + 0.5 for k in range(1, 13)]}, 12)
+    f = MuntzSeries(custom, (), rule_from_name("inv_n"))
+    with pytest.raises(NonMemberSignal):
+        approximate_in_span(f, 1e-6, rho_cap=0.9)
+    with pytest.raises(ConvergenceError):
+        approximate_in_span(MuntzSeries(LAM_SQ, (), rule_from_name("inv_n")), 1e-6, rho_cap=0.9)
 
 
 def test_approximate_eps_domain():
