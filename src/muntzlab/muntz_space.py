@@ -14,13 +14,22 @@ For a black box f, every integral that shares the factor f(t) (the whole
 moment vector, ||f||^2, the moments behind <f, f*>) runs in one panelled
 tanh-sinh pass that calls f once per node.  Each integral keeps mpmath's
 own stopping rule per panel and escalates on its own, so its value and
-error estimate are those of a separate mp.quad run, bit for bit.
+error estimate are those of a separate mp.quad run, bit for bit.  An
+escalation round keeps the panels it shares with the round before and
+calls f there only at the one degree it adds.  project hands its pass on
+with the series it returns, so projection_residual(f, family, f_star)
+with the same f object, spec and bits integrates nothing.  Across calls
+only the node powers t^lambda are cached (_NODE_POWERS, at most 4 MiB,
+least recently used out first), never values of f: a black box may be
+impure, and every call integrates it afresh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from mpmath import conj, mp, mpc, mpf, sqrt
@@ -143,6 +152,8 @@ class MuntzSeries:
     lam: ExponentSequence
     coeffs: tuple = ()
     rule: Optional[CoefficientRule] = None
+    # project's quadrature pass of a black box, for projection_residual
+    _pass: Optional["_QuadPass"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) > len(self.lam):
@@ -294,7 +305,7 @@ class QuadratureSpec:
     integral sharing one black box f runs in the same pass, which calls f
     once per node; each keeps its own stopping rule per panel and its own
     escalation, and only the integrals still above ``tol`` run the next
-    round.
+    round, which keeps the step sums of the panels it shares with this one.
     """
 
     tol: float = 1e-30
@@ -318,73 +329,176 @@ class QuadratureSpec:
             raise ParameterError(f"max_rounds must be >= 0, got {self.max_rounds}")
 
 
-def _tanh_sinh_panel(f, parts, a, b, maxdegree):
+class _NodePowers:
+    """t^lambda at the tanh-sinh nodes of one panel and degree, per exponent.
+
+    An entry is keyed by mpmath's node-cache key (a, b, degree, prec) and
+    the exponent.  get_nodes builds the nodes of a key at a fixed precision,
+    and the powers are taken at prec + 20, so a key always names the same
+    nodes and the same powers, bit for bit.  Each entry keeps the mantissas
+    in a list and the binary exponents in an array('q'); once the estimated
+    size would pass CAP bytes, the least recently used entries go.  Only
+    powers of the nodes are kept, never values of a black box.
+    """
+
+    CAP = 1 << 22
+
+    def __init__(self):
+        self.entries = OrderedDict()
+        self.size = 0
+
+    def clear(self):
+        self.entries.clear()
+        self.size = 0
+
+    def get(self, key, ts, exponent):
+        """[_power(t, exponent) for t in ts], the nodes ts of key."""
+        key = key + (exponent,)
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            make = mp.make_mpf
+            return [make((0, m, e, m.bit_length())) for m, e in zip(*entry[:2])]
+        powers = [_power(t, exponent) for t in ts]
+        self._store(key, powers)
+        return powers
+
+    def _store(self, key, powers):
+        from array import array     # off the import path, which every CLI child pays
+
+        parts = [p._mpf_ for p in powers]
+        # signed or special values (inf, nan) would not rebuild from (man, exp)
+        if any(s or bc != m.bit_length() for s, m, _, bc in parts):
+            return
+        mans = [m for _, m, _, _ in parts]
+        try:
+            exps = array("q", [e for _, _, e, _ in parts])
+        except OverflowError:
+            return
+        size = sys.getsizeof(mans) + sys.getsizeof(exps) + sum(map(sys.getsizeof, mans))
+        if size > self.CAP:
+            return
+        while self.size + size > self.CAP:
+            self.size -= self.entries.popitem(last=False)[1][2]
+        self.entries[key] = (mans, exps, size)
+        self.size += size
+
+
+_NODE_POWERS = _NodePowers()
+
+
+class _Moment:
+    """The part f(t) t^lambda of one moment; a panel takes t^lambda from _NODE_POWERS."""
+
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent):
+        self.exponent = exponent
+
+    def __call__(self, t, v):
+        return v * _power(t, self.exponent)
+
+
+def _part_values(part, key, ts, fs):
+    """part(t, f(t)) at the nodes ts of key, given fs = f(t)."""
+    if isinstance(part, _Moment):
+        return [v * p for v, p in zip(fs, _NODE_POWERS.get(key, ts, part.exponent))]
+    return [part(x, v) for x, v in zip(ts, fs)]
+
+
+def _tanh_sinh_panel(f, parts, a, b, maxdegree, states):
     """mp.quad(lambda t: p(t, f(t)), [a, b], maxdegree) for every part p at once.
 
     Follows mpmath's TanhSinh.summation on one panel: degree d reuses the
     degree d-1 step sum and adds the new nodes from the rule's own node
     cache, and each part stops at the first degree whose estimate_error
     meets eps/8 at the working precision, with 20 guard bits.  f is called
-    once per node while any part still runs.  Returns one (value, error)
-    per part, each value rounded to the working precision.
+    once per node while any part still runs.
+
+    states holds each part's (step sums, error estimate) so far: empty for
+    a fresh part, or what an earlier call on this panel left at a lower
+    maxdegree.  A part that settled there keeps its value, and one that
+    did not goes on from the next degree, as mp.quad's own loop would.
+    Returns one (value, error) per part, each value rounded to the working
+    precision, and the new states.
     """
     rule = mp._tanh_sinh    # the TanhSinh instance, and node cache, that mp.quad uses
     prec = mp.prec
     eps = mp.eps / 8
-    sums = [[] for _ in parts]
-    errs = [mp.zero] * len(parts)
-    running = list(range(len(parts)))
+    states = list(states)
+    running = [k for k, (sums, err) in enumerate(states) if len(sums) < 2 or not err <= eps]
+    first = len(states[running[0]][0]) + 1 if running else maxdegree + 1
     with mp.workprec(prec + 20):
-        for degree in range(1, maxdegree + 1):
+        for degree in range(first, maxdegree + 1):
             if not running:
                 break
             nodes = rule.get_nodes(a, b, degree, prec)
+            key = (a, b, degree, prec)
             ts = [x for x, _ in nodes]
             ws = [w for _, w in nodes]
             fs = [f(x) for x in ts]
             h = mpf(2) ** -degree
             for k in running:
-                S = sums[k][-1] / (h * 2) if sums[k] else mp.zero
-                S += mp.fdot(ws, [parts[k](x, v) for x, v in zip(ts, fs)])
-                sums[k].append(h * S)
+                sums, err = states[k]
+                S = sums[-1] / (h * 2) if sums else mp.zero
+                S += mp.fdot(ws, _part_values(parts[k], key, ts, fs))
+                sums = sums + [h * S]
+                if degree > 1:
+                    err = rule.estimate_error(sums, prec, eps)
+                states[k] = sums, err
             if degree > 1:
-                for k in running:
-                    errs[k] = rule.estimate_error(sums[k], prec, eps)
-                running = [k for k in running if not errs[k] <= eps]
-    return [(+s[-1], e) for s, e in zip(sums, errs)]
+                running = [k for k in running if not states[k][1] <= eps]
+    return [(+sums[-1], err) for sums, err in states], states
 
 
-def _panel_quad(f, parts, spec: QuadratureSpec, bits: int):
+def _panel_quad(f, parts, spec: QuadratureSpec, bits: int, optional: int = 0):
     """Integrate every part p(t, f(t)) over (0, 1) in one pass of f.
 
     Each part gets exactly the value and error estimate of its own
     quad_unit_interval call: the same panels, the same tanh-sinh rule and
     stopping rule, and the same escalation, which re-runs only the parts
-    whose summed estimate is still above spec.tol.  Returns one
-    (value, error) per part; QuadratureError carries the first part that
-    never met the tolerance.
+    whose summed estimate is still above spec.tol.  A round keeps the
+    previous round's panels [ratio^j, ratio^(j-1)] for j <= levels; there
+    a part carries its step sums over and goes on at the new top degree,
+    without calling f again at nodes it already has.
+
+    Returns one (value, error) per part.  The last ``optional`` parts only
+    escalate alongside the others: one still above tol when the others are
+    done comes back as None.  QuadratureError carries the first other part
+    that never met the tolerance.
     """
     results = [None] * len(parts)
     todo = list(range(len(parts)))
+    required = len(parts) - optional
+    carried = {}    # (j, part) -> panel state of the previous round
+    fresh = ([], mpf(0))
     with working_precision(bits):
         tol = mpf(spec.tol)
+        ratio = mpf(spec.ratio)
         levels, degree = spec.levels, spec.maxdegree
         for _ in range(spec.max_rounds + 1):
-            points = [mpf(0)]
-            points += [mpf(spec.ratio) ** j for j in range(levels, 0, -1)]
-            points.append(mpf(1))
+            points = [mpf(0)] + [ratio ** j for j in range(levels, 0, -1)] + [mpf(1)]
+            # panel [ratio^j, ratio^(j-1)] is labelled j; [0, ratio^levels] is not kept
+            labels = [None] + list(range(levels, 0, -1))
             sums = [(mpc(0), mpf(0))] * len(todo)
-            for a, b in zip(points[:-1], points[1:]):
-                panel = _tanh_sinh_panel(f, [parts[k] for k in todo], a, b, degree)
+            states = {}
+            for j, a, b in zip(labels, points[:-1], points[1:]):
+                before = [carried.get((j, k), fresh) for k in todo]
+                panel, after = _tanh_sinh_panel(f, [parts[k] for k in todo], a, b, degree, before)
+                states.update(((j, k), s) for k, s in zip(todo, after))
                 sums = [(total + v, err + abs(e)) for (total, err), (v, e) in zip(sums, panel)]
             failed = []
             for k, (total, err) in zip(todo, sums):
                 results[k] = (total if total.imag != 0 else total.real), err
                 if not err <= tol:
                     failed.append((k, total, err))
-            if not failed:
+            if all(k >= required for k, _, _ in failed):
+                for k, _, _ in failed:
+                    results[k] = None
                 return results
             todo = [k for k, _, _ in failed]
+            kept = set(todo)
+            carried = {(j, k): s for (j, k), s in states.items() if j is not None and k in kept}
             levels += 4
             degree += 1
     _, total, err = failed[0]
@@ -397,7 +511,7 @@ def _moment_parts(exponents):
 
     t is a tanh-sinh node, already an mpf at the pass's precision.
     """
-    return [lambda t, v, lv=lv: v * _power(t, lv) for lv in exponents]
+    return [_Moment(lv) for lv in exponents]
 
 
 def _norm2_part(t, v):
@@ -461,9 +575,31 @@ def moments_and_norm2(f: SeriesOrCallable, lam: ExponentSequence, N: int,
     """
     if isinstance(f, MuntzSeries):
         return monomial_moments(f, lam, N, quad, precision_bits), None
+    return _black_box_pass(f, lam, N, quad, precision_bits)
+
+
+def _black_box_pass(f, lam, N, quad, bits, norm2_optional=False):
+    """Moments of a black box f and ||f||^2 from one pass of f.
+
+    With norm2_optional, an ||f||^2 still above tol when the moments are
+    done comes back as None instead of raising QuadratureError.
+    """
     parts = _moment_parts(_exponent_prefix(lam, N)) + [_norm2_part]
-    values = [val for val, _ in _panel_quad(f, parts, quad, precision_bits)]
-    return values[:-1], values[-1]
+    *moments, norm2 = _panel_quad(f, parts, quad, bits, optional=int(norm2_optional))
+    return [val for val, _ in moments], None if norm2 is None else norm2[0]
+
+
+class _QuadPass:
+    """The moments and ||f||^2 of one pass of the black box f."""
+
+    __slots__ = ("f", "quad", "bits", "moments", "norm2")
+
+    def __init__(self, f, quad, bits, moments, norm2):
+        self.f, self.quad, self.bits, self.moments, self.norm2 = f, quad, bits, moments, norm2
+
+    def serves(self, f, quad, bits) -> bool:
+        """Whether this pass is the one a call with f, quad and bits would make."""
+        return f is self.f and quad == self.quad and bits == self.bits
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +662,22 @@ def project(f: SeriesOrCallable, family: BiorthogonalFamily,
     This is the orthogonal projection onto the truncated span: its
     coefficients coincide with the solution of the Gram normal equations
     G a = b, which tests verify independently.
+
+    For a black box f, the moments and ||f||^2 come from one pass, which
+    the returned series carries (outside its comparisons) so that
+    projection_residual(f, family, f_star) with this same f object, quad
+    and bit count does not integrate again.  An ||f||^2 that has not
+    settled when the moments have is not carried.
     """
-    coeffs = recovered_coefficients(f, family, quad)
-    return MuntzSeries(family.lam.prefix(family.truncation), tuple(coeffs))
+    lam = family.lam.prefix(family.truncation)
+    if isinstance(f, MuntzSeries):
+        return MuntzSeries(lam, tuple(recovered_coefficients(f, family, quad)))
+    bits = family.precision_bits
+    b, norm2 = _black_box_pass(f, family.lam, family.truncation, quad, bits, norm2_optional=True)
+    f_star = MuntzSeries(lam, tuple(dual_pairings(family, b)))
+    if norm2 is not None:
+        object.__setattr__(f_star, "_pass", _QuadPass(f, quad, bits, tuple(b), norm2))
+    return f_star
 
 
 def projection_residual(f: SeriesOrCallable, family: BiorthogonalFamily,
@@ -537,6 +686,8 @@ def projection_residual(f: SeriesOrCallable, family: BiorthogonalFamily,
     """L2 distance_to(f, f*) from f to the truncated span.
 
     Without f_star, f* comes from the moments of one moments_and_norm2 pass.
+    With an f_star that project made from this same black box f, quad and
+    bit count, the pass it carries is used and f is not called.
     """
     bits = family.precision_bits
     with working_precision(bits):
@@ -546,7 +697,9 @@ def projection_residual(f: SeriesOrCallable, family: BiorthogonalFamily,
         else:
             lams, cs = _terms(f_star)
             b = norm2 = None
-            if not isinstance(f, MuntzSeries):
+            if f_star._pass is not None and f_star._pass.serves(f, quad, bits):
+                b, norm2 = f_star._pass.moments, f_star._pass.norm2
+            elif not isinstance(f, MuntzSeries):
                 b, norm2 = moments_and_norm2(f, f_star.lam, f_star.n_terms, quad, bits)
         return distance_to(f, lams, cs, b, norm2)
 
@@ -597,9 +750,30 @@ def _rule_series_tail_product_bound(rule: CoefficientRule, lam: ExponentSequence
     return None
 
 
+# columns of the real Gram kernel copied to complex at a time by _quad_form
+_COLUMN_BLOCK = 256
+
+
+def _quad_form(d, A) -> float:
+    """Re conj(d) A d for the real Gram kernel A.
+
+    For a complex d, conj(d) A is taken one block of columns at a time:
+    the product casts its block of A to complex, and a cast of the whole
+    K x K kernel would triple the peak memory.  Each entry of conj(d) A is
+    the same column product either way.
+    """
+    if d.dtype.kind == "c":
+        import numpy as np
+
+        left = np.concatenate([d.conj() @ A[:, j:j + _COLUMN_BLOCK]
+                               for j in range(0, len(d), _COLUMN_BLOCK)])
+    else:
+        left = d.conj() @ A
+    return float((left @ d).real)
+
+
 def _quad_form_norm(d, A) -> float:
-    val = float((d.conj() @ A @ d).real)
-    return math.sqrt(max(val, 0.0))
+    return math.sqrt(max(_quad_form(d, A), 0.0))
 
 
 def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
@@ -645,11 +819,13 @@ def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
                    else complex(f.rule.coefficient(n)) for n in range(1, K + 1)])
     if np.allclose(cs.imag, 0.0):
         cs = cs.real
-    A = 1.0 / (lams[:, None] + lams[None, :] + 1.0)
+    # the Gram kernel 1 / (lambda_i + lambda_j + 1), built in one K x K array
+    A = np.add.outer(lams, lams)
+    A += 1.0
+    np.divide(1.0, A, out=A)
     # monotone-bounded precondition: partial norms at K/4, K/2, K must show
     # shrinking increments (c_n = 1 on squares diverges logarithmically)
-    sums = [float((cs[:k].conj() @ A[:k, :k] @ cs[:k]).real)
-            for k in (max(1, K // 4), max(1, K // 2), K)]
+    sums = [_quad_form(cs[:k], A[:k, :k]) for k in (max(1, K // 4), max(1, K // 2), K)]
     inc1, inc2 = sums[1] - sums[0], sums[2] - sums[1]
     if inc2 > 1e-12 and inc1 > 1e-12 and inc2 > 0.9 * inc1:
         raise NonMemberSignal(f"prefix norm increments do not decay ({inc1:.3e} -> {inc2:.3e}); "

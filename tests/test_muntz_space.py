@@ -30,6 +30,7 @@ from muntzlab import (
 )
 from muntzlab.gram import gram_form
 from muntzlab.muntz_space import (
+    _quad_form,
     _rule_series_tail_product_bound,
     moments_and_norm2,
     monomial_moments,
@@ -213,20 +214,73 @@ def test_project_hand_example(fam_12):
     assert abs(res - mpf("0.02520")) < 1e-4
 
 
+def _counted(fn):
+    def f(t):
+        f.calls += 1
+        return fn(t)
+    f.calls = 0
+    return f
+
+
 def test_projection_residual_takes_one_pass(fam_12):
     # without f_star, moments and ||f||^2 come from one pass of the black box
-    def counted():
-        def f(t):
-            f.calls += 1
-            return t ** 3
-        f.calls = 0
-        return f
-
-    f, g = counted(), counted()
+    f, g = _counted(lambda t: t ** 3), _counted(lambda t: t ** 3)
     res = projection_residual(f, fam_12)
     moments_and_norm2(g, fam_12.lam, 2, precision_bits=fam_12.precision_bits)
     assert f.calls == g.calls > 0
     assert abs(res - sqrt(mpf(1) / 1575)) < 1e-20
+
+
+def _bare(f_star):
+    """The same series without the quadrature pass project attached to it."""
+    return MuntzSeries(f_star.lam, f_star.coeffs)
+
+
+def test_project_and_residual_take_one_pass(fam_12):
+    f, g = _counted(lambda t: t ** mpf("2.3")), _counted(lambda t: t ** mpf("2.3"))
+    f_star = project(f, fam_12)
+    res = projection_residual(f, fam_12, f_star)
+    moments_and_norm2(g, fam_12.lam, 2, precision_bits=fam_12.precision_bits)
+    assert f.calls == g.calls > 0
+    # the carried pass takes no part in comparisons; without it the residual
+    # makes a second pass and gives the same bits
+    assert _bare(f_star) == f_star and repr(_bare(f_star)) == repr(f_star)
+    assert repr(projection_residual(f, fam_12, _bare(f_star))) == repr(res)
+    assert f.calls == 2 * g.calls
+
+
+def test_residual_integrates_an_equal_but_different_black_box(fam_12):
+    f_star = project(lambda t: t ** 3, fam_12)
+    g = _counted(lambda t: t ** 3)
+    res = projection_residual(g, fam_12, f_star)
+    assert g.calls > 0
+    assert repr(res) == repr(projection_residual(lambda t: t ** 3, fam_12, _bare(f_star)))
+
+
+@pytest.mark.parametrize("change", ["quad", "bits"])
+def test_residual_integrates_for_another_spec_or_bit_count(fam_12, lam_12, change):
+    f = _counted(lambda t: t ** 3)
+    f_star = project(f, fam_12)
+    if change == "quad":
+        fam, quad = fam_12, QuadratureSpec(tol=1e-25)
+    else:
+        fam, quad = dual_family(lam_12, 2, 128), QuadratureSpec()
+    calls = f.calls
+    res = projection_residual(f, fam, f_star, quad)
+    assert f.calls > calls
+    assert repr(res) == repr(projection_residual(f, fam, _bare(f_star), quad))
+
+
+def test_unsettled_norm_does_not_fail_project(fam_12):
+    # ||t^(-1/2)||^2 is the divergent integral of 1/t; the moments converge
+    f = lambda t: 1 / sqrt(t)
+    with pytest.raises(QuadratureError):
+        moments_and_norm2(f, fam_12.lam, 2, precision_bits=fam_12.precision_bits)
+    f_star = project(f, fam_12)
+    assert [repr(c) for c in f_star.coeffs] == [repr(c) for c in recovered_coefficients(f, fam_12)]
+    assert abs(f_star.coeffs[0] - 8) < 1e-20 and abs(f_star.coeffs[1] + 8) < 1e-20
+    with pytest.raises(QuadratureError):
+        projection_residual(f, fam_12, f_star)
 
 
 def test_project_idempotent(fam_squares_10):
@@ -298,6 +352,17 @@ def test_approximate_sqrt_rule_succeeds_with_uncertified_tail():
     assert ap.certified_error < 2e-2
     assert not ap.tail_certified  # the analytic tail bound needs ~8e4 terms
     assert ap.tail_bound is not None
+
+
+@pytest.mark.parametrize("K", [5, 600])
+def test_blocked_complex_quadratic_form_matches_the_whole_product(K):
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(K)
+    lams = np.arange(1, K + 1, dtype=float) ** 2
+    A = 1.0 / (lams[:, None] + lams[None, :] + 1.0)
+    d = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    assert _quad_form(d, A) == float((d.conj() @ A @ d).real)
+    assert _quad_form(d.real, A) == float((d.real @ A @ d.real).real)
 
 
 def test_approximate_divergent_rule_raises():

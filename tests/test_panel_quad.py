@@ -3,14 +3,16 @@
 The oracle is the panel loop quad_unit_interval ran before the kernel:
 mp.quad once per integral and panel.  Every part of one _panel_quad pass
 must reproduce its own oracle value and error estimate bit for bit, while
-the black box is called once per node of the pass.
+the black box is called once per node of the pass, node powers come from
+the cache or not, and an escalation round keeps the panels it already has.
 """
 
 import pytest
 from mpmath import mp, mpc, mpf
 
-from muntzlab import QuadratureError, QuadratureSpec, working_precision
-from muntzlab.muntz_space import _moment_parts, _norm2_part, _panel_quad
+from muntzlab import QuadratureError, QuadratureSpec, generate_exponents, working_precision
+from muntzlab import muntz_space
+from muntzlab.muntz_space import _NODE_POWERS, _moment_parts, _norm2_part, _panel_quad
 
 
 class Counted:
@@ -97,11 +99,16 @@ def test_only_the_unsettled_part_escalates():
         want_val, want_err, _, failed = oracle(lambda t: t, part, spec, 128)
         assert not failed
         assert repr(val) == repr(want_val) and repr(err) == repr(want_err)
-    # round one calls f at the nodes every part needs, round two at the oscillating part's
+    # round one calls f at the nodes every part needs; round two at the
+    # oscillating part's nodes on its five new panels, and on the six panels
+    # it keeps only at the degree the oracle adds there (none where it settled)
     settle = QuadratureSpec(maxdegree=4, max_rounds=0, tol=1)
     first = [oracle(lambda t: t, part, settle, 128)[2] for part in parts]
     second = oracle(lambda t: t, parts[1], spec, 128)[2]
-    assert f.calls == sum(max(panel) for panel in zip(*first)) + sum(second)
+    new, kept = second[:5], zip(second[5:], first[1][1:])
+    assert f.calls == sum(max(panel) for panel in zip(*first)) + sum(new) + sum(
+        now - before for now, before in kept)
+    assert f.calls < sum(max(panel) for panel in zip(*first)) + sum(second)
 
     # with one round it fails; a later failing part does not mask it
     one_round = QuadratureSpec(maxdegree=4, max_rounds=0)
@@ -112,6 +119,57 @@ def test_only_the_unsettled_part_escalates():
     want_total, _, _, failed = oracle(lambda t: t, parts[1], one_round, 128)
     assert failed
     assert repr(info.value.achieved) == repr(want_total)
+
+
+# integer exponents and the first non-integer ones of the p = 1.5 sequence
+MIXED_EXPONENTS = [1, 4] + list(generate_exponents("power", {"p": 1.5}, 3).values[1:])
+
+
+def _no_power(t, lam):
+    raise AssertionError("a warm pass computed a node power")
+
+
+@pytest.mark.parametrize("bits,tol", [(64, 1e-20), (256, 1e-30), (512, 1e-30)])
+@pytest.mark.parametrize("name", ["complex", "python_int"])
+def test_cold_and_warm_node_powers_match_one_quad_per_integral(name, bits, tol, monkeypatch):
+    f = BLACK_BOXES[name]
+    spec = QuadratureSpec(tol=tol)
+    parts = _moment_parts(MIXED_EXPONENTS)
+    _NODE_POWERS.clear()
+    cold = _panel_quad(f, parts, spec, bits)
+    with monkeypatch.context() as m:
+        m.setattr(muntz_space, "_power", _no_power)
+        warm = _panel_quad(f, parts, spec, bits)
+    for part, got_cold, got_warm in zip(parts, cold, warm):
+        want_val, want_err, _, failed = oracle(f, part, spec, bits)
+        assert not failed
+        assert repr(got_cold) == repr(got_warm) == repr((want_val, want_err))
+
+
+def test_node_power_cache_stays_under_its_cap():
+    # ten exponents at 512 bits hold more node powers than the cap admits
+    _NODE_POWERS.clear()
+    parts = _moment_parts(range(1, 11))
+    got = _panel_quad(lambda t: 1, parts, QuadratureSpec(), 512)
+    assert 0 < _NODE_POWERS.size <= _NODE_POWERS.CAP
+    assert _NODE_POWERS.size == sum(size for _, _, size in _NODE_POWERS.entries.values())
+    # the evicted powers are recomputed, to the same bits
+    assert repr(_panel_quad(lambda t: 1, parts, QuadratureSpec(), 512)) == repr(got)
+    assert _NODE_POWERS.size <= _NODE_POWERS.CAP
+
+
+def test_impure_black_box_gets_fresh_values():
+    scale = [1]
+    f = lambda t: scale[0] * t
+    spec = QuadratureSpec()
+    parts = _moment_parts([1, 4]) + [_norm2_part]
+    first = _panel_quad(f, parts, spec, 128)
+    scale[0] = 3
+    second = _panel_quad(f, parts, spec, 128)
+    for part, (val, err), (old, _) in zip(parts, second, first):
+        want_val, want_err, _, _ = oracle(lambda t: 3 * t, part, spec, 128)
+        assert repr(val) == repr(want_val) and repr(err) == repr(want_err)
+        assert val != old
 
 
 def test_precision_restored_when_black_box_raises():
