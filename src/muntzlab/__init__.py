@@ -27,6 +27,8 @@ from .completeness import (
     all_partitions,
     mixed_completeness_check,
     mixed_reconstruction_residual,
+    mixed_reconstruction_residuals,
+    mixed_system_floor,
     sample_partitions,
 )
 from .config import RunConfig, working_precision

@@ -194,7 +194,7 @@ def cmd_operator_certify(args, cfg):
     lam = load_exponents(args.lam)
     fam = biorthogonal.dual_family(lam, args.n, cfg.precision_bits)
     op = operators.dilation_operator(fam.lam, args.rho, args.n)
-    cert = operators.synthesis_certificate(op, fam, cfg, hereditary_samples=args.samples)
+    cert = operators.synthesis_certificate(op, fam, cfg)
     bits = fam.precision_bits
 
     def show(v):
@@ -355,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--lambda", dest="lam", required=True)
     c.add_argument("--rho", type=float, required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--samples", type=int, default=64, help="mixed-system sample size")
     _common(c)
     c.set_defaults(func=cmd_operator_certify)
 

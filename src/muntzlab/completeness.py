@@ -15,6 +15,18 @@ that eigenvalue with linalg.block_diagonal_lambda_min; its invertibility
 verdict rests on the certified lower bound, not on the estimate.  The
 reconstruction residual solves its normal equations block by block with
 the same two blocks.
+
+One floor covers all 2^N partitions.  By Cauchy interlacing (Horn and
+Johnson, Matrix Analysis, Thm 4.3.28) lambda_min(A[S,S]) >= lambda_min(A)
+for every principal block of a symmetric A, so for every partition
+sigma_min(X)^2 >= min(lambda_min(G), lambda_min(G^-1)) =
+lambda_min(diag(G, G^-1)), and the all-monomial or the all-dual partition
+attains it.  mixed_system_floor encloses that eigenvalue with one kernel
+call.  As for a single partition, the blocks are taken as given (the
+kernel reads their lower triangles): the index sets are sorted, so each
+block's lower triangle is read off the full matrix's, and interlacing
+holds between the symmetric matrices those triangles define.
+
 At finite truncation invertibility always holds (principal submatrices
 of positive definite matrices); the sigma_min trend over N is the
 reported desk-scale evidence, with no uniform-conditioning claim attached.
@@ -74,14 +86,11 @@ def all_partitions(N: int):
             yield Partition.from_monomial_set(combo, N)
 
 
-def sample_partition(N: int, rng: Random) -> Partition:
-    n1 = frozenset(i for i in range(1, N + 1) if rng.random() < 0.5)
-    return Partition.from_monomial_set(n1, N)
-
-
 def sample_partitions(N: int, count: int, seed: int = 0):
+    """count partitions, each index kept as a monomial with probability 1/2."""
     rng = Random(seed)
-    return [sample_partition(N, rng) for _ in range(count)]
+    return [Partition.from_monomial_set((i for i in range(1, N + 1) if rng.random() < 0.5), N)
+            for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,24 @@ def mixed_completeness_check(partition: Partition, family: BiorthogonalFamily,
     return MixedCheck(partition, sigma, bool(lower > mpf(threshold)), threshold, lower, iterations)
 
 
+def mixed_system_floor(family: BiorthogonalFamily):
+    """(estimate, certified lower end, iterations) for the smallest sigma_min
+    over all 2^N mixed systems of the family.
+
+    sigma_min^2 over every partition is at least lambda_min(diag(G, G^-1))
+    (interlacing), and the all-monomial or all-dual partition attains it.
+    block_diagonal_lambda_min encloses it as s < lambda_min <= theta;
+    the estimate is sqrt(theta) and the lower end sqrt(s), which lies below
+    every partition's sigma_min.  PrecisionInsufficientError when no
+    positive lower bound can be certified at the family's precision.
+    """
+    bits = family.precision_bits
+    theta, s, iterations = block_diagonal_lambda_min(
+        [family.gram_rows, family.inverse_rows], bits)
+    with working_precision(bits):
+        return sqrt(theta), sqrt(s), iterations
+
+
 def _block_solve(B, rhs, bits):
     """B^-1 rhs for a symmetric positive definite row-list block (may be empty)."""
     factor = _cholesky_rows(B)
@@ -146,28 +173,42 @@ def _block_solve(B, rhs, bits):
 def mixed_reconstruction_residual(target: SeriesOrCallable, partition: Partition,
                                   family: BiorthogonalFamily,
                                   quad: QuadratureSpec = QuadratureSpec()):
-    """Least-squares residual of the target against the mixed system.
+    """Least-squares residual of the target against one mixed system
+    (mixed_reconstruction_residuals for a single partition)."""
+    return mixed_reconstruction_residuals(target, [partition], family, quad)[0]
+
+
+def mixed_reconstruction_residuals(target: SeriesOrCallable, partitions,
+                                   family: BiorthogonalFamily,
+                                   quad: QuadratureSpec = QuadratureSpec()):
+    """Least-squares residuals of the target against each partition's mixed system.
 
     The normal equations split by the block identity: the monomial block
     solves G[N1,N1] beta = b[N1] and the dual block G^-1[N2,N2] beta = a[N2],
     with b the target's moments and a = dual_pairings(family, b).  The
     least-squares element sum_j beta_j e_j + sum_k beta_k r_k is the
     projection onto the span of the system, so by Pythagoras its
-    distance_to the target is the whole residual.
+    distance_to the target is the whole residual.  b, ||f||^2 and a do not
+    depend on the partition: one quadrature pass of a black box serves the
+    whole list.
     PrecisionInsufficientError when a block is not numerically positive
     definite.
     """
-    n1, n2, B1, B2 = _mixed_blocks(partition, family)
+    blocks = [_mixed_blocks(part, family) for part in partitions]
     N, bits = family.truncation, family.precision_bits
     b, norm2 = moments_and_norm2(target, family.lam, N, quad, bits)
     a = dual_pairings(family, b)
     C = family.inverse_rows
+    lams = family.lam.values[:N]
+    out = []
     with working_precision(bits):
-        beta1 = _block_solve(B1, [b[j - 1] for j in n1], bits)
-        beta2 = _block_solve(B2, [a[k - 1] for k in n2], bits)
-        c = [mpf(0)] * N
-        for j, v in zip(n1, beta1):
-            c[j - 1] = v
-        # r_k = sum_m C_mk e_m
-        c = [c[m] + mp.fdot([C[m][k - 1] for k in n2], beta2) for m in range(N)]
-        return distance_to(target, family.lam.values[:N], c, b, norm2)
+        for n1, n2, B1, B2 in blocks:
+            beta1 = _block_solve(B1, [b[j - 1] for j in n1], bits)
+            beta2 = _block_solve(B2, [a[k - 1] for k in n2], bits)
+            c = [mpf(0)] * N
+            for j, v in zip(n1, beta1):
+                c[j - 1] = v
+            # r_k = sum_m C_mk e_m
+            c = [c[m] + mp.fdot([C[m][k - 1] for k in n2], beta2) for m in range(N)]
+            out.append(distance_to(target, lams, c, b, norm2))
+    return out

@@ -16,7 +16,6 @@ step limit never makes an item inconclusive; a failed certificate does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Optional, Sequence
 
 from mpmath import conj, matrix, mp, mpc, mpf, sqrt
@@ -210,8 +209,9 @@ class SynthesisCertificate:
     status is "pass" when every item passed, "fail" when one failed, and
     otherwise "inconclusive": a sub-check could not be certified at the
     family's precision (a step limit alone never does that).  Item 8, the
-    mixed-system (hereditary) sample, is the structural input that makes
-    synthesis equivalent to the spectral data in the first seven.
+    certified floor of sigma_min over all 2^N mixed systems (hereditary
+    completeness), is the structural input that makes synthesis equivalent
+    to the spectral data in the first seven.
     """
 
     items: tuple
@@ -267,22 +267,26 @@ def _verdict(proved: bool, refuted: bool) -> Optional[bool]:
 
 
 def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
-                          config: Optional[RunConfig] = None,
-                          hereditary_samples: int = 64) -> SynthesisCertificate:
-    """Evaluate the seven certificate items plus the mixed-system sample.
+                          config: Optional[RunConfig] = None) -> SynthesisCertificate:
+    """Evaluate the seven certificate items plus the mixed-system floor.
 
     Items: (1) finite-rank approximation errors decay under the envelope,
     (2) T e_k = u_k e_k, (3) the adjoint identities <T e_j, r_k> = u_k
     delta_jk, (4) kernel triviality via the smallest singular value of the
     orthonormal representation, (5) spectrum report {0} union {u_k},
     (6) simplicity (distinct eigenvalues), (7) positive normality defect,
-    (8) sampled mixed-system invertibility at this truncation.
+    (8) invertibility of every mixed system at this truncation.
 
     Items 1 and 4 decide on certified ends (finite_rank_enclosures): the
     tails decrease when upper(m+1) < lower(m), lie under the envelope when
     upper(m) <= bound, and the kernel is trivial when the lower end of
     sigma_min(M), the item value, exceeds rank_collapse_threshold(bits).
     Ends that prove the opposite fail an item; overlaps leave it open.
+    Item 8 (named mixed_system_sample) covers all 2^N partitions with one
+    completeness.mixed_system_floor call: by interlacing, sigma_min of
+    every mixed system is at least sqrt(lambda_min(diag(G, G^-1))), and the
+    item passes when the certified lower end of that floor, the item value,
+    exceeds rank_collapse_threshold(bits).
     """
     config = config or RunConfig(precision_bits=family.precision_bits)
     N = op.truncation
@@ -333,13 +337,13 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         add("adjoint_relations", None, str(exc))
 
     # 4. kernel triviality: sigma_min(M) = 1/||M^-1||, M^-1 = L^T diag(1/u) L^(-T)
-    kernel_tol = rank_collapse_threshold(bits)
+    collapse_tol = rank_collapse_threshold(bits)
     try:
         with working_precision(bits):
             inverse_ends = _norm_enclosure([1 / mp.mpmathify(u) for u in op.u], family)
             sigma_lower, kernel_sigma, sigma_upper = (1 / v for v in reversed(inverse_ends))
-        add("kernel_trivial", _verdict(sigma_lower > kernel_tol, sigma_upper <= kernel_tol),
-            sigma_lower, kernel_tol)
+        add("kernel_trivial", _verdict(sigma_lower > collapse_tol, sigma_upper <= collapse_tol),
+            sigma_lower, collapse_tol)
     except PrecisionInsufficientError as exc:
         kernel_sigma = None
         add("kernel_trivial", None, str(exc))
@@ -369,17 +373,13 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         add("simple_eigenvalues", None, str(exc))
         add("not_normal", None, str(exc))
 
-    # 8. mixed-system sample (hereditary completeness input)
+    # 8. every mixed system at once (hereditary completeness input): the
+    # interlacing floor sigma_min >= sqrt(lambda_min(diag(G, G^-1)))
     try:
-        rng = Random(config.seed)
-        if N <= 10 and 2 ** N <= hereditary_samples:
-            parts = list(_completeness.all_partitions(N))
-        else:
-            parts = [_completeness.sample_partition(N, rng) for _ in range(hereditary_samples)]
-        checks = [_completeness.mixed_completeness_check(part, family) for part in parts]
-        add("mixed_system_sample", all(c.invertible for c in checks),
-            min(c.min_singular for c in checks), rank_collapse_threshold(bits),
-            detail=f"{len(parts)} partitions, smallest sigma_min reported")
+        _, floor_lower, _ = _completeness.mixed_system_floor(family)
+        add("mixed_system_sample", floor_lower > collapse_tol, floor_lower, collapse_tol,
+            detail=f"all {2 ** N} partitions, certified lower end of the interlacing "
+                   "floor on sigma_min reported")
     except PrecisionInsufficientError as exc:
         add("mixed_system_sample", None, str(exc))
 

@@ -1,5 +1,6 @@
+import mpmath
 import pytest
-from mpmath import exp, log, matrix, mpf
+from mpmath import exp, log, matrix, mp, mpf
 
 from muntzlab import (
     InputError,
@@ -10,11 +11,12 @@ from muntzlab import (
     generate_exponents,
     mixed_completeness_check,
     mixed_reconstruction_residual,
+    mixed_reconstruction_residuals,
+    mixed_system_floor,
     projection_residual,
     sample_partitions,
     working_precision,
 )
-from muntzlab import completeness
 from muntzlab.linalg import LUFactors
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
@@ -142,6 +144,34 @@ def test_singleton_partition_trivially_invertible():
         assert mixed_completeness_check(part, fam).invertible
 
 
+@pytest.mark.parametrize("p", [2, 1.5], ids=["squares", "power1.5"])
+def test_floor_is_the_minimum_over_all_partitions(p):
+    # interlacing: every partition's sigma_min is at least the floor, and the
+    # all-monomial or the all-dual partition attains it
+    fam = dual_family(generate_exponents("power", {"p": p}, 8), 8, 256)
+    sigma, lower, iterations = mixed_system_floor(fam)
+    checks = [mixed_completeness_check(part, fam) for part in all_partitions(8)]
+    smallest = min(c.min_singular for c in checks)
+    assert abs(sigma - smallest) <= mpf("1e-30") * smallest
+    assert all(lower < c.min_singular for c in checks)
+    assert 0 < lower < sigma and iterations >= 1
+
+
+def test_floor_against_eigsy_oracle(lam_squares):
+    # lambda_min(diag(G, G^-1)) = min(lambda_min(G), 1/lambda_max(G)), with G
+    # built from 1/(lambda_j + lambda_k + 1) and diagonalised at twice the bits
+    fam = dual_family(lam_squares, 10, 256)
+    sigma, lower, _ = mixed_system_floor(fam)
+    with mp.workprec(512):
+        lams = [mpf(v) for v in lam_squares.values[:10]]
+        G = matrix([[1 / (a + b + 1) for b in lams] for a in lams])
+        eigs = mpmath.eigsy(G, eigvals_only=True)
+        want = min(min(eigs), 1 / max(eigs))
+        assert want == min(eigs)
+        assert lower ** 2 <= want
+        assert abs(sigma ** 2 - want) <= mpf("1e-30") * want
+
+
 def test_residual_in_span_target(fam_12):
     e1 = finite_series(LAM_12, [1, 0])
     for part in all_partitions(2):
@@ -178,25 +208,38 @@ def test_residual_matches_product_distance_squares(fam_squares_10):
         assert abs(got - want) <= 1e-78 * want
 
 
-def test_residual_black_box_every_partition(lam_squares, monkeypatch):
+def test_residual_black_box_every_partition(lam_squares):
     # t^2.3 log t reaches the residual only through its quadrature moments
     # and ||f||^2; every partition's residual must be the distance to the span
     fam = dual_family(lam_squares, 6, 256)
+    calls = [0]
 
     def f(t):
+        calls[0] += 1
         return t ** mpf("2.3") * log(t)
 
     want = projection_residual(f, fam)
     assert want > 1e-6
+    calls[0] = 0
     first = mixed_reconstruction_residual(f, Partition.from_monomial_set({1, 4}, 6), fam)
-    # the quadrature pass is the same for every partition: run it once
-    moments = completeness.moments_and_norm2(f, fam.lam, 6, precision_bits=256)
-    monkeypatch.setattr(completeness, "moments_and_norm2", lambda *args: moments)
-    for part in all_partitions(6):
-        got = mixed_reconstruction_residual(f, part, fam)
+    one_pass, calls[0] = calls[0], 0
+    parts = list(all_partitions(6))
+    values = mixed_reconstruction_residuals(f, parts, fam)
+    # the moments and ||f||^2 do not depend on the partition: one pass serves all 64
+    assert calls[0] == one_pass > 0
+    assert len(values) == 64
+    for part, got in zip(parts, values):
         assert abs(got - want) <= 1e-70 * want
         if part.n1 == {1, 4}:
-            assert got == first
+            assert repr(got) == repr(first)
+
+
+def test_residual_sweep_matches_single_partition_calls(fam_squares_10):
+    parts = sample_partitions(10, 16, seed=1)
+    single = [mixed_reconstruction_residual(T3, part, fam_squares_10) for part in parts]
+    assert [repr(v) for v in mixed_reconstruction_residuals(T3, parts, fam_squares_10)] == \
+        [repr(v) for v in single]
+    assert mixed_reconstruction_residuals(T3, [], fam_squares_10) == []
 
 
 def test_residual_monotone_in_truncation(lam_squares):
@@ -216,6 +259,9 @@ def test_mixed_truncation_mismatch(fam_12, fam_squares_10):
     part = Partition.from_monomial_set({1}, 2)
     with pytest.raises(InputError):
         mixed_reconstruction_residual(T3, part, fam_squares_10)
+    with pytest.raises(InputError):
+        mixed_reconstruction_residuals(T3, [Partition.from_monomial_set({1}, 10), part],
+                                       fam_squares_10)
     with pytest.raises(InputError):
         mixed_completeness_check(part, fam_squares_10)
 

@@ -17,6 +17,7 @@ from muntzlab import (
     synthesis_certificate,
     working_precision,
 )
+from muntzlab import completeness
 from muntzlab.operators import (
     _norm_enclosure,
     _orthonormal_matrix,
@@ -288,3 +289,31 @@ def test_certificate_squares_kernel_at_ambient_53_bits(fam_squares_10_512):
         assert abs(cert.kernel_min_singular - want) <= mpf(10) ** -40 * want
         assert cert.item("kernel_trivial").value <= want <= cert.kernel_min_singular * (1 + mpf(2) ** -256)
     assert cert.status == "pass"
+
+
+def test_certificate_mixed_item_is_the_floor(fam_squares_10_512):
+    op = dilation_operator(fam_squares_10_512.lam, 0.5, 10)
+    item = synthesis_certificate(op, fam_squares_10_512).item("mixed_system_sample")
+    _, lower, _ = completeness.mixed_system_floor(fam_squares_10_512)
+    assert item.passed is True
+    assert repr(item.value) == repr(lower)
+    assert "all 1024 partitions" in item.detail
+
+
+@pytest.mark.parametrize("N", [6, 10])
+def test_certificate_makes_one_floor_call(N, monkeypatch):
+    # item 8 covers every partition with one kernel call on diag(G, G^-1);
+    # a per-partition sample would show up here as more calls
+    fam = dual_family(LAM_SQ, N, 256)
+    op = dilation_operator(fam.lam, 0.5, N)
+    kernel = completeness.block_diagonal_lambda_min
+    sizes = []
+
+    def counting(blocks, bits):
+        sizes.append([len(B) for B in blocks])
+        return kernel(blocks, bits)
+
+    monkeypatch.setattr(completeness, "block_diagonal_lambda_min", counting)
+    cert = synthesis_certificate(op, fam)
+    assert sizes == [[N, N]]
+    assert cert.item("mixed_system_sample").passed is True
