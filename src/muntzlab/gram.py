@@ -6,7 +6,11 @@ from each monomial to the span of the others all have product formulas.
 Products are accumulated in log-space with sign tracking: already for
 lambda = {n^2} and N around 12 they span more than thirty orders of
 magnitude, which would overflow any fixed-exponent representation of the
-intermediate factors.
+intermediate factors.  Each call fills one table of log(x_i + x_k) and
+log|x_i - x_k| over its prefix, so each logarithm is taken once (O(N^2),
+distance's single row O(N)); under round-to-nearest x_i - x_k rounds to
+exactly -(x_k - x_i), so every table entry is the value a per-pair
+evaluation would give, and the sums keep their order.
 
 gram_form is the one exact kernel for the norm of a Muntz polynomial and
 the pairing of two, for any int or mpf exponents: one power-of-two scale
@@ -92,35 +96,55 @@ def cauchy_determinant(G: GramMatrix):
     with working_precision(G.precision_bits):
         x = _nodes(G.lam)
         N = len(x)
+        Lp, Lm = _log_tables(x)
         acc = mpf(0)
         for j in range(N):
             for k in range(j + 1, N):
-                acc += 2 * log(x[k] - x[j])
+                acc += 2 * Lm[j][k]
         for j in range(N):
             for k in range(N):
-                acc -= log(x[j] + x[k])
+                acc -= Lp[j][k]
         return exp(acc)
 
 
-def _log_row_factors(x):
-    """log|A_i| and sign(A_i) for A_i = prod_k (x_i+x_k) / prod_{k!=i} (x_i-x_k)."""
+def _log_tables(x):
+    """(Lp, Lm) with Lp[i][k] = log(x_i + x_k) and Lm[i][k] = log|x_i - x_k|
+    (Lm[i][i] is None): the upper triangle is computed and mirrored."""
     N = len(x)
-    logs, signs = [], []
+    Lp = [[None] * N for _ in range(N)]
+    Lm = [[None] * N for _ in range(N)]
     for i in range(N):
-        s = mpf(0)
-        for k in range(N):
-            s += log(x[i] + x[k])
-        sign = 1
-        for k in range(N):
-            if k == i:
-                continue
-            d = x[i] - x[k]
-            if d < 0:
-                sign = -sign
-            s -= log(abs(d))
-        logs.append(s)
-        signs.append(sign)
-    return logs, signs
+        for k in range(i, N):
+            Lp[i][k] = Lp[k][i] = log(x[i] + x[k])
+        for k in range(i + 1, N):
+            Lm[i][k] = Lm[k][i] = log(abs(x[i] - x[k]))
+    return Lp, Lm
+
+
+def _log_row(x, i, lp, lm):
+    """log|A_i| and sign(A_i) for A_i = prod_k (x_i+x_k) / prod_{k!=i} (x_i-x_k),
+    from row i of the log tables."""
+    s = mpf(0)
+    for v in lp:
+        s += v
+    sign = 1
+    for k, v in enumerate(lm):
+        if k == i:
+            continue
+        if x[i] < x[k]:
+            sign = -sign
+        s -= v
+    return s, sign
+
+
+def _log_row_factors(x, Lp, Lm):
+    """(log|A_i|, ...), (sign(A_i), ...) over every row i."""
+    return zip(*(_log_row(x, i, Lp[i], Lm[i]) for i in range(len(x))))
+
+
+def _dual_norm(log_a, log_2x):
+    """((G^-1)_nn)^(1/2) = |A_n| / (2 x_n)^(1/2) from the logs of both."""
+    return exp(log_a - log_2x / 2)
 
 
 def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
@@ -144,11 +168,12 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
     with working_precision(G.precision_bits):
         x = _nodes(G.lam)
         N = len(x)
-        logs, signs = _log_row_factors(x)
+        Lp, Lm = _log_tables(x)
+        logs, signs = _log_row_factors(x, Lp, Lm)
         M = matrix(N, N)
         for i in range(N):
             for j in range(i, N):
-                val = signs[i] * signs[j] * exp(logs[i] + logs[j] - log(x[i] + x[j]))
+                val = signs[i] * signs[j] * exp(logs[i] + logs[j] - Lp[i][j])
                 M[i, j] = M[j, i] = val
         residual = identity_residual(G.entries, M)
     if not residual <= mpf(residual_tol):
@@ -162,14 +187,17 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
 
 
 def identity_residual(G: matrix, M: matrix):
-    """max-norm of G*M - I."""
-    N = G.rows
-    P = G * M
+    """max-norm of G*M - I.
+
+    Row i of G against column j of M, summed by fdot in k order: the sum
+    mpmath's matrix product forms, read from row lists.
+    """
+    rows, cols = G.tolist(), M.T.tolist()
     worst = mpf(0)
-    for i in range(N):
-        for j in range(N):
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
             target = 1 if i == j else 0
-            worst = max(worst, abs(P[i, j] - target))
+            worst = max(worst, abs(mp.fdot(row, col) - target))
     return worst
 
 
@@ -223,9 +251,12 @@ def distance(lam: ExponentSequence, n: int, N: int, precision_bits: int = 256) -
     with working_precision(precision_bits):
         d = exp(log_distance(lam, n, N))
         x = _nodes(lam.prefix(N))
-        logs, _ = _log_row_factors(x)
+        i = n - 1
         # (G^-1)_nn = A_n^2 / (2 x_n), so the dual norm needs only row n
-        dual = exp(logs[n - 1] - log(2 * x[n - 1]) / 2)
+        lp = [log(x[i] + xk) for xk in x]
+        lm = [None if k == i else log(abs(x[i] - xk)) for k, xk in enumerate(x)]
+        log_a, _ = _log_row(x, i, lp, lm)
+        dual = _dual_norm(log_a, lp[i])
     return DistanceReport(n=n, truncation=N, distance=d, dual_norm=dual)
 
 
@@ -240,11 +271,19 @@ def distance_lower_bound_check(lam: ExponentSequence, N: int, epsilon: float,
     """
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
+    if not 1 <= N <= len(lam):
+        raise InputError(f"need 1 <= N <= {len(lam)}, got N={N}")
     with working_precision(precision_bits):
         eps = mpf(epsilon)
+        prefix = lam.prefix(N)
+        _check_distinct(prefix)
+        x = _nodes(prefix)
+        Lp, Lm = _log_tables(x)
+        logs, _ = _log_row_factors(x, Lp, Lm)
         base = []
         for n in range(1, N + 1):
-            rep = distance(lam, n, N, precision_bits)
+            rep = DistanceReport(n=n, truncation=N, distance=exp(log_distance(lam, n, N)),
+                                 dual_norm=_dual_norm(logs[n - 1], Lp[n - 1][n - 1]))
             ratio = rep.distance / (1 - eps) ** mpf(lam.values[n - 1])
             base.append((rep, ratio))
         m_fit = min(r for _, r in base)
@@ -309,10 +348,15 @@ def gram_form(lams: Sequence, vs: Sequence, rel_err=0, other=None):
         F, X, Y, s, e = a
         P = len(X)
         total = 0
+        real = not any(Y)
         for n in range(P):
             xn, yn, ln = X[n] << sh, Y[n] << sh, ls[n] + one
-            row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
-            total += 2 * row + (xn * X[n] + yn * Y[n]) // (ln + ls[n])
+            if real:
+                row = sum(xn * X[m] // (ln + ls[m]) for m in range(n + 1, P))
+                total += 2 * row + xn * X[n] // (ln + ls[n])
+            else:
+                row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
+                total += 2 * row + (xn * X[n] + yn * Y[n]) // (ln + ls[n])
         value = mp.ldexp(mpf(total), -2 * F)
         err = 2 * e * s + 3 * e ** 2 + mp.ldexp(mpf(P * P), -2 * F) + abs(value) * mp.eps
         # doubled for the rounding in the bound's own arithmetic
@@ -323,11 +367,17 @@ def gram_form(lams: Sequence, vs: Sequence, rel_err=0, other=None):
     (F, X, Y, s, e), (Fb, U, V, s2, e2) = a, b
     ms = ls[len(X):]
     re = im = 0
-    for xn, yn, ln in zip(X, Y, ls):
-        xn, yn, ln = xn << sh, yn << sh, ln + one
-        for um, vm, mm in zip(U, V, ms):
-            re += (xn * um + yn * vm) // (ln + mm)
-            im += (yn * um - xn * vm) // (ln + mm)
+    if not any(Y) and not any(V):
+        # real lists: every imaginary numerator is 0, so im stays 0
+        for xn, ln in zip(X, ls):
+            xn, ln = xn << sh, ln + one
+            re += sum(xn * um // (ln + mm) for um, mm in zip(U, ms))
+    else:
+        for xn, yn, ln in zip(X, Y, ls):
+            xn, yn, ln = xn << sh, yn << sh, ln + one
+            for um, vm, mm in zip(U, V, ms):
+                re += (xn * um + yn * vm) // (ln + mm)
+                im += (yn * um - xn * vm) // (ln + mm)
     F += Fb
     value = mpc(mp.ldexp(mpf(re), -F), mp.ldexp(mpf(im), -F))
     err = e * s2 + s * e2 + e * e2 + mp.ldexp(mpf(2 * len(X) * len(U)), -F) + abs(value) * mp.eps

@@ -1,7 +1,7 @@
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import matrix, mp, mpc, mpf, sqrt
+from mpmath import exp, log, matrix, mp, mpc, mpf, sqrt
 
 from muntzlab import (
     DegenerateInputError,
@@ -16,8 +16,10 @@ from muntzlab import (
     gram_matrix,
     working_precision,
 )
+from muntzlab import gram
+from muntzlab.config import inverse_residual_tolerance
 from muntzlab.exponents import ExponentSequence
-from muntzlab.gram import gram_form, inverse_with_escalation
+from muntzlab.gram import _dyadic, _fixed_point, gram_form, inverse_with_escalation, log_distance
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_1 = generate_exponents("integers", {"values": [1]}, 1)
@@ -194,6 +196,12 @@ def test_lower_bound_epsilon_domain():
         distance_lower_bound_check(LAM_12, 2, 1.0)
 
 
+@pytest.mark.parametrize("N", [0, 3])
+def test_lower_bound_truncation_domain(N):
+    with pytest.raises(InputError):
+        distance_lower_bound_check(LAM_12, N, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # the exact Gram-form kernel against a plain double sum at 256 more bits
 
@@ -254,3 +262,234 @@ def test_gram_form_within_its_error_bound(case):
     want = _double_sum(lams, vs, lams, vs, bits + 256)
     assert abs(norm2 - want.real) <= err
     assert abs(pairing - _double_sum(lams, vs, mus, ws, bits + 256)) <= err2
+
+
+# ---------------------------------------------------------------------------
+# the Cauchy product formulas against per-pair evaluation, bit for bit
+#
+# The oracle takes every logarithm where the formula names it: log(x_i+x_k)
+# and log|x_i-x_k| once per ordered pair, log(x_i+x_j) again inside the
+# inverse's exp, and the identity residual from mpmath's matrix product.
+
+
+def _pair_log_row_factors(x):
+    N = len(x)
+    logs, signs = [], []
+    for i in range(N):
+        s = mpf(0)
+        for k in range(N):
+            s += log(x[i] + x[k])
+        sign = 1
+        for k in range(N):
+            if k == i:
+                continue
+            d = x[i] - x[k]
+            if d < 0:
+                sign = -sign
+            s -= log(abs(d))
+        logs.append(s)
+        signs.append(sign)
+    return logs, signs
+
+
+def _pair_nodes(lam):
+    return [mpf(v) + mpf(1) / 2 for v in lam.values]
+
+
+def _pair_inverse(G):
+    """(M, residual) by the per-pair formulas, without the residual test."""
+    with working_precision(G.precision_bits):
+        x = _pair_nodes(G.lam)
+        N = len(x)
+        logs, signs = _pair_log_row_factors(x)
+        M = matrix(N, N)
+        for i in range(N):
+            for j in range(i, N):
+                M[i, j] = M[j, i] = signs[i] * signs[j] * exp(logs[i] + logs[j] - log(x[i] + x[j]))
+        P = G.entries * M
+        worst = mpf(0)
+        for i in range(N):
+            for j in range(N):
+                worst = max(worst, abs(P[i, j] - (1 if i == j else 0)))
+    return M, worst
+
+
+def _pair_determinant(G):
+    with working_precision(G.precision_bits):
+        x = _pair_nodes(G.lam)
+        N = len(x)
+        acc = mpf(0)
+        for j in range(N):
+            for k in range(j + 1, N):
+                acc += 2 * log(x[k] - x[j])
+        for j in range(N):
+            for k in range(N):
+                acc -= log(x[j] + x[k])
+        return exp(acc)
+
+
+def _pair_distances(lam, N, bits):
+    """[(D_{n,N}, dual norm)] for n = 1..N; each row factor is deterministic,
+    so the rows are built once and row n read for each n."""
+    with working_precision(bits):
+        x = _pair_nodes(lam.prefix(N))
+        logs, _ = _pair_log_row_factors(x)
+        return [(exp(log_distance(lam, n, N)), exp(logs[n - 1] - log(2 * x[n - 1]) / 2))
+                for n in range(1, N + 1)]
+
+
+CAUCHY_SETS = {
+    "squares": ("power", {"p": 2}),
+    "power1.5": ("power", {"p": 1.5}),
+    "lacunary2": ("lacunary", {"q": 2}),
+    "custom": ("custom", {"values": [0.3 + 1.37 * k + 0.01 * k * k for k in range(16)]}),
+}
+
+
+def _cauchy_set(name, bits):
+    kind, params = CAUCHY_SETS[name]
+    return generate_exponents(kind, params, 16, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+@pytest.mark.parametrize("N", [1, 2, 8, 16])
+@pytest.mark.parametrize("name", sorted(CAUCHY_SETS))
+def test_cauchy_formulas_bit_identical_to_per_pair(name, N, bits):
+    lam = _cauchy_set(name, bits)
+    G = gram_matrix(lam.prefix(N), bits)
+    want_M, want_res = _pair_inverse(G)
+    if want_res <= mpf(inverse_residual_tolerance(bits)):
+        M, res = cauchy_inverse(G)
+        assert repr(M.tolist()) == repr(want_M.tolist())
+        assert repr(res) == repr(want_res)
+    else:
+        with pytest.raises(PrecisionInsufficientError) as info:
+            cauchy_inverse(G)
+        assert repr(info.value.residual) == repr(want_res)
+    assert repr(cauchy_determinant(G)) == repr(_pair_determinant(G))
+
+    want = _pair_distances(lam, N, bits)
+    reports, m_fit = distance_lower_bound_check(lam, N, 0.5, bits)
+    for n, (rep, (d, dual)) in enumerate(zip(reports, want), 1):
+        assert (repr(rep.distance), repr(rep.dual_norm)) == (repr(d), repr(dual))
+        single = distance(lam, n, N, bits)
+        assert (repr(single.distance), repr(single.dual_norm)) == (repr(d), repr(dual))
+    with working_precision(bits):
+        want_fit = min(d / (1 - mpf(0.5)) ** mpf(v) for (d, _), v in zip(want, lam.values))
+    assert repr(m_fit) == repr(want_fit)
+
+
+def test_escalated_inverse_bit_identical_to_per_pair():
+    # squares at N = 16 miss the 64-bit residual target and escalate once
+    lam = _cauchy_set("squares", 64)
+    G, M, res = inverse_with_escalation(lam, 64)
+    assert G.precision_bits == 128
+    assert _pair_inverse(gram_matrix(lam, 64))[1] > mpf(inverse_residual_tolerance(64))
+    want_M, want_res = _pair_inverse(gram_matrix(lam, 128))
+    assert repr(M.tolist()) == repr(want_M.tolist())
+    assert repr(res) == repr(want_res)
+
+
+# ---------------------------------------------------------------------------
+# regression guard: how many logarithms each formula takes (counts, no timing)
+
+
+@pytest.fixture()
+def log_calls(monkeypatch):
+    calls = []
+    real = gram.log
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(gram, "log", counting)
+    return calls
+
+
+def test_log_counts_per_formula(log_calls):
+    N = 12
+    lam = generate_exponents("power", {"p": 2}, N)
+    G = gram_matrix(lam, 256)
+    cauchy_inverse(G)
+    assert len(log_calls) == N * N
+    del log_calls[:]
+    distance(lam, 5, N)
+    assert len(log_calls) <= 4 * N
+    del log_calls[:]
+    distance_lower_bound_check(lam, N, 0.5)
+    assert len(log_calls) <= 3 * N * N
+
+
+# ---------------------------------------------------------------------------
+# property: duality and the check's reports over random admissible sets
+
+
+@st.composite
+def _admissible_set(draw):
+    N = draw(st.integers(1, 10))
+    first = draw(st.floats(1e-3, 5))
+    gaps = draw(st.lists(st.one_of(st.floats(2e-6, 1e-3), st.floats(1e-3, 30)),
+                         min_size=N - 1, max_size=N - 1))
+    values = [first]
+    for g in gaps:
+        values.append(values[-1] + g)
+    return generate_exponents("custom", {"values": values}, N)
+
+
+@given(_admissible_set())
+def test_distance_duality_and_check_agree(lam):
+    bits, N = 256, len(lam)
+    reports, _ = distance_lower_bound_check(lam, N, 0.5, bits)
+    for n in range(1, N + 1):
+        rep = distance(lam, n, N, bits)
+        with working_precision(bits):
+            assert abs(rep.distance * rep.dual_norm - 1) <= mpf(10) ** (-bits / 8)
+        assert (repr(rep.distance), repr(rep.dual_norm)) == \
+            (repr(reports[n - 1].distance), repr(reports[n - 1].dual_norm))
+
+
+# ---------------------------------------------------------------------------
+# gram_form on real lists: the shortcut against the general complex loop
+
+
+def _general_gram_form(lams, vs, other=None):
+    """gram_form's value with every numerator taken in complex form."""
+    mus, ws = other or ((), ())
+    ls, sh = _dyadic(list(lams) + list(mus))
+    one = 1 << sh
+    F, X, Y, _, _ = _fixed_point(lams, [mpc(v) for v in vs], 0)
+    if other is None:
+        P = len(X)
+        total = 0
+        for n in range(P):
+            xn, yn, ln = X[n] << sh, Y[n] << sh, ls[n] + one
+            row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
+            total += 2 * row + (xn * X[n] + yn * Y[n]) // (ln + ls[n])
+        return mp.ldexp(mpf(total), -2 * F)
+    Fb, U, V, _, _ = _fixed_point(mus, [mpc(w) for w in ws], 0)
+    ms = ls[len(X):]
+    re = im = 0
+    for xn, yn, ln in zip(X, Y, ls):
+        xn, yn, ln = xn << sh, yn << sh, ln + one
+        for um, vm, mm in zip(U, V, ms):
+            re += (xn * um + yn * vm) // (ln + mm)
+            im += (yn * um - xn * vm) // (ln + mm)
+    F += Fb
+    return mpc(mp.ldexp(mpf(re), -F), mp.ldexp(mpf(im), -F))
+
+
+@pytest.mark.parametrize("complex_parts", [False, True])
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_gram_form_real_lists_match_general_path(bits, complex_parts):
+    lams = generate_exponents("power", {"p": 1.5}, 20, bits).values
+    mus = generate_exponents("custom", {"values": [0.3 + 1.1 * j + 0.05 * (j % 3) for j in range(15)]},
+                             15).values
+    with working_precision(bits):
+        vs = [mpc(mpf(k % 7 - 3) / 3, mpf(k % 5 - 2) / 7 if complex_parts else 0) for k in range(20)]
+        ws = [mpc(mpf(k % 4 - 1) / 11, mpf(k % 3 - 1) / 5 if complex_parts else 0) for k in range(15)]
+        assert repr(gram_form(lams, vs)[0]) == repr(_general_gram_form(lams, vs))
+        assert repr(gram_form(lams, vs, other=(mus, ws))[0]) == \
+            repr(_general_gram_form(lams, vs, other=(mus, ws)))
+        assert repr(gram_form(mus, ws, other=(lams, vs))[0]) == \
+            repr(_general_gram_form(mus, ws, other=(lams, vs)))
