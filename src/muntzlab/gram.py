@@ -271,8 +271,6 @@ def distance_lower_bound_check(lam: ExponentSequence, N: int, epsilon: float,
     """
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
-    if not 1 <= N <= len(lam):
-        raise InputError(f"need 1 <= N <= {len(lam)}, got N={N}")
     with working_precision(precision_bits):
         eps = mpf(epsilon)
         prefix = lam.prefix(N)
@@ -348,15 +346,10 @@ def gram_form(lams: Sequence, vs: Sequence, rel_err=0, other=None):
         F, X, Y, s, e = a
         P = len(X)
         total = 0
-        real = not any(Y)
         for n in range(P):
             xn, yn, ln = X[n] << sh, Y[n] << sh, ls[n] + one
-            if real:
-                row = sum(xn * X[m] // (ln + ls[m]) for m in range(n + 1, P))
-                total += 2 * row + xn * X[n] // (ln + ls[n])
-            else:
-                row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
-                total += 2 * row + (xn * X[n] + yn * Y[n]) // (ln + ls[n])
+            row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
+            total += 2 * row + (xn * X[n] + yn * Y[n]) // (ln + ls[n])
         value = mp.ldexp(mpf(total), -2 * F)
         err = 2 * e * s + 3 * e ** 2 + mp.ldexp(mpf(P * P), -2 * F) + abs(value) * mp.eps
         # doubled for the rounding in the bound's own arithmetic
@@ -367,17 +360,11 @@ def gram_form(lams: Sequence, vs: Sequence, rel_err=0, other=None):
     (F, X, Y, s, e), (Fb, U, V, s2, e2) = a, b
     ms = ls[len(X):]
     re = im = 0
-    if not any(Y) and not any(V):
-        # real lists: every imaginary numerator is 0, so im stays 0
-        for xn, ln in zip(X, ls):
-            xn, ln = xn << sh, ln + one
-            re += sum(xn * um // (ln + mm) for um, mm in zip(U, ms))
-    else:
-        for xn, yn, ln in zip(X, Y, ls):
-            xn, yn, ln = xn << sh, yn << sh, ln + one
-            for um, vm, mm in zip(U, V, ms):
-                re += (xn * um + yn * vm) // (ln + mm)
-                im += (yn * um - xn * vm) // (ln + mm)
+    for xn, yn, ln in zip(X, Y, ls):
+        xn, yn, ln = xn << sh, yn << sh, ln + one
+        for um, vm, mm in zip(U, V, ms):
+            re += (xn * um + yn * vm) // (ln + mm)
+            im += (yn * um - xn * vm) // (ln + mm)
     F += Fb
     value = mpc(mp.ldexp(mpf(re), -F), mp.ldexp(mpf(im), -F))
     err = e * s2 + s * e2 + e * e2 + mp.ldexp(mpf(2 * len(X) * len(U)), -F) + abs(value) * mp.eps

@@ -19,7 +19,7 @@ from muntzlab import (
 from muntzlab import gram
 from muntzlab.config import inverse_residual_tolerance
 from muntzlab.exponents import ExponentSequence
-from muntzlab.gram import _dyadic, _fixed_point, gram_form, inverse_with_escalation, log_distance
+from muntzlab.gram import gram_form, inverse_with_escalation, log_distance
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_1 = generate_exponents("integers", {"values": [1]}, 1)
@@ -447,49 +447,3 @@ def test_distance_duality_and_check_agree(lam):
             assert abs(rep.distance * rep.dual_norm - 1) <= mpf(10) ** (-bits / 8)
         assert (repr(rep.distance), repr(rep.dual_norm)) == \
             (repr(reports[n - 1].distance), repr(reports[n - 1].dual_norm))
-
-
-# ---------------------------------------------------------------------------
-# gram_form on real lists: the shortcut against the general complex loop
-
-
-def _general_gram_form(lams, vs, other=None):
-    """gram_form's value with every numerator taken in complex form."""
-    mus, ws = other or ((), ())
-    ls, sh = _dyadic(list(lams) + list(mus))
-    one = 1 << sh
-    F, X, Y, _, _ = _fixed_point(lams, [mpc(v) for v in vs], 0)
-    if other is None:
-        P = len(X)
-        total = 0
-        for n in range(P):
-            xn, yn, ln = X[n] << sh, Y[n] << sh, ls[n] + one
-            row = sum((xn * X[m] + yn * Y[m]) // (ln + ls[m]) for m in range(n + 1, P))
-            total += 2 * row + (xn * X[n] + yn * Y[n]) // (ln + ls[n])
-        return mp.ldexp(mpf(total), -2 * F)
-    Fb, U, V, _, _ = _fixed_point(mus, [mpc(w) for w in ws], 0)
-    ms = ls[len(X):]
-    re = im = 0
-    for xn, yn, ln in zip(X, Y, ls):
-        xn, yn, ln = xn << sh, yn << sh, ln + one
-        for um, vm, mm in zip(U, V, ms):
-            re += (xn * um + yn * vm) // (ln + mm)
-            im += (yn * um - xn * vm) // (ln + mm)
-    F += Fb
-    return mpc(mp.ldexp(mpf(re), -F), mp.ldexp(mpf(im), -F))
-
-
-@pytest.mark.parametrize("complex_parts", [False, True])
-@pytest.mark.parametrize("bits", [64, 256, 512])
-def test_gram_form_real_lists_match_general_path(bits, complex_parts):
-    lams = generate_exponents("power", {"p": 1.5}, 20, bits).values
-    mus = generate_exponents("custom", {"values": [0.3 + 1.1 * j + 0.05 * (j % 3) for j in range(15)]},
-                             15).values
-    with working_precision(bits):
-        vs = [mpc(mpf(k % 7 - 3) / 3, mpf(k % 5 - 2) / 7 if complex_parts else 0) for k in range(20)]
-        ws = [mpc(mpf(k % 4 - 1) / 11, mpf(k % 3 - 1) / 5 if complex_parts else 0) for k in range(15)]
-        assert repr(gram_form(lams, vs)[0]) == repr(_general_gram_form(lams, vs))
-        assert repr(gram_form(lams, vs, other=(mus, ws))[0]) == \
-            repr(_general_gram_form(lams, vs, other=(mus, ws)))
-        assert repr(gram_form(mus, ws, other=(lams, vs))[0]) == \
-            repr(_general_gram_form(mus, ws, other=(lams, vs)))
