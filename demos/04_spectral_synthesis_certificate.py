@@ -2,7 +2,9 @@
 
 T_rho substitutes rho*x into the argument; on the monomials it acts
 diagonally with eigenvalues rho^lambda_n, but in orthonormal coordinates
-the matrix is upper triangular and decidedly not normal.  The certificate
+the matrix is upper triangular and decidedly not normal.  Every number
+below comes from the Gram matrix G, its inverse C and the eigenvalues u;
+no orthonormal basis is formed.  The certificate
 checks, at finite truncation, every property that the synthesis argument
 needs: compactness via finite-rank decay, the eigen and adjoint
 relations, kernel triviality, the spectrum, simplicity, non-normality,
@@ -16,7 +18,6 @@ from muntzlab import (
     dual_family,
     finite_rank_error,
     generate_exponents,
-    matrix_representation,
     normality_defect,
     synthesis_certificate,
 )
@@ -28,11 +29,13 @@ fam2 = dual_family(lam12, 2, 256)
 op2 = dilation_operator(lam12, 0.5, 2)
 
 print("== the 2x2 picture ==")
-M = matrix_representation(op2, fam2)
-print("orthonormal-coordinate matrix (upper triangular, diagonal = eigenvalues):")
-print(M)
+print("Gram matrix G:")
+print(fam2.gram.entries)
+print("dual coefficients C = G^-1:")
+print(fam2.coeffs)
+print("eigenvalues u:", [mp.nstr(u, 8) for u in op2.u])
 print("normality defect ||MM* - M*M||_F =", mp.nstr(normality_defect(op2, fam2), 8),
-      " (= sqrt(15/8))")
+      " (= sqrt(15/8), from 2 tr((C U* G U)^2) - 2 tr(U^2 C U*^2 G))")
 print("finite-rank error ||T - T_1|| =", mp.nstr(finite_rank_error(op2, fam2, 1)[0], 8))
 
 print("\n== certificate at N = 10, squares, 512 bits ==")
@@ -54,7 +57,7 @@ for m, computed, bound in cert.finite_rank_errors:
     print(f"  {m:2d}   {mp.nstr(computed, 6):>12}    {mp.nstr(bound, 6):>12}")
 print("(monotone from m = 1 on; dropping the first rank-one piece of a")
 print("non-normal operator can raise the norm, and at N=10 it does.  Each")
-print("norm is a certified enclosure from hermitian_lambda_max: the item")
+print("norm is a certified enclosure from pencil_lambda_max: the item")
 print("passes only if upper(m+1) < lower(m) and upper(m) <= bound.  An")
 print("iteration that reaches its step limit hands its last iterate to the")
 print("certificate; it does not make the item inconclusive.)")

@@ -90,7 +90,6 @@ from .operators import (
     apply_operator,
     dilation_operator,
     finite_rank_error,
-    matrix_representation,
     normality_defect,
     synthesis_certificate,
 )

@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from mpmath import cholesky, log, matrix, mpf, sqrt
+from mpmath import log, matrix, mpf, sqrt
 
 from .config import working_precision
 from .errors import InputError, ParameterError
 from .exponents import ExponentSequence
 from .gram import GramMatrix, gram_form, identity_residual, inverse_with_escalation
-from .linalg import lower_triangular_inverse
 
 
 @dataclass
@@ -46,17 +45,6 @@ class BiorthogonalFamily:
     @property
     def size(self) -> int:
         return self.truncation
-
-    @cached_property
-    def cholesky_factor(self) -> matrix:
-        """Lower-triangular L with G = L L^T (positive definiteness witness)."""
-        with working_precision(self.precision_bits):
-            return cholesky(self.gram.entries)
-
-    @cached_property
-    def cholesky_inverse_factor(self) -> matrix:
-        with working_precision(self.precision_bits):
-            return lower_triangular_inverse(self.cholesky_factor)
 
     @cached_property
     def gram_rows(self) -> list:

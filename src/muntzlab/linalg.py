@@ -2,14 +2,16 @@
 
 Matrices are small (N <= ~16), so dense O(N^3) work is cheap even at 512
 bits.  Two kernels on row lists enclose an extreme eigenvalue:
-block_diagonal_lambda_min and hermitian_lambda_max.  They share the fixed
-start vector (no RNG), the stopping rule and a shifted-Cholesky
-certificate; a step limit only ends an iteration, and a value that cannot
-be certified raises PrecisionInsufficientError.  Before the mpmath loop,
-_float_seed runs the same iteration in plain doubles from the fixed start
-vector and hands over its last vector as the start.  It only places the
-start: the estimate still comes from the mpmath loop and the enclosure
-from the shifted Cholesky, so a poor seed costs steps, never correctness.
+block_diagonal_lambda_min (the smallest of a direct sum of SPD blocks)
+and pencil_lambda_max (the largest of a definite pencil (A, B); B = I is
+the standard problem).  They share the fixed start vector (no RNG), the
+stopping rule and a shifted-Cholesky certificate; a step limit only ends
+an iteration, and a value that cannot be certified raises
+PrecisionInsufficientError.  Before the mpmath loop, _float_seed runs the
+same iteration in plain doubles from the fixed start vector and hands
+over its last vector as the start.  It only places the start: the
+estimate still comes from the mpmath loop and the enclosure from the
+shifted Cholesky, so a poor seed costs steps, never correctness.
 """
 
 from __future__ import annotations
@@ -24,22 +26,6 @@ from .errors import DegenerateInputError, InputError, PrecisionInsufficientError
 # the kernels stop on the default; a --config override is only recorded
 SIGMA_REL_TOL = DEFAULT_TOLERANCES["singular_value_rel"]
 MAX_POWER_ITER = 2000
-
-
-def frobenius_norm(A: matrix):
-    acc = mpf(0)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            acc += abs(A[i, j]) ** 2
-    return sqrt(acc)
-
-
-def max_abs(A: matrix):
-    worst = mpf(0)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            worst = max(worst, abs(A[i, j]))
-    return worst
 
 
 def _vec_norm(v):
@@ -57,28 +43,31 @@ def _start_vector(n):
 def _float_seed(mats, step):
     """Start vector for an mpmath loop: the same iteration run in doubles.
 
-    mats holds row lists of mpf (ragged rows are fine), one row per entry
-    of the vector they act on.  They are rounded to double after one
-    common power-of-two scale to unit largest entry, so no entry overflows
-    and their relative sizes survive.  From the fixed start vector,
-    x = step(mats, x) normalised runs until x moves by at most 2^-50,
-    moves no less than the step before (rounding noise), or
-    MAX_POWER_ITER steps have run.  Only + - * / and math.sqrt touch the
-    values, summed left to right, so the seed is the same on every
-    platform and Python version.  The fixed start vector comes back when
-    the largest entry is 0, a step returns None or a value is not finite.
+    mats holds matrices as row lists of mpf (ragged rows are fine); the
+    first has one row per entry of the vector.  Each is rounded to double
+    after its own power-of-two scale to unit largest entry, so no entry
+    overflows and the relative sizes inside a matrix survive (a direct sum
+    comes as one matrix).  From the fixed start vector, x = step(mats, x)
+    normalised runs until x moves by at most 2^-50, moves no less than the
+    step before (rounding noise), or MAX_POWER_ITER steps have run.  Only
+    + - * / and math.sqrt touch the values, summed left to right, so the
+    seed is the same on every platform and Python version.  The fixed
+    start vector comes back when a matrix is zero, a step returns None or
+    a value is not finite.
     """
-    n = sum(map(len, mats))
-    big = max((abs(v) for rows in mats for row in rows for v in row), default=0)
-    if not big:
-        return _start_vector(n)
-    k = mp.frexp(big)[1]
-    mats = [[[float(mp.ldexp(v, -k)) for v in row] for row in rows] for rows in mats]
+    n = len(mats[0])
+    scaled = []
+    for rows in mats:
+        big = max((abs(v) for row in rows for v in row), default=0)
+        if not big:
+            return _start_vector(n)
+        k = mp.frexp(big)[1]
+        scaled.append([[float(mp.ldexp(v, -k)) for v in row] for row in rows])
     # the direction of _start_vector(n); the first step normalises it
     x = [1 + i / (2 * n) for i in range(n)]
     moved = math.inf
     for _ in range(MAX_POWER_ITER):
-        y = step(mats, x)
+        y = step(scaled, x)
         if y is None or not all(map(math.isfinite, y)):
             return _start_vector(n)
         top = max(map(abs, y))
@@ -103,11 +92,12 @@ def _float_dot(a, b):
     return acc
 
 
-def _float_block_solve(factors, x):
-    """y = B^-1 x on a direct sum, B_b = L_b L_b^T with L_b as double rows."""
+def _float_block_solve(rows, sizes, x):
+    """y = B^-1 x on a direct sum, B_b = L_b L_b^T; rows lists every L_b's rows in turn."""
     y = []
-    for L in factors:
-        n, at = len(L), len(y)
+    for n in sizes:
+        at = len(y)
+        L = rows[at:at + n]
         if not all(L[i][i] for i in range(n)):
             return None
         z = []
@@ -126,8 +116,11 @@ def _float_block_solve(factors, x):
     return y
 
 
-def _float_matvec(mats, x):
-    return [_float_dot(row, x) for row in mats[0]]
+def _float_pencil_step(mats, x):
+    """y = B_inv (A x) for mats = (A, B_inv) as double rows."""
+    A, B_inv = mats
+    Ax = [_float_dot(row, x) for row in A]
+    return [_float_dot(row, Ax) for row in B_inv]
 
 
 class LUFactors:
@@ -171,23 +164,6 @@ class LUFactors:
         return y
 
 
-def lower_triangular_inverse(L: matrix) -> matrix:
-    """Inverse of a lower-triangular matrix by forward substitution."""
-    n = L.rows
-    inv = matrix(n, n)
-    for col in range(n):
-        x = [mpf(0)] * n
-        x[col] = 1 / L[col, col]
-        for i in range(col + 1, n):
-            s = mpf(0)
-            for j in range(col, i):
-                s += L[i, j] * x[j]
-            x[i] = -s / L[i, i]
-        for i in range(n):
-            inv[i, col] = x[i]
-    return inv
-
-
 def _settled(old, new):
     """The stopping rule: the estimate moved by at most SIGMA_REL_TOL relative."""
     return old is not None and abs(new - old) <= mpf(SIGMA_REL_TOL) * new
@@ -199,8 +175,9 @@ def _margin(n, trace):
     Demmel (LAPACK Working Note 14, 1989) bounds the backward error of a
     Cholesky of A that runs to completion by |E_ij| <= gamma_(n+1)
     sqrt(a_ii a_jj), so |E| <= gamma_(n+1) tr A.  With trace >= tr A, e is
-    about twice that: the rest covers forming a shifted diagonal and the
-    roundings of the shift and of the certified end.
+    about twice that: the rest covers forming the matrix (a shifted
+    diagonal, or cB - A entry by entry) and the roundings of the shift and
+    of the certified end.
     """
     return (n + 2) * mpf(2) ** (1 - mp.prec) * trace
 
@@ -271,7 +248,9 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
         if any(f is None for f in factors):
             raise PrecisionInsufficientError(
                 "block is not numerically positive definite", precision_bits=precision_bits)
-        x = iter(_float_seed([f[0] for f in factors], _float_block_solve))
+        sizes = [len(B) for B in blocks]
+        x = iter(_float_seed([[row for f in factors for row in f[0]]],
+                             lambda mats, x: _float_block_solve(mats[0], sizes, x)))
         xs = [[next(x) for _ in B] for B in blocks]
         theta = None
         for iterations in range(1, MAX_POWER_ITER + 1):
@@ -298,55 +277,81 @@ def block_diagonal_lambda_min(blocks, precision_bits: int):
         return theta, s, iterations
 
 
-def hermitian_lambda_max(H, precision_bits: int):
-    """Largest eigenvalue of a Hermitian positive semidefinite H, certified.
+def _real_form(H):
+    """[[X, -Y], [Y, X]] for H = X + iY: real symmetric for Hermitian H, each eigenvalue twice."""
+    X, Y = [[mp.re(h) for h in row] for row in H], [[mp.im(h) for h in row] for row in H]
+    return [a + [-v for v in b] for a, b in zip(X, Y)] + [b + a for a, b in zip(X, Y)]
 
-    H is a list of rows of mpf or mpc.  Returns (lower, theta, upper) with
-    lower <= lambda_max < upper.  _float_seed runs plain power iteration in
-    doubles on H scaled by a power of two to unit largest entry, and its
-    last vector starts the mpmath loop: theta = x.Hx / x.x, x = Px/|Px|,
-    until theta settles or MAX_POWER_ITER steps have run.  P is H for n
-    steps, then squared every step, so a near-tie at the top costs a few
-    dozen steps, not thousands.  The seed only places the start.
 
-    theta is a Rayleigh quotient and lower = theta - e.  With r = |Hx - theta x|
-    for the final unit x, a complete Cholesky of cI - H at c = theta + r + e
-    proves lambda_max < upper = c + e (block_diagonal_lambda_min from the
-    other side), with e = _margin(n, n (theta + r) + tr H): tr(cI - H) <= n c,
-    and tr H also covers the rounding of theta.  The enclosure is for H as
-    given.  PrecisionInsufficientError when Px = 0 or that Cholesky fails.
+def pencil_lambda_max(A, B, B_inv, precision_bits: int):
+    """Largest eigenvalue of the definite pencil (A, B), certified.
+
+    A is Hermitian positive semidefinite, B Hermitian positive definite,
+    both lists of rows of mpf or mpc, and B_inv approximates B^-1.
+    lambda_max is the largest lambda with A x = lambda B x (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 15), the largest eigenvalue of
+    B^-1 A; B = B_inv = I is the standard problem.  Complex pencils go
+    through their real symmetric forms.  Returns (lower, theta, upper) with
+    lower <= lambda_max < upper.
+
+    _float_seed runs x = B_inv (A x) in doubles, A and B_inv each scaled
+    by a power of two, and its last vector starts the mpmath loop:
+    theta = x.Ax / x.Bx, x = Px/|Px|, until theta settles or
+    MAX_POWER_ITER steps have run.  P is B_inv A for n steps, then squared
+    every step, so a near-tie at the top costs a few dozen steps, not
+    thousands.
+
+    theta, a generalized Rayleigh quotient, is at most lambda_max, and
+    lower = theta - 2^(3-p) (a + theta b) / x.Bx with a = sum |x_i (Ax)_i|
+    and b = sum |x_i (Bx)_i| covers the rounding of both quadratic forms
+    and of the quotient.  A complete Cholesky of cB - A shifted by
+    e = _margin(n, c tr B + tr A) (tr(cB - A) <= c tr B + tr A) proves
+    lambda_max < upper = c.  c = theta + |r|_(B^-1) / |x|_B plus a margin
+    for the shift, r = Ax - theta Bx, only places that Cholesky: B_inv and
+    the seed never enter the enclosure, which is for A and B as given.
+    PrecisionInsufficientError when Px = 0 or the Cholesky fails.
     """
-    if not len(H):
+    if not len(A):
         raise InputError("empty matrix")
     with working_precision(precision_bits):
-        if any(isinstance(h, mpc) for row in H for h in row):
-            # [[A, -B], [B, A]] for H = A + iB: real symmetric, each eigenvalue twice
-            A, B = [[mp.re(h) for h in row] for row in H], [[mp.im(h) for h in row] for row in H]
-            H = [a + [-v for v in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)]
-        n = len(H)
-        x = _float_seed([H], _float_matvec)
-        theta, P = None, H
+        if any(isinstance(h, mpc) for M in (A, B) for row in M for h in row):
+            A, B, B_inv = _real_form(A), _real_form(B), _real_form(B_inv)
+        n = len(A)
+        x = _float_seed([A, B_inv], _float_pencil_step)
+        theta, P = None, None
         for step in range(MAX_POWER_ITER):
-            Hx = [mp.fdot(row, x) for row in H]
-            new_theta = mp.fdot(x, Hx) / mp.fdot(x, x)
+            Ax = [mp.fdot(row, x) for row in A]
+            Bx = [mp.fdot(row, x) for row in B]
+            xBx = mp.fdot(x, Bx)
+            new_theta = mp.fdot(x, Ax) / xBx
             done = _settled(theta, new_theta) or step == MAX_POWER_ITER - 1
             theta = new_theta
             if done:
                 break
             if step >= n:
-                P = [[mp.fdot(a, b) for b in P] for a in P]
-            y = Hx if P is H else [mp.fdot(row, x) for row in P]
+                if P is None:
+                    # A is symmetric, so its rows are its columns
+                    P = [[mp.fdot(row, a) for a in A] for row in B_inv]
+                P = [[mp.fdot(row, c) for c in zip(*P)] for row in P]
+                y = [mp.fdot(row, x) for row in P]
+            else:
+                y = [mp.fdot(row, Ax) for row in B_inv]
             ny = _vec_norm(y)
             if not ny > 0:
-                raise PrecisionInsufficientError("the iterate lies in the kernel of H",
+                raise PrecisionInsufficientError("the iterate lies in the kernel of A",
                                                  precision_bits=precision_bits)
             x = [v / ny for v in y]
 
-        r = _vec_norm([v - theta * u for v, u in zip(Hx, x)])
-        e = _margin(n, n * (theta + r) + mp.fsum(H[i][i] for i in range(n)))
-        shift = theta + r + e
-        if _cholesky_rows([[-h for h in row] for row in H], -shift) is None:
+        a, b = (mp.fsum(abs(u * v) for u, v in zip(x, Mx)) for Mx in (Ax, Bx))
+        lower = theta - mpf(2) ** (3 - mp.prec) * (a + theta * b) / xBx
+        r = [v - theta * w for v, w in zip(Ax, Bx)]
+        spread = sqrt(abs(mp.fdot(r, [mp.fdot(row, r) for row in B_inv])) / xBx)
+        trA, trB, tr_inv = (mp.fsum(M[i][i] for i in range(n)) for M in (A, B, B_inv))
+        # cB - A >= (c - lambda_max) B and lambda_min(B) >= 1/tr B^-1: room for the shift
+        c = theta + spread + 4 * abs(tr_inv) * _margin(n, theta * trB + trA)
+        e = _margin(n, c * trB + trA)
+        if _cholesky_rows([[c * v - u for u, v in zip(ra, rb)] for ra, rb in zip(A, B)], e) is None:
             raise PrecisionInsufficientError(
-                f"cannot certify lambda_max below {mp.nstr(shift + e, 5)} "
-                f"(estimate {mp.nstr(theta, 5)})", residual=r, precision_bits=precision_bits)
-        return theta - e, theta, shift + e
+                f"cannot certify lambda_max below {mp.nstr(c, 5)} (estimate {mp.nstr(theta, 5)})",
+                residual=spread, precision_bits=precision_bits)
+        return lower, theta, c

@@ -2,15 +2,17 @@
 
 The operator class acts as T f = sum_n <f, r_n> u_n t^lambda_n for a
 sequence of distinct non-zero eigenvalues u_n dominated by rho^lambda_n.
-In the orthonormal coordinates produced by the Cholesky factor of the
-Gram matrix (G = L L^T) the truncated operator is M = L^T diag(u) L^(-T),
-an upper-triangular matrix similar to diag(u); every certificate item is
-a statement about M or about exact inner-product identities.
-
-Every norm the certificate uses is ||M_w|| = ||L^T diag(w) L^(-T)||,
-enclosed by linalg.hermitian_lambda_max: the tails ||T - T_m||
-(w = (0..0, u_{m+1}..u_N)) and sigma_min(M) = 1/||M^-1|| (w = 1/u).  A
-step limit never makes an item inconclusive; a failed certificate does.
+Everything the certificate needs is held by the family: the Gram matrix
+G and the dual coefficients C = G^-1.  For f = sum_n a_n t^lambda_n,
+||T_w f||^2 = (Wa)^H G (Wa) with W = diag(w), so the norm of the operator
+with weights w on the span is ||M_w||^2 = lambda_max of the definite
+pencil (W^H G W, G), enclosed by linalg.pencil_lambda_max with C placing
+the iterate.  (M_w = L^T W L^(-T) for G = L L^T is that operator in
+orthonormal coordinates; no factor L is formed.)  Certificate items 1
+and 4 use these norms: the tails ||T - T_m|| (w = (0..0, u_{m+1}..u_N))
+and sigma_min(M) = 1/||M_{1/u}||.  The normality defect is a trace
+identity in G, C and u.  A step limit never makes an item inconclusive;
+a failed certificate does.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from mpmath import conj, matrix, mp, mpc, mpf, sqrt
+from mpmath import conj, mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily, norm_growth_check
 from .config import RunConfig, rank_collapse_threshold, working_precision
@@ -26,7 +28,7 @@ from .errors import InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
 from .gram import gram_form
 from . import completeness as _completeness
-from .linalg import frobenius_norm, hermitian_lambda_max, max_abs
+from .linalg import pencil_lambda_max
 from .muntz_space import (
     MuntzSeries,
     QuadratureSpec,
@@ -100,61 +102,37 @@ def apply_operator(op: MuntzOperator, f: SeriesOrCallable, family: BiorthogonalF
     return MuntzSeries(family.lam.prefix(op.truncation), scaled)
 
 
-def _orthonormal_matrix(w: Sequence, L: matrix, Linv: matrix, precision_bits: int) -> matrix:
-    """M_w = L^T diag(w) L^(-T): upper triangular with diagonal w."""
-    with working_precision(precision_bits):
-        LtD = [[L[k, i] * w[k] for k in range(L.rows)] for i in range(L.rows)]
-        rows = Linv.tolist()
-        return matrix([[mp.fdot(a, b) for b in rows] for a in LtD])
-
-
 def _norm_enclosure(w: Sequence, family: BiorthogonalFamily):
-    """(lower, estimate, upper) for ||M_w||, from M_w^H M_w as formed at the family's bits."""
+    """(lower, estimate, upper) for ||M_w||: the root of lambda_max of (W^H G W, G)."""
     bits = family.precision_bits
-    M = _orthonormal_matrix(w, family.cholesky_factor, family.cholesky_inverse_factor, bits)
+    G = family.gram_rows
     with working_precision(bits):
-        cols = M.T.tolist()
-        H = [[mp.fdot(b, a, conjugate=True) for b in cols] for a in cols]
-        return tuple(sqrt(v) for v in hermitian_lambda_max(H, bits))
-
-
-def matrix_representation(op: MuntzOperator, family: BiorthogonalFamily) -> matrix:
-    """Truncated operator in orthonormal coordinates (similar to diag(u))."""
-    if family.truncation != op.truncation:
-        raise InputError("operator and family truncations differ")
-    return _orthonormal_matrix(op.u, family.cholesky_factor, family.cholesky_inverse_factor,
-                               family.precision_bits)
-
-
-def spectrum_from_matrix(M: matrix, precision_bits: int):
-    """Eigenvalues read off the structurally upper-triangular representation.
-
-    The strict lower triangle must vanish to rounding; anything larger is
-    a precision failure, not a math statement.
-    """
-    with working_precision(precision_bits):
-        N = M.rows
-        floor = mpf(10) ** (-(precision_bits // 2))
-        scale = max(max_abs(M), mpf(1))
-        for i in range(N):
-            for j in range(i):
-                if abs(M[i, j]) > floor * scale:
-                    raise PrecisionInsufficientError(
-                        f"lower-triangle leak {mp.nstr(abs(M[i, j]), 5)} in the orthonormal "
-                        "representation", residual=abs(M[i, j]), precision_bits=precision_bits)
-        return [M[i, i] for i in range(N)]
+        A = [[conj(a) * g * b for g, b in zip(row, w)] for a, row in zip(w, G)]
+        return tuple(sqrt(v) for v in pencil_lambda_max(A, G, family.inverse_rows, bits))
 
 
 def normality_defect(op: MuntzOperator, family: BiorthogonalFamily):
-    """Frobenius norm of M M* - M* M; zero iff the representation is normal."""
-    M = matrix_representation(op, family)
-    return normality_defect_from_matrix(M, family.precision_bits)
+    """Frobenius norm of M M* - M* M for M = M_u; zero iff M is normal.
 
-
-def normality_defect_from_matrix(M: matrix, precision_bits: int):
-    with working_precision(precision_bits):
-        MH = M.H
-        return frobenius_norm(M * MH - MH * M)
+    With M = L^T U L^(-T), M M* = L^T U C U* L and M* M = L^-1 U* G U L^-T,
+    so ||[M, M*]||_F^2 = 2 tr((C U* G U)^2) - 2 tr(U^2 C U*^2 G) from G,
+    C and u alone.  A 1 x 1 matrix commutes with its adjoint.
+    """
+    N = op.truncation
+    if family.truncation != N:
+        raise InputError("operator and family truncations differ")
+    if N < 2:
+        return mpf(0)
+    G, C = family.gram_rows, family.inverse_rows
+    with working_precision(family.precision_bits):
+        u = [mp.mpmathify(v) for v in op.u]
+        ub = [conj(v) for v in u]
+        CU = [[c * v for c, v in zip(row, ub)] for row in C]
+        GU_cols = [[G[k][j] * u[j] for k in range(N)] for j in range(N)]
+        K = [[mp.fdot(row, col) for col in GU_cols] for row in CU]
+        t1 = mp.fsum(K[i][j] * K[j][i] for i in range(N) for j in range(N))
+        t2 = mp.fsum(u[i] ** 2 * C[i][j] * ub[j] ** 2 * G[j][i] for i in range(N) for j in range(N))
+        return sqrt(max(2 * mp.re(t1 - t2), 0))
 
 
 def _tail_enclosure(op: MuntzOperator, family: BiorthogonalFamily, m: int):
@@ -184,7 +162,7 @@ def _envelope_bounds(op: MuntzOperator, family: BiorthogonalFamily,
 def finite_rank_error(op: MuntzOperator, family: BiorthogonalFamily, m: int,
                       growth_epsilon: Optional[float] = None):
     """(computed, bound) for ||T - T_m||: the estimate inside the certified
-    enclosure of the tail L^T diag(0..0, u_{m+1}..u_N) L^(-T), and its envelope."""
+    enclosure of the tail M_w, w = (0..0, u_{m+1}..u_N), and its envelope."""
     _, computed, _ = _tail_enclosure(op, family, m)
     return computed, _envelope_bounds(op, family, growth_epsilon)[m]
 
@@ -336,7 +314,7 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         adj_res = None
         add("adjoint_relations", None, str(exc))
 
-    # 4. kernel triviality: sigma_min(M) = 1/||M^-1||, M^-1 = L^T diag(1/u) L^(-T)
+    # 4. kernel triviality: sigma_min(M) = 1/||M^-1||, M^-1 = M_w for w = 1/u
     collapse_tol = rank_collapse_threshold(bits)
     try:
         with working_precision(bits):
@@ -348,30 +326,22 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         kernel_sigma = None
         add("kernel_trivial", None, str(exc))
 
-    # 5-7 need the orthonormal representation
-    spectrum, defect, simple = (), None, None
-    try:
-        M = matrix_representation(op, family)
-        eigs = spectrum_from_matrix(M, bits)
-        with working_precision(bits):
-            spectrum = tuple([mpc(0)] + [mpc(u) for u in op.u])
-            match = max(abs(eigs[n] - mpc(op.u[n])) for n in range(N))
-        add("spectrum", match < mpf(10) ** (-(bits // 4)), tuple(eigs), None,
-            detail="diagonal of the orthonormal representation matches u")
+    # 5. item 2's relations T e_k = u_k e_k on the N monomials that span the
+    # truncation leave no room for another eigenvalue.  6. simplicity
+    with working_precision(bits):
+        us = [mpc(u) for u in op.u]
+        spectrum = tuple([mpc(0)] + us)
+        dist = min(abs(a - b) for i, a in enumerate(us) for b in us[i + 1:]) if N > 1 else mpf(1)
+        simple = bool(dist > 0) and all(v != 0 for v in us)
+    add("spectrum", items[1].passed, tuple(op.u),
+        detail="the eigen relations of item 2 on an N-dimensional span give the eigenvalues u")
+    add("simple_eigenvalues", simple, dist)
 
-        dist = min(abs(mpc(op.u[i]) - mpc(op.u[j]))
-                   for i in range(N) for j in range(i + 1, N)) if N > 1 else mpf(1)
-        simple = bool(dist > 0) and all(mpc(u) != 0 for u in op.u)
-        add("simple_eigenvalues", simple, dist)
-
-        defect = normality_defect_from_matrix(M, bits)
-        tol_defect = config.tolerance("normality_defect_min")
-        add("not_normal", defect > mpf(tol_defect) if N >= 2 else None, defect, tol_defect,
-            detail="non-orthogonal eigenvectors force a positive commutator norm")
-    except PrecisionInsufficientError as exc:
-        add("spectrum", None, str(exc))
-        add("simple_eigenvalues", None, str(exc))
-        add("not_normal", None, str(exc))
+    # 7. non-normality
+    defect = normality_defect(op, family)
+    tol_defect = config.tolerance("normality_defect_min")
+    add("not_normal", defect > mpf(tol_defect) if N >= 2 else None, defect, tol_defect,
+        detail="non-orthogonal eigenvectors force a positive commutator norm")
 
     # 8. every mixed system at once (hereditary completeness input): the
     # interlacing floor sigma_min >= sqrt(lambda_min(diag(G, G^-1)))

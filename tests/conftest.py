@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
-from mpmath import mp
+from mpmath import cholesky, diag, matrix, mp, mpf
 
 import muntzlab
 from muntzlab import dual_family, generate_exponents
@@ -16,6 +16,46 @@ ROOT = Path(__file__).resolve().parents[1]
 settings.register_profile("muntzlab", derandomize=True, database=None, deadline=None,
                           max_examples=40)
 settings.load_profile("muntzlab")
+
+
+def cholesky_oracle(family, exact=False):
+    """(L, L^-1) with G = L L^T: mpmath.cholesky at twice the family's bits.
+
+    G is the family's Gram as stored, the data the certified enclosures are
+    for; with exact=True it is rebuilt from the exponents at twice the
+    bits, the reference for numbers computed from the closed-form inverse,
+    which holds the exact inverse to far below the stored Gram's rounding.
+    """
+    with mp.workprec(2 * family.precision_bits):
+        if exact:
+            x = [mpf(v) for v in family.lam.values[:family.truncation]]
+            G = matrix([[1 / (a + b + 1) for b in x] for a in x])
+        else:
+            G = family.gram.entries
+        L = cholesky(G)
+        return L, L ** -1
+
+
+def orthonormal_matrix(family, w, exact=False):
+    """M_w = L^T diag(w) L^-T at twice the family's bits: the operator with
+    weights w on the span in orthonormal coordinates, upper triangular with
+    diagonal w (L from cholesky_oracle)."""
+    L, Linv = cholesky_oracle(family, exact)
+    with mp.workprec(2 * family.precision_bits):
+        return L.T * diag(list(w)) * Linv.T
+
+
+def operator_norm(M, prec):
+    """||M|| from mpmath.eighe on M^H M at prec bits."""
+    with mp.workprec(prec):
+        return mp.sqrt(max(mp.eighe(M.H * M, eigvals_only=True)))
+
+
+def commutator_norm(M, prec):
+    """||M M^H - M^H M||_F at prec bits: the normality defect of M."""
+    with mp.workprec(prec):
+        X = M * M.H - M.H * M
+        return mp.sqrt(mp.fsum(abs(X[i, j]) ** 2 for i in range(X.rows) for j in range(X.cols)))
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -149,12 +149,3 @@ def test_norm_growth_epsilon_domain(fam_12):
         norm_growth_check(fam_12, 0.0)
     with pytest.raises(ParameterError):
         norm_growth_check(fam_12, 1.5)
-
-
-def test_cholesky_factor_reproduces_gram(fam_squares_10):
-    L = fam_squares_10.cholesky_factor
-    with working_precision(fam_squares_10.precision_bits):
-        P = L * L.T
-        G = fam_squares_10.gram.entries
-        worst = max(abs(P[i, j] - G[i, j]) for i in range(10) for j in range(10))
-    assert worst < 1e-70

@@ -1,36 +1,49 @@
 """linalg's certified eigenvalue kernels and the checks built on them.
 
 block_diagonal_lambda_min under the mixed-system checks, and
-hermitian_lambda_max under the operator norms of the synthesis
-certificate.  The property tests draw admissible exponent sets and hold
-each certified enclosure against an independent oracle.  For the mixed
-systems that is the Gram matrix and its inverse rebuilt at twice the
-bits, with mpmath.eigsy on both principal blocks of
-X^H X = diag(G[N1,N1], G^-1[N2,N2]).  For the operator norms it is
-mpmath.eigsy at twice the bits on M_w^H M_w as the kernel receives it.
+pencil_lambda_max under the operator norms of the synthesis certificate
+(the lambda_max tests below run it on the standard problem, B = I).  The
+property tests draw admissible exponent sets and hold each certified
+enclosure against an independent oracle.  For the mixed systems that is
+the Gram matrix and its inverse rebuilt at twice the bits, with
+mpmath.eigsy on both principal blocks of
+X^H X = diag(G[N1,N1], G^-1[N2,N2]).  For the operator norms it is the
+orthonormal matrix M_w = L^T diag(w) L^-T built from mpmath.cholesky at
+twice the bits: mpmath.eigsy on M_w^H M_w as the kernel receives it, and
+mpmath.eighe on it for the pencil the certificate solves.
 """
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import matrix, mp, mpf, sqrt
 
 from muntzlab import (
     InputError,
+    MuntzOperator,
     Partition,
     PrecisionInsufficientError,
     dilation_operator,
     dual_family,
     generate_exponents,
     mixed_completeness_check,
+    normality_defect,
     working_precision,
 )
 from muntzlab import linalg
 from muntzlab.completeness import all_partitions
 from muntzlab.exponents import DEFAULT_DELTA_MIN
-from muntzlab.linalg import _start_vector, block_diagonal_lambda_min, hermitian_lambda_max
-from muntzlab.operators import _orthonormal_matrix
+from muntzlab.linalg import _start_vector, block_diagonal_lambda_min, pencil_lambda_max
+from muntzlab.operators import _norm_enclosure
+
+from conftest import commutator_norm, operator_norm, orthonormal_matrix
 
 BITS = 256
+
+
+def standard_lambda_max(H, bits):
+    """The standard problem: the pencil (H, I) with I as its own inverse."""
+    eye = [[mpf(int(i == j)) for j in range(len(H))] for i in range(len(H))]
+    return pencil_lambda_max(H, eye, eye, bits)
 
 
 def test_unit_block_is_certified():
@@ -75,7 +88,7 @@ def test_no_block_is_an_input_error():
 
 def test_lambda_max_of_a_scalar_is_certified():
     # theta = h and r = 0 exactly: only the rounding margin lifts the shift
-    lo, theta, hi = hermitian_lambda_max([[mpf(3)]], BITS)
+    lo, theta, hi = standard_lambda_max([[mpf(3)]], BITS)
     assert theta == 3
     assert 3 - mpf(2) ** -200 < lo < 3 < hi < 3 + mpf(2) ** -200
 
@@ -89,14 +102,14 @@ def test_lambda_max_start_vector_eigenvector_is_refused():
         vv = sum(c * c for c in v)
         H = [[(5 if i == j else 0) - 4 * v[i] * v[j] / vv for j in range(2)] for i in range(2)]
     with pytest.raises(PrecisionInsufficientError):
-        hermitian_lambda_max(H, BITS)
+        standard_lambda_max(H, BITS)
 
 
 def test_lambda_max_zero_matrix_is_refused():
     with pytest.raises(PrecisionInsufficientError):
-        hermitian_lambda_max([[mpf(0)] * 2] * 2, BITS)
+        standard_lambda_max([[mpf(0)] * 2] * 2, BITS)
     with pytest.raises(InputError):
-        hermitian_lambda_max([], BITS)
+        pencil_lambda_max([], [], [], BITS)
 
 
 def _misleading_seed(monkeypatch, vector):
@@ -104,7 +117,7 @@ def _misleading_seed(monkeypatch, vector):
     calls = []
 
     def seed(mats, step):
-        calls.append(sum(map(len, mats)))
+        calls.append(len(mats[0]))
         return [mpf(v) for v in vector]
 
     monkeypatch.setattr(linalg, "_float_seed", seed)
@@ -126,7 +139,7 @@ def test_lambda_max_misleading_seed_is_refused(monkeypatch):
     calls = _misleading_seed(monkeypatch, [1, -1, 0])
     H = [[mpf(3), mpf(1), mpf(0)], [mpf(1), mpf(3), mpf(0)], [mpf(0), mpf(0), mpf(1)]]
     with pytest.raises(PrecisionInsufficientError):
-        hermitian_lambda_max(H, BITS)
+        standard_lambda_max(H, BITS)
     assert calls == [3]
 
 
@@ -145,8 +158,8 @@ def test_entries_beyond_double_range_are_certified(fam_squares_10, k):
     assert iterations <= 3
 
     H = blocks[0]
-    lo, theta, hi = hermitian_lambda_max(H, BITS)
-    assert hermitian_lambda_max([[mp.ldexp(v, k) for v in row] for row in H], BITS) == (
+    lo, theta, hi = standard_lambda_max(H, BITS)
+    assert standard_lambda_max([[mp.ldexp(v, k) for v in row] for row in H], BITS) == (
         mp.ldexp(lo, k), mp.ldexp(theta, k), mp.ldexp(hi, k))
 
 
@@ -192,9 +205,9 @@ def _oracle_sigma_min(values, n1, n2, prec):
 
 
 @st.composite
-def exponent_sets(draw):
+def exponent_sets(draw, max_n=10):
     """Admissible prefixes: power, lacunary, or custom non-integer with a tight gap."""
-    N = draw(st.integers(1, 10))
+    N = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(("power", "lacunary", "custom")))
     if kind == "power":
         return generate_exponents("power", {"p": draw(st.floats(1.5, 3.0))}, N)
@@ -241,10 +254,10 @@ def test_lambda_max_enclosure_property(lam, data):
     with working_precision(bits):
         weights = ([0] * m + list(op.u[m:]), [1 / u for u in op.u])
     for w in weights:
-        M = _orthonormal_matrix(w, fam.cholesky_factor, fam.cholesky_inverse_factor, bits)
+        M = orthonormal_matrix(fam, w)
         with working_precision(bits):
             H = [[mp.fdot(M.column(j), M.column(i)) for j in range(N)] for i in range(N)]
-        lo, theta, hi = hermitian_lambda_max(H, bits)
+        lo, theta, hi = standard_lambda_max(H, bits)
         with mp.workprec(2 * bits):
             want = max(mp.eigsy(matrix(H), eigvals_only=True))
             assert lo <= want <= hi
@@ -265,3 +278,33 @@ def test_single_exponent_is_certified(value):
             want = sqrt(g) if ns else 1 / sqrt(g)
             assert check.sigma_lower < want <= check.min_singular * (1 + mpf(2) ** -(BITS // 2))
             assert want - check.sigma_lower < mpf(2) ** -(BITS // 2) * want
+
+
+@settings(max_examples=12)
+@given(lam=exponent_sets(max_n=8), data=st.data())
+def test_pencil_enclosure_property(lam, data):
+    # a complex u under the decay bound: every tail and the kernel norm
+    # against the orthonormal matrix of the Gram as stored, the trace-identity
+    # defect against that of the exact Gram (a tight gap makes kappa(G) reach
+    # 1e21, and the stored Gram's rounding then moves the commutator by 2e-64)
+    N = len(lam)
+    fam = dual_family(lam, N, BITS)
+    bits = fam.precision_bits
+    rho = data.draw(st.floats(0.2, 0.9))
+    moduli = data.draw(st.lists(st.floats(0.05, 1.0), min_size=N, max_size=N))
+    phases = data.draw(st.lists(st.floats(0.0, 6.28), min_size=N, max_size=N))
+    with working_precision(bits):
+        u = tuple(mpf(rho) ** mpf(v) * mpf(s) * mp.expjpi(mpf(t) / mp.pi)
+                  for v, s, t in zip(lam.values, moduli, phases))
+        assume(len(set(u)) == N)
+        weights = [[0] * m + list(u[m:]) for m in range(N)] + [[1 / v for v in u]]
+    op = MuntzOperator(lam, u, rho, N)
+    for w in weights:
+        lo, est, hi = _norm_enclosure(w, fam)
+        want = operator_norm(orthonormal_matrix(fam, w), 2 * bits)
+        with mp.workprec(2 * bits):
+            assert lo <= want <= hi and lo <= est <= hi
+            assert hi - lo <= mpf(10) ** -9 * want
+    want = commutator_norm(orthonormal_matrix(fam, u, exact=True), 2 * bits)
+    with mp.workprec(2 * bits):
+        assert abs(normality_defect(op, fam) - want) <= mpf(10) ** (-mpf(bits) / 4) * want

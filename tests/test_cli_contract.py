@@ -1,13 +1,20 @@
-"""Byte contract of the Gram-algebra artifacts.
+"""Byte contract of the CLI artifacts.
 
 Each command runs on the README exponents (squares, N = 10; a 16-term file
-for the 64-bit run that escalates to 128 bits) and its artifact must hash
-to the recorded SHA-256 digest, so a change in any printed digit, field or
-layout fails. The digests come from fresh ``muntz`` processes (53-bit
-ambient precision), which the in-process runs below reproduce.
+for the 64-bit run that escalates to 128 bits) and the README series, and
+its artifact must hash to the recorded SHA-256 digest, so a change in any
+printed digit, field or layout fails. The digests come from fresh
+``muntz`` processes (53-bit ambient precision), which the in-process runs
+below reproduce.
+
+The operator certificate (squares, N = 10, 512 bits) is held to the digest
+of the fields that do not rest on an iteration's last digits: the status,
+every item's name, verdict and tolerance, the eigen and adjoint residuals,
+the envelope bounds, the reported spectrum and the mixed-system floor.
 """
 
 import hashlib
+import json
 
 from mpmath import mp
 
@@ -49,3 +56,69 @@ def test_gram_algebra_artifacts_are_byte_identical(tmp_path, monkeypatch):
             assert main(argv) == 0, argv
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS}
     assert got == DIGESTS
+
+
+SERIES = {"lambda_ref": "lambda.json", "coeffs": [[1, 0], [0.5, 0]], "rule": {"name": "inv_n"}}
+
+SERIES_DIGESTS = {
+    "proj.json": "07d076b185b5343f4ad0f4a8080fe90076dc17d81cde8a2db140512672e8dc29",
+    "rec.jsonl": "ca2bb1b95eb15abcadb7c7f1df6fe54444573b332f6a5fa947e4c225a4aca1cf",
+    "eval.json": "5821b0b57463afea9811180248e8cdfcb38e8bd4272f1aef96a14e638de2cd3a",
+    "mixed.csv": "dd58071a1fe85ccfcbd6b12cb257998164e5e167037cb910d04bebc0354021f6",
+    "hardy.json": "186694a3aa5dcc64567cd55ba58fdbde01f211b9562e226d5da6f89bb309d355",
+    "radial.json": "5588d7e94d078a9a98e820cfade16f5137d402d3da5d8bce95ea7db44d591f9d",
+}
+
+SERIES_COMMANDS = [
+    ["gen-exponents", "--kind", "power", "--p", "2", "--n", "10", "--out", "lambda.json"],
+    ["project", "--f", "series.json", "--n", "10", "--out", "proj.json"],
+    ["recover", "--f", "series.json", "--n", "10", "--all", "--out", "rec.jsonl"],
+    ["eval", "--f", "series.json", "--z", "0.5+0i", "--out", "eval.json"],
+    ["hereditary", "--lambda", "lambda.json", "--n", "8", "--partitions", "all", "--out", "mixed.csv"],
+    ["hardy", "--lambda", "lambda.json", "--rule", "inv_n", "--k", "1000", "--out", "hardy.json"],
+    ["hardy", "--lambda", "lambda.json", "--rule", "inv_n", "--k", "100", "--theta", "0",
+     "--out", "radial.json"],
+]
+
+CERTIFICATE_DIGESTS = {
+    "0.3": "9ab21976073a3cc0aa67c51ce367ccc87f69f91704ff51a867ec6319151b5cdd",
+    "0.5": "626c2f8e53ac8c16af01a290fbf6148e6ed2ef38bcdb7044adecf8e287520745",
+    "0.8": "6dc1d7b06c68c38ec0f8acd42d900cf080e494bedcc97d09ab22500614bd5518",
+}
+
+
+def _certificate_contract(data):
+    floor = next(it["value"] for it in data["items"] if it["name"] == "mixed_system_sample")
+    kept = {"status": data["status"],
+            "items": [[it["name"], it["passed"], it["tolerance"]] for it in data["items"]],
+            "eigen_residual": data["eigen_residual"], "adjoint_residual": data["adjoint_residual"],
+            "envelope": [b for _, _, b in data["finite_rank_errors"]],
+            "spectrum": data["spectrum"], "floor": floor}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+
+
+def test_series_and_verdict_artifacts_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    (tmp_path / "series.json").write_text(json.dumps(SERIES))
+    with mp.workprec(53):
+        for argv in SERIES_COMMANDS:
+            assert main(argv) == 0, argv
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in SERIES_DIGESTS}
+    assert got == SERIES_DIGESTS
+
+
+def test_certificate_verdicts_and_exact_fields(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    got = {}
+    with mp.workprec(53):
+        assert main(COMMANDS[0]) == 0
+        for rho in CERTIFICATE_DIGESTS:
+            assert main(["operator", "certify", "--lambda", "lambda.json", "--rho", rho,
+                         "--n", "10", "--bits", "512", "--out", "cert.json"]) == 0
+            data = json.loads((tmp_path / "cert.json").read_text())
+            assert data["status"] == ("fail" if rho == "0.8" else "pass")
+            got[rho] = _certificate_contract(data)
+    assert got == CERTIFICATE_DIGESTS

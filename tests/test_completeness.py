@@ -19,6 +19,8 @@ from muntzlab import (
 )
 from muntzlab.linalg import LUFactors
 
+from conftest import cholesky_oracle
+
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 T3 = finite_series(generate_exponents("integers", {"values": [3]}, 1), [1])
 
@@ -26,8 +28,9 @@ T3 = finite_series(generate_exponents("integers", {"values": [3]}, 1), [1])
 def mixed_matrix(partition, family):
     """Oracle X: column n is column n of L^T (n in N1) or of L^-1 (n in N2)."""
     N = family.truncation
+    L, Linv = cholesky_oracle(family)
     with working_precision(family.precision_bits):
-        Lt, Linv = family.cholesky_factor.T, family.cholesky_inverse_factor
+        Lt = L.T
         X = matrix(N, N)
         for j in range(N):
             src = Lt if j + 1 in partition.n1 else Linv
@@ -73,7 +76,7 @@ def test_mixed_matrix_columns(fam_12):
     part = Partition.from_monomial_set({1}, 2)
     X = mixed_matrix(part, fam_12)
     with working_precision(256):
-        Lt = fam_12.cholesky_factor.T
+        Lt = cholesky_oracle(fam_12)[0].T
         # column 1: monomial coordinates L^T e_1; column 2: L^T (-60, 80)
         assert abs(X[0, 0] - Lt[0, 0]) < 1e-60 and abs(X[1, 0] - Lt[1, 0]) < 1e-60
         want = (Lt[0, 0] * -60 + Lt[0, 1] * 80, Lt[1, 0] * -60 + Lt[1, 1] * 80)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import mpmath
 import pytest
 from mpmath import matrix, mp, mpc, mpf, sqrt
@@ -12,19 +14,15 @@ from muntzlab import (
     finite_rank_error,
     finite_series,
     generate_exponents,
-    matrix_representation,
     normality_defect,
     synthesis_certificate,
     working_precision,
 )
 from muntzlab import completeness
-from muntzlab.operators import (
-    _norm_enclosure,
-    _orthonormal_matrix,
-    _tail_enclosure,
-    normality_defect_from_matrix,
-    spectrum_from_matrix,
-)
+from muntzlab.config import DEFAULT_TOLERANCES, RunConfig
+from muntzlab.operators import _norm_enclosure, _tail_enclosure
+
+from conftest import commutator_norm, operator_norm, orthonormal_matrix
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_SQ = generate_exponents("power", {"p": 2}, 12)
@@ -95,37 +93,64 @@ def test_apply_dilation_coefficientwise_property(fam_squares_10):
 
 def test_matrix_representation_hand_values(fam_12):
     op = dilation_operator(LAM_12, 0.5, 2)
-    M = matrix_representation(op, fam_12)
+    M = orthonormal_matrix(fam_12, op.u)
     assert abs(M[0, 0] - mpf("0.5")) < 1e-40
     assert abs(M[1, 1] - mpf("0.25")) < 1e-40
     assert abs(M[1, 0]) < 1e-60
     assert abs(M[0, 1] - (-sqrt(mpf(15)) / 4)) < 1e-40
+    # the certificate's norms on the same matrix: ||M|| and sigma_min(M)
+    with mp.workprec(512):
+        sv = sorted(mpmath.svd_r(M, compute_uv=False))
+    lo, _, hi = _norm_enclosure(op.u, fam_12)
+    assert lo <= sv[-1] <= hi
+    cert = synthesis_certificate(op, fam_12)
+    assert cert.item("kernel_trivial").value <= sv[0] <= cert.kernel_min_singular * (1 + mpf(2) ** -128)
 
 
 def test_matrix_representation_n1():
     lam1 = generate_exponents("integers", {"values": [1]}, 1)
     fam = dual_family(lam1, 1, 256)
     op = dilation_operator(lam1, 0.5, 1)
-    M = matrix_representation(op, fam)
+    M = orthonormal_matrix(fam, op.u)
     assert M.rows == 1 and abs(M[0, 0] - mpf("0.5")) < 1e-60
+    lo, _, hi = _norm_enclosure(op.u, fam)
+    assert lo <= M[0, 0] <= hi
 
 
 def test_spectrum_matches_eigenvalues(fam_squares_10):
+    # the spectrum item reports u; the diagonal of the triangular
+    # representation holds the same numbers, its strict lower triangle is 0
     op = dilation_operator(fam_squares_10.lam, 0.5, 10)
-    M = matrix_representation(op, fam_squares_10)
-    eigs = spectrum_from_matrix(M, fam_squares_10.precision_bits)
+    M = orthonormal_matrix(fam_squares_10, op.u)
+    item = synthesis_certificate(op, fam_squares_10).item("spectrum")
+    assert item.passed is True
+    eigs = item.value
     for n in range(10):
+        assert abs(eigs[n] - M[n, n]) / abs(M[n, n]) < 1e-20
         assert abs(eigs[n] - op.u[n]) / abs(op.u[n]) < 1e-20
+        assert all(abs(M[n, j]) < mpf(10) ** -100 for j in range(n))
+
+
+def test_spectrum_rests_on_the_eigen_relations(fam_12):
+    # with no room for rounding in the eigen residual, item 2 fails and the
+    # spectrum report loses its footing with it
+    op = dilation_operator(LAM_12, 0.5, 2)
+    strict = RunConfig(precision_bits=256,
+                       tolerances=dict(DEFAULT_TOLERANCES, eigen_residual=1e-300))
+    cert = synthesis_certificate(op, fam_12, strict)
+    assert cert.item("eigen_relations").passed is False
+    assert cert.item("spectrum").passed is False
 
 
 def test_spectrum_against_general_eigensolver(fam_12):
-    # independent oracle: mpmath's dense eigensolver on the same matrix
+    # independent oracle: mpmath's dense eigensolver on the representation
     op = dilation_operator(LAM_12, 0.5, 2)
-    M = matrix_representation(op, fam_12)
+    M = orthonormal_matrix(fam_12, op.u)
+    eigs = synthesis_certificate(op, fam_12).item("spectrum").value
     with working_precision(128):
         E, _ = mpmath.eig(matrix([[M[i, j] for j in range(2)] for i in range(2)]), left=False, right=True)
         got = sorted([abs(e) for e in E])
-        want = sorted([abs(u) for u in op.u])
+        want = sorted([abs(u) for u in eigs])
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-25
 
 
@@ -144,12 +169,22 @@ def test_normality_defect_scalar_is_zero():
 
 
 def test_normality_defect_identity_gram_is_zero():
-    # test mode: orthonormal monomials (fake identity Gram) make the
-    # representation diagonal, hence normal
+    # test mode: orthonormal monomials (fake identity Gram and inverse) make
+    # the representation diagonal, hence normal
     with working_precision(256):
-        L = mpmath.eye(3)
-        M = _orthonormal_matrix([mpf("0.5"), mpf("0.25"), mpf("0.125")], L, L, 256)
-        assert normality_defect_from_matrix(M, 256) == 0
+        eye = [[mpf(int(i == j)) for j in range(3)] for i in range(3)]
+    fake = SimpleNamespace(truncation=3, precision_bits=256, gram_rows=eye, inverse_rows=eye)
+    op = MuntzOperator._unchecked(None, (mpf("0.5"), mpf("0.25"), mpf("0.125")), 0.5, 3)
+    assert normality_defect(op, fake) == 0
+
+
+def test_normality_defect_against_the_representation(fam_squares_10_512):
+    # the trace identity against the commutator of the orthonormal matrix
+    for rho in (0.3, 0.8):
+        op = dilation_operator(fam_squares_10_512.lam, rho, 10)
+        want = commutator_norm(orthonormal_matrix(fam_squares_10_512, op.u, exact=True), 1024)
+        with mp.workprec(1024):
+            assert abs(normality_defect(op, fam_squares_10_512) - want) <= mpf(10) ** -128 * want
 
 
 def test_finite_rank_error_hand_value(fam_12):
@@ -183,20 +218,13 @@ def test_tail_norm_enclosure_hand_value(fam_12):
     assert _tail_enclosure(op, fam_12, 2) == (0, 0, 0)
 
 
-def _oracle_norm(M, prec):
-    """||M|| from mpmath.eighe on M^H M at prec bits."""
-    with mp.workprec(prec):
-        return sqrt(max(mpmath.eighe(M.H * M, eigvals_only=True)))
-
-
 def test_complex_operator_enclosures_against_eighe(fam_12):
     op = MuntzOperator(LAM_12, (mpc(0, "0.5"), mpc("0.2", "0.1")), 0.5, 2)
-    L, Linv = fam_12.cholesky_factor, fam_12.cholesky_inverse_factor
     with working_precision(256):
         weights = [[0] * m + list(op.u[m:]) for m in range(2)] + [[1 / u for u in op.u]]
     for w in weights:
         lo, est, hi = _norm_enclosure(w, fam_12)
-        want = _oracle_norm(_orthonormal_matrix(w, L, Linv, 256), 512)
+        want = operator_norm(orthonormal_matrix(fam_12, w), 512)
         with mp.workprec(512):
             assert lo <= want <= hi
             # theta settles to 1e-20, the residual r only to about its root
@@ -222,6 +250,19 @@ def test_certificate_duplicate_eigenvalues_fails_simplicity(fam_12):
     assert cert.item("simple_eigenvalues").passed is False
 
 
+def test_simplicity_is_decided_at_the_family_bits(fam_12):
+    # u_1 and u_2 differ by 1e-30: one double apart from nothing at the
+    # ambient 53 bits, clearly apart at the family's 256
+    with working_precision(256):
+        u = (mpf("0.5"), mpf("0.5") + mpf(10) ** -30)
+    op = MuntzOperator(LAM_12, u, 0.9999, 2)
+    with mp.workprec(53):
+        item = synthesis_certificate(op, fam_12).item("simple_eigenvalues")
+    assert item.passed is True
+    with mp.workprec(256):
+        assert abs(item.value - mpf(10) ** -30) < mpf(10) ** -70
+
+
 def test_certificate_scalar_truncation_is_inconclusive():
     lam1 = generate_exponents("integers", {"values": [1]}, 1)
     fam = dual_family(lam1, 1, 256)
@@ -241,11 +282,9 @@ def test_certificate_rho_08_decay_is_a_certified_fail():
     fam = dual_family(sq, 10, 512)
     op = dilation_operator(sq, 0.8, 10)
     cert = synthesis_certificate(op, fam)
-    L, Linv = fam.cholesky_factor, fam.cholesky_inverse_factor
     for (m, est, bound), (m2, lo, hi) in zip(cert.finite_rank_errors, cert.finite_rank_enclosures):
         assert m == m2
-        want = (_oracle_norm(_orthonormal_matrix([0] * m + list(op.u[m:]), L, Linv, 512), 1024)
-                if m < 10 else 0)
+        want = operator_norm(orthonormal_matrix(fam, [0] * m + list(op.u[m:])), 1024) if m < 10 else 0
         with mp.workprec(1024):
             assert lo <= want <= hi and lo <= est <= hi
             assert hi <= bound
@@ -260,7 +299,7 @@ def test_certificate_rho_08_decay_is_a_certified_fail():
 
 def _oracle_min_singular(op, fam, prec):
     """sqrt of the smallest eigenvalue of M^H M from mpmath.eigsy at prec bits."""
-    M = matrix_representation(op, fam)
+    M = orthonormal_matrix(fam, op.u)
     with mp.workprec(prec):
         return sqrt(min(mpmath.eigsy(M.H * M, eigvals_only=True)))
 
