@@ -5,7 +5,7 @@ for their duals and the mixed family still spans everything.  At finite
 truncation that is an invertibility statement, checked here exhaustively
 for N = 10 (all 1024 partitions) and summarised by the smallest singular
 value.  Each check encloses sigma_min between a certified lower bound and
-the inverse-iteration estimate; a system counts as invertible when the
+the power-iteration estimate; a system counts as invertible when the
 lower bound clears 10^(-bits/4).  The reconstruction residual of an
 outside target is the same for every partition: all mixed systems span
 the same truncated space.

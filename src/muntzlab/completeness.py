@@ -10,22 +10,24 @@ No code forms X.  Monomials pair to G, duals to G^-1, and a monomial e_j
 <e_j, r_k> = delta_jk = 0.  So, up to a permutation,
 X^H X = diag(G[N1,N1], G^-1[N2,N2]) and
 sigma_min(X)^2 = min(lambda_min(G[N1,N1]), lambda_min(G^-1[N2,N2])).
-mixed_completeness_check reads both blocks off the family and encloses
-that eigenvalue with linalg.block_diagonal_lambda_min; its invertibility
-verdict rests on the certified lower bound, not on the estimate.  The
-reconstruction residual solves its normal equations block by block with
-the same two blocks.
+
+Both blocks have closed-form inverses.  With nodes x = lambda + 1/2,
+G[N1,N1] is the Gram matrix of the subset N1, so G[N1,N1]^-1 = D G[N1,N1] D
+with D_i = 2 x_i prod_{k in N1, k != i} (x_i + x_k)/(x_i - x_k), and
+G^-1 = D_A G D_A (D_A over the prefix) gives (G^-1[N2,N2])^-1 = E G[N2,N2] E
+with E_i = prod_{k in N1} (x_i - x_k)/(x_i + x_k).  Up to signs these are
+the positive |d| G[U,U] |d|, so sigma_min^2 is 1 over the Perron root of
+their direct sum, which linalg.perron_lambda_max encloses for the exact
+blocks at the family's nodes.  The invertibility verdict rests on the
+certified lower bound, and the reconstruction residual applies the same
+inverses to its normal equations.
 
 One floor covers all 2^N partitions.  By Cauchy interlacing (Horn and
 Johnson, Matrix Analysis, Thm 4.3.28) lambda_min(A[S,S]) >= lambda_min(A)
 for every principal block of a symmetric A, so for every partition
-sigma_min(X)^2 >= min(lambda_min(G), lambda_min(G^-1)) =
-lambda_min(diag(G, G^-1)), and the all-monomial or the all-dual partition
-attains it.  mixed_system_floor encloses that eigenvalue with one kernel
-call.  As for a single partition, the blocks are taken as given (the
-kernel reads their lower triangles): the index sets are sorted, so each
-block's lower triangle is read off the full matrix's, and interlacing
-holds between the symmetric matrices those triangles define.
+sigma_min(X)^2 >= min(lambda_min(G), lambda_min(G^-1)), and the
+all-monomial (D = D_A) or the all-dual (E = I) partition attains it.
+mixed_system_floor encloses it with one kernel call on both.
 
 At finite truncation invertibility always holds (principal submatrices
 of positive definite matrices); the sigma_min trend over N is the
@@ -34,6 +36,7 @@ reported desk-scale evidence, with no uniform-conditioning claim attached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
@@ -43,8 +46,8 @@ from mpmath import mp, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily
 from .config import rank_collapse_threshold, working_precision
-from .errors import InputError, PrecisionInsufficientError
-from .linalg import _cholesky_rows, _cholesky_solve, block_diagonal_lambda_min
+from .errors import InputError
+from .linalg import perron_lambda_max
 from .muntz_space import (
     QuadratureSpec,
     SeriesOrCallable,
@@ -97,11 +100,12 @@ def sample_partitions(N: int, count: int, seed: int = 0):
 class MixedCheck:
     """Smallest singular value of one mixed system, estimated and bounded.
 
-    min_singular is the inverse-iteration estimate sqrt(theta);
+    min_singular is the power-iteration estimate sqrt(1/theta);
     sigma_lower is certified, sigma_lower < sigma_min <= min_singular up to
     the rounding of theta.  invertible is sigma_lower > threshold.
-    iterations counts the mpmath inverse-iteration steps after the float
-    pre-phase that seeds them (linalg._float_seed).
+    iterations counts the mpmath power-iteration steps of the block that
+    took most, after the float pre-phase that seeds them
+    (linalg._float_seed).
     """
 
     partition: Partition
@@ -112,34 +116,56 @@ class MixedCheck:
     iterations: int
 
 
-def _mixed_blocks(partition: Partition, family: BiorthogonalFamily):
-    """(N1, N2, G[N1,N1], G^-1[N2,N2]): the blocks of X^H X, as row lists."""
+def _mixed_scales(partition: Partition, family: BiorthogonalFamily):
+    """(N1, N2, d, e): G[N1,N1]^-1 = D G[N1,N1] D and (G^-1[N2,N2])^-1 = E G[N2,N2] E,
+    d_i = prod_{k in N1} R_ik and e_i = 1 / prod_{k in N1} R_ik with R the
+    family's ratio_rows, each within 4N + 1 roundings of its exact value."""
     if partition.truncation != family.truncation:
         raise InputError("partition truncation differs from the family's")
     n1, n2 = sorted(partition.n1), sorted(partition.n2)
-    G, C = family.gram_rows, family.inverse_rows
-    return (n1, n2, [[G[i - 1][j - 1] for j in n1] for i in n1],
-            [[C[i - 1][j - 1] for j in n2] for i in n2])
+    with working_precision(family.precision_bits):
+        p = [math.prod(row[k - 1] for k in n1) for row in family.ratio_rows]
+        return n1, n2, [p[i - 1] for i in n1], [1 / mpf(p[i - 1]) for i in n2]
+
+
+def _perron_block(G, idx, d):
+    """|d| G[idx,idx] |d|, symmetric to the bit."""
+    d = [abs(v) for v in d]
+    P = [[None] * len(d) for _ in d]
+    for a, i in enumerate(idx):
+        for b in range(a, len(d)):
+            P[a][b] = P[b][a] = d[a] * G[i - 1][idx[b] - 1] * d[b]
+    return P
+
+
+def _sigma_ends(scaled, family: BiorthogonalFamily):
+    """(sqrt(1/theta), sqrt(1/upper), iterations) from perron_lambda_max on
+    the blocks |d| G[U,U] |d|, (U, d) in scaled.  Each entry is within
+    8N + 7 roundings of its exact value (two scales, the stored Gram entry
+    1/(lambda_j + lambda_k + 1) and two products); three more cover
+    sqrt(1/upper)."""
+    G, bits = family.gram_rows, family.precision_bits
+    with working_precision(bits):
+        blocks = [_perron_block(G, idx, d) for idx, d in scaled]
+        theta, upper, iterations = perron_lambda_max(blocks, 8 * family.truncation + 10, bits)
+        return sqrt(1 / theta), sqrt(1 / upper), iterations
 
 
 def mixed_completeness_check(partition: Partition, family: BiorthogonalFamily,
                              threshold: Optional[float] = None) -> MixedCheck:
     """Smallest singular value of the mixed system and the invertibility flag.
 
-    sigma_min^2 is the smallest eigenvalue of diag(G[N1,N1], G^-1[N2,N2]),
-    principal blocks of family.gram and family.coeffs; X is never formed.
-    block_diagonal_lambda_min encloses it as s < lambda_min <= theta.
-    min_singular is sqrt(theta), sigma_lower is sqrt(s), and the system
-    counts as invertible when sigma_lower > threshold (default
-    rank_collapse_threshold(bits)).  PrecisionInsufficientError when no
-    positive lower bound can be certified at the family's precision.
+    sigma_min^2 is 1 over lambda_max of the blocks' closed-form inverses
+    |d| G[N1,N1] |d| and |e| G[N2,N2] |e|; X is never formed.
+    perron_lambda_max encloses it as theta <= lambda_max <= upper (theta up
+    to rounding): min_singular is sqrt(1/theta), sigma_lower is
+    sqrt(1/upper), and the system counts as invertible when sigma_lower >
+    threshold (default rank_collapse_threshold(bits)).
     """
-    _, _, *blocks = _mixed_blocks(partition, family)
+    n1, n2, d, e = _mixed_scales(partition, family)
     if threshold is None:
         threshold = rank_collapse_threshold(family.precision_bits)
-    theta, s, iterations = block_diagonal_lambda_min(blocks, family.precision_bits)
-    with working_precision(family.precision_bits):
-        sigma, lower = sqrt(theta), sqrt(s)
+    sigma, lower, iterations = _sigma_ends([(n1, d), (n2, e)], family)
     return MixedCheck(partition, sigma, bool(lower > mpf(threshold)), threshold, lower, iterations)
 
 
@@ -147,27 +173,20 @@ def mixed_system_floor(family: BiorthogonalFamily):
     """(estimate, certified lower end, iterations) for the smallest sigma_min
     over all 2^N mixed systems of the family.
 
-    sigma_min^2 over every partition is at least lambda_min(diag(G, G^-1))
-    (interlacing), and the all-monomial or all-dual partition attains it.
-    block_diagonal_lambda_min encloses it as s < lambda_min <= theta;
-    the estimate is sqrt(theta) and the lower end sqrt(s), which lies below
-    every partition's sigma_min.  PrecisionInsufficientError when no
-    positive lower bound can be certified at the family's precision.
+    That is the smaller sigma_min of the all-monomial and the all-dual
+    partition (interlacing), whose inverses are |A| G |A| and G: one
+    perron_lambda_max call on both gives the estimate sqrt(1/theta) and
+    the lower end sqrt(1/upper), below every partition's sigma_min.
     """
-    bits = family.precision_bits
-    theta, s, iterations = block_diagonal_lambda_min(
-        [family.gram_rows, family.inverse_rows], bits)
-    with working_precision(bits):
-        return sqrt(theta), sqrt(s), iterations
+    N = family.truncation
+    n1, _, d, _ = _mixed_scales(Partition.from_monomial_set(range(1, N + 1), N), family)
+    return _sigma_ends([(n1, d), (n1, [1] * N)], family)
 
 
-def _block_solve(B, rhs, bits):
-    """B^-1 rhs for a symmetric positive definite row-list block (may be empty)."""
-    factor = _cholesky_rows(B)
-    if factor is None:
-        raise PrecisionInsufficientError(
-            "mixed block is not numerically positive definite", precision_bits=bits)
-    return _cholesky_solve(factor, rhs)
+def _inverse_apply(G, idx, d, v):
+    """D G[idx,idx] D v: a mixed block's closed-form inverse applied to v."""
+    dv = [s * t for s, t in zip(d, v)]
+    return [s * mp.fdot([G[i - 1][j - 1] for j in idx], dv) for i, s in zip(idx, d)]
 
 
 def mixed_reconstruction_residual(target: SeriesOrCallable, partition: Partition,
@@ -185,26 +204,26 @@ def mixed_reconstruction_residuals(target: SeriesOrCallable, partitions,
 
     The normal equations split by the block identity: the monomial block
     solves G[N1,N1] beta = b[N1] and the dual block G^-1[N2,N2] beta = a[N2],
-    with b the target's moments and a = dual_pairings(family, b).  The
+    with b the target's moments and a = dual_pairings(family, b).  Both
+    inverses are closed forms, so beta = D G[N1,N1] D b[N1] and
+    beta = E G[N2,N2] E a[N2] are matrix-vector products.  The
     least-squares element sum_j beta_j e_j + sum_k beta_k r_k is the
     projection onto the span of the system, so by Pythagoras its
     distance_to the target is the whole residual.  b, ||f||^2 and a do not
     depend on the partition: one quadrature pass of a black box serves the
     whole list.
-    PrecisionInsufficientError when a block is not numerically positive
-    definite.
     """
-    blocks = [_mixed_blocks(part, family) for part in partitions]
+    scales = [_mixed_scales(part, family) for part in partitions]
     N, bits = family.truncation, family.precision_bits
     b, norm2 = moments_and_norm2(target, family.lam, N, quad, bits)
     a = dual_pairings(family, b)
-    C = family.inverse_rows
+    G, C = family.gram_rows, family.inverse_rows
     lams = family.lam.values[:N]
     out = []
     with working_precision(bits):
-        for n1, n2, B1, B2 in blocks:
-            beta1 = _block_solve(B1, [b[j - 1] for j in n1], bits)
-            beta2 = _block_solve(B2, [a[k - 1] for k in n2], bits)
+        for n1, n2, d, e in scales:
+            beta1 = _inverse_apply(G, n1, d, [b[j - 1] for j in n1])
+            beta2 = _inverse_apply(G, n2, e, [a[k - 1] for k in n2])
             c = [mpf(0)] * N
             for j, v in zip(n1, beta1):
                 c[j - 1] = v

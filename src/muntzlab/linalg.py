@@ -1,17 +1,16 @@
 """Small dense linear-algebra kernels at mpmath working precision.
 
 Matrices are small (N <= ~16), so dense O(N^3) work is cheap even at 512
-bits.  Two kernels on row lists enclose an extreme eigenvalue:
-block_diagonal_lambda_min (the smallest of a direct sum of SPD blocks)
-and pencil_lambda_max (the largest of a definite pencil (A, B); B = I is
-the standard problem).  They share the fixed start vector (no RNG), the
-stopping rule and a shifted-Cholesky certificate; a step limit only ends
-an iteration, and a value that cannot be certified raises
-PrecisionInsufficientError.  Before the mpmath loop, _float_seed runs the
-same iteration in plain doubles from the fixed start vector and hands
-over its last vector as the start.  It only places the start: the
-estimate still comes from the mpmath loop and the enclosure from the
-shifted Cholesky, so a poor seed costs steps, never correctness.
+bits.  Two kernels on row lists enclose an extreme eigenvalue by power
+iteration: perron_lambda_max (the largest of a direct sum of nonnegative
+symmetric blocks) and pencil_lambda_max (the largest of a definite pencil
+(A, B); B = I is the standard problem).  They share the fixed start vector
+(no RNG) and the stopping rule; a step limit only ends an iteration, and a
+value that cannot be certified raises PrecisionInsufficientError.
+_float_seed first runs the same iteration in plain doubles and hands over
+its last vector as the start.  It only places the start: the estimate comes
+from the mpmath loop and the enclosure from a certificate (Collatz-Wielandt
+or a shifted Cholesky), so a poor seed costs steps, never correctness.
 """
 
 from __future__ import annotations
@@ -40,35 +39,33 @@ def _start_vector(n):
     return [v / nx for v in x]
 
 
+def _doubles(rows):
+    """rows of mpf rounded to double after a power-of-two scale to unit
+    largest entry (v = man 2^exp with a bc-bit man lies below 2^(exp+bc)),
+    so no entry overflows and the relative sizes survive."""
+    k = max((v.exp + v.bc for row in rows for v in row if v), default=0)
+    return [[float(mp.ldexp(v, -k)) for v in row] for row in rows]
+
+
 def _float_seed(mats, step):
     """Start vector for an mpmath loop: the same iteration run in doubles.
 
-    mats holds matrices as row lists of mpf (ragged rows are fine); the
-    first has one row per entry of the vector.  Each is rounded to double
-    after its own power-of-two scale to unit largest entry, so no entry
-    overflows and the relative sizes inside a matrix survive (a direct sum
-    comes as one matrix).  From the fixed start vector, x = step(mats, x)
-    normalised runs until x moves by at most 2^-50, moves no less than the
-    step before (rounding noise), or MAX_POWER_ITER steps have run.  Only
-    + - * / and math.sqrt touch the values, summed left to right, so the
-    seed is the same on every platform and Python version.  The fixed
-    start vector comes back when a matrix is zero, a step returns None or
-    a value is not finite.
+    mats holds matrices as row lists of doubles from _doubles (ragged rows
+    are fine); the first has one row per entry of the vector.  From the
+    fixed start vector, x = step(mats, x) normalised runs until x moves by
+    at most 2^-50, moves no less than the step before (rounding noise), or
+    MAX_POWER_ITER steps have run.  Only + - * / and math.sqrt touch the
+    values, summed left to right, so the seed is the same on every
+    platform and Python version.  The fixed start vector comes back when a
+    step returns zero or a value that is not finite.
     """
     n = len(mats[0])
-    scaled = []
-    for rows in mats:
-        big = max((abs(v) for row in rows for v in row), default=0)
-        if not big:
-            return _start_vector(n)
-        k = mp.frexp(big)[1]
-        scaled.append([[float(mp.ldexp(v, -k)) for v in row] for row in rows])
     # the direction of _start_vector(n); the first step normalises it
     x = [1 + i / (2 * n) for i in range(n)]
     moved = math.inf
     for _ in range(MAX_POWER_ITER):
-        y = step(scaled, x)
-        if y is None or not all(map(math.isfinite, y)):
+        y = step(mats, x)
+        if not all(map(math.isfinite, y)):
             return _start_vector(n)
         top = max(map(abs, y))
         if not top:
@@ -92,35 +89,15 @@ def _float_dot(a, b):
     return acc
 
 
-def _float_block_solve(rows, sizes, x):
-    """y = B^-1 x on a direct sum, B_b = L_b L_b^T; rows lists every L_b's rows in turn."""
-    y = []
-    for n in sizes:
-        at = len(y)
-        L = rows[at:at + n]
-        if not all(L[i][i] for i in range(n)):
-            return None
-        z = []
-        for i, row in enumerate(L):
-            acc = x[at + i]
-            for j in range(i):
-                acc -= row[j] * z[j]
-            z.append(acc / row[i])
-        yb = [0.0] * n
-        for i in reversed(range(n)):
-            acc = z[i]
-            for j in range(i + 1, n):
-                acc -= L[j][i] * yb[j]
-            yb[i] = acc / L[i][i]
-        y += yb
-    return y
+def _float_matvec(mats, x):
+    """y = P x for mats = (P,) as double rows."""
+    return [_float_dot(row, x) for row in mats[0]]
 
 
 def _float_pencil_step(mats, x):
     """y = B_inv (A x) for mats = (A, B_inv) as double rows."""
     A, B_inv = mats
-    Ax = [_float_dot(row, x) for row in A]
-    return [_float_dot(row, Ax) for row in B_inv]
+    return _float_matvec([B_inv], _float_matvec([A], x))
 
 
 class LUFactors:
@@ -183,12 +160,9 @@ def _margin(n, trace):
 
 
 def _cholesky_rows(B, shift=0):
-    """Cholesky factor of B - shift*I for a symmetric B given as row lists.
-
-    Returns (rows, cols, inv): row i of L up to the diagonal, column i of
-    L below it and 1/L_ii; None when a pivot is not positive at working
-    precision.
-    """
+    """Rows of the Cholesky factor of B - shift*I for a symmetric B given as
+    row lists, each up to the diagonal; None when a pivot is not positive at
+    working precision."""
     rows = []
     for i, b in enumerate(B):
         Li = []
@@ -200,81 +174,65 @@ def _cholesky_rows(B, shift=0):
             return None
         Li.append(sqrt(d))
         rows.append(Li)
-    cols = [[rows[k][i] for k in range(i + 1, len(rows))] for i in range(len(rows))]
-    return rows, cols, [1 / Li[-1] for Li in rows]
+    return rows
 
 
-def _cholesky_solve(factor, b):
-    """Solve L L^T y = b with a factor from _cholesky_rows."""
-    rows, cols, inv = factor
-    n = len(rows)
-    z = []
-    for i in range(n):
-        z.append((b[i] - mp.fdot(rows[i], z)) * inv[i])
-    y = [None] * n
-    for i in reversed(range(n)):
-        y[i] = (z[i] - mp.fdot(cols[i], y[i + 1:])) * inv[i]
-    return y
+def perron_lambda_max(blocks, roundings: int, precision_bits: int):
+    """Largest eigenvalue of diag(P_1, P_2, ...), certified from above.
 
+    Blocks are symmetric, nonnegative and not zero, given as lists of rows
+    of mpf (empty ones are skipped), and each entry is within `roundings`
+    roundings of an exact one: exact <= given (1 - u)^-roundings with
+    u = 2^(1-p) at p bits.  Returns (theta, upper, iterations): lambda_max
+    of the exact blocks is at most upper, and theta, the largest Rayleigh
+    quotient, is at most lambda_max up to rounding.
 
-def block_diagonal_lambda_min(blocks, precision_bits: int):
-    """Smallest eigenvalue of diag(B_1, B_2, ...) with a certified enclosure.
+    Each block runs y = P x, theta_b = x.y / x.x, x = y in mpmath from
+    _float_seed's vector until theta_b settles or MAX_POWER_ITER steps
+    have run; iterations counts the most steps a block took.  The seed (the
+    start vector, or a product with the block's doubles) is nonnegative and
+    positive on a nonzero column of P, so y never vanishes.
 
-    Each block is a symmetric positive definite matrix given as a list of
-    rows of mpf; empty blocks are skipped.  Returns (theta, s, iterations)
-    with s < lambda_min <= theta.
-
-    Every block is Cholesky-factored once.  _float_seed runs inverse
-    iteration on the direct sum in doubles, on those factors rounded after
-    one common power-of-two scale (the factors, not the blocks: kappa(L) is
-    the root of kappa(B)), and its last vector starts the mpmath loop:
-    y = B^-1 x blockwise, theta = x.x / x.y, x = y/|y|, until theta settles
-    (_settled) or MAX_POWER_ITER steps have run.  With r = |Bx - theta x|
-    for the final unit x, read off the last solve (B x = x_old/|y|), every
-    block is factored again shifted by c = theta - r - e, and
-    s = c - e, with e the largest _margin(n_b, tr B_b) (tr(B_b - cI) < tr B_b).
-    A complete shifted factorization proves lambda_min(B_b) > c - e for
-    every block.  The first e is a margin: the seed, theta and r only place
-    the shift, so their rounding can make the shifted factorization fail,
-    never make s wrong.  The enclosure is for the blocks as given (their lower
-    triangles).  PrecisionInsufficientError when a block is not numerically
-    positive definite, s is not positive, or a shifted factorization fails.
+    No factorization enters the upper end: for P >= 0 and x > 0,
+    lambda_max(P) <= max_i (Px)_i / x_i (Collatz-Wielandt; Horn and
+    Johnson, Matrix Analysis, Thm 8.1.26), taken at the final x and y.
+    Every term is positive; fdot sums exact products and rounds once after
+    dropping terms below 2^(-2p) of its running sum (two roundings), and
+    the quotient rounds once, so the exact bound is at most
+    max_i y_i / x_i (1 - u)^-(roundings + 3).  upper = max_i y_i / x_i
+    (1 + 2u (roundings + 5)) covers it with its own two roundings, as
+    (1 - u)^-m <= 1 + 2mu for mu <= 1/2.  InputError for no non-empty
+    block, a zero block or a negative entry; PrecisionInsufficientError
+    when the final x is not positive.
     """
     blocks = [B for B in blocks if len(B)]
     if not blocks:
         raise InputError("no non-empty block")
     with working_precision(precision_bits):
-        factors = [_cholesky_rows(B) for B in blocks]
-        if any(f is None for f in factors):
-            raise PrecisionInsufficientError(
-                "block is not numerically positive definite", precision_bits=precision_bits)
-        sizes = [len(B) for B in blocks]
-        x = iter(_float_seed([[row for f in factors for row in f[0]]],
-                             lambda mats, x: _float_block_solve(mats[0], sizes, x)))
-        xs = [[next(x) for _ in B] for B in blocks]
-        theta = None
-        for iterations in range(1, MAX_POWER_ITER + 1):
-            ys = [_cholesky_solve(f, xb) for f, xb in zip(factors, xs)]
-            new_theta = (mp.fsum(mp.fdot(xb, xb) for xb in xs)
-                         / mp.fsum(mp.fdot(xb, yb) for xb, yb in zip(xs, ys)))
-            scale = 1 / sqrt(mp.fsum(mp.fdot(yb, yb) for yb in ys))
-            old, xs = xs, [[v * scale for v in yb] for yb in ys]
-            done = _settled(theta, new_theta)
-            theta = new_theta
-            if done:
-                break
-
-        # B x = scale * old for the final unit x, so no product with B is needed
-        r = sqrt(mp.fsum((scale * u - theta * v) ** 2
-                         for ob, xb in zip(old, xs) for u, v in zip(ob, xb)))
-        e = max(_margin(len(B), mp.fsum(B[i][i] for i in range(len(B)))) for B in blocks)
-        shift = theta - r - e
-        s = shift - e
-        if not s > 0 or any(_cholesky_rows(B, shift) is None for B in blocks):
-            raise PrecisionInsufficientError(
-                f"cannot certify lambda_min above {mp.nstr(s, 5)} (estimate {mp.nstr(theta, 5)})",
-                residual=r, precision_bits=precision_bits)
-        return theta, s, iterations
+        grow = 1 + (roundings + 5) * mpf(2) ** (2 - mp.prec)
+        ends = []
+        for B in blocks:
+            doubles = _doubles(B)
+            # doubles keep each sign (-0.0 on underflow) and all vanish only for a zero block
+            if (not any(map(any, doubles))
+                    or any(math.copysign(1, v) < 0 for row in doubles for v in row)):
+                raise InputError("a block is zero or has a negative entry")
+            x = _float_seed([doubles], _float_matvec)
+            theta = None
+            for steps in range(1, MAX_POWER_ITER + 1):
+                y = [mp.fdot(row, x) for row in B]
+                new_theta = mp.fdot(x, y) / mp.fdot(x, x)
+                done = _settled(theta, new_theta) or steps == MAX_POWER_ITER
+                theta = new_theta
+                if done:
+                    break
+                # theta and the bound are scale-free and mpf exponents never overflow
+                x = y
+            if not all(v > 0 for v in x):
+                raise PrecisionInsufficientError(
+                    "the final iterate is not positive", precision_bits=precision_bits)
+            ends.append((theta, max(v / w for v, w in zip(y, x)) * grow, steps))
+        return tuple(max(end) for end in zip(*ends))
 
 
 def _real_form(H):
@@ -283,7 +241,7 @@ def _real_form(H):
     return [a + [-v for v in b] for a, b in zip(X, Y)] + [b + a for a, b in zip(X, Y)]
 
 
-def pencil_lambda_max(A, B, B_inv, precision_bits: int):
+def pencil_lambda_max(A, B, B_inv, precision_bits: int, B_inv_doubles=None):
     """Largest eigenvalue of the definite pencil (A, B), certified.
 
     A is Hermitian positive semidefinite, B Hermitian positive definite,
@@ -294,12 +252,12 @@ def pencil_lambda_max(A, B, B_inv, precision_bits: int):
     through their real symmetric forms.  Returns (lower, theta, upper) with
     lower <= lambda_max < upper.
 
-    _float_seed runs x = B_inv (A x) in doubles, A and B_inv each scaled
-    by a power of two, and its last vector starts the mpmath loop:
-    theta = x.Ax / x.Bx, x = Px/|Px|, until theta settles or
-    MAX_POWER_ITER steps have run.  P is B_inv A for n steps, then squared
-    every step, so a near-tie at the top costs a few dozen steps, not
-    thousands.
+    _float_seed runs x = B_inv (A x) in doubles (_doubles of A, and of a
+    real B_inv unless B_inv_doubles holds it already), and its last vector
+    starts the mpmath loop: theta = x.Ax / x.Bx, x = Px/|Px|, until theta
+    settles or MAX_POWER_ITER steps have run.  P is B_inv A for n steps,
+    then squared every step, so a near-tie at the top costs a few dozen
+    steps, not thousands.
 
     theta, a generalized Rayleigh quotient, is at most lambda_max, and
     lower = theta - 2^(3-p) (a + theta b) / x.Bx with a = sum |x_i (Ax)_i|
@@ -316,8 +274,11 @@ def pencil_lambda_max(A, B, B_inv, precision_bits: int):
     with working_precision(precision_bits):
         if any(isinstance(h, mpc) for M in (A, B) for row in M for h in row):
             A, B, B_inv = _real_form(A), _real_form(B), _real_form(B_inv)
+            B_inv_doubles = None
         n = len(A)
-        x = _float_seed([A, B_inv], _float_pencil_step)
+        if B_inv_doubles is None:
+            B_inv_doubles = _doubles(B_inv)
+        x = _float_seed([_doubles(A), B_inv_doubles], _float_pencil_step)
         theta, P = None, None
         for step in range(MAX_POWER_ITER):
             Ax = [mp.fdot(row, x) for row in A]

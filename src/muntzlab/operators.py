@@ -108,7 +108,8 @@ def _norm_enclosure(w: Sequence, family: BiorthogonalFamily):
     G = family.gram_rows
     with working_precision(bits):
         A = [[conj(a) * g * b for g, b in zip(row, w)] for a, row in zip(w, G)]
-        return tuple(sqrt(v) for v in pencil_lambda_max(A, G, family.inverse_rows, bits))
+        return tuple(sqrt(v) for v in pencil_lambda_max(A, G, family.inverse_rows, bits,
+                                                        family.inverse_doubles))
 
 
 def normality_defect(op: MuntzOperator, family: BiorthogonalFamily):

@@ -11,8 +11,11 @@ from muntzlab import dual_family, generate_exponents
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# property tests repeat exactly: a fixed example sequence, no example
-# database, no timing-based failures, and a bounded number of examples
+# property tests run a fixed example sequence for a given set of collected
+# test modules (Hypothesis mixes literal constants from every loaded module
+# into its draws, so a partial run can draw other examples than the full
+# suite), with no example database, no timing-based failures and a bounded
+# number of examples
 settings.register_profile("muntzlab", derandomize=True, database=None, deadline=None,
                           max_examples=40)
 settings.load_profile("muntzlab")
@@ -43,6 +46,26 @@ def orthonormal_matrix(family, w, exact=False):
     L, Linv = cholesky_oracle(family, exact)
     with mp.workprec(2 * family.precision_bits):
         return L.T * diag(list(w)) * Linv.T
+
+
+def mixed_sigma_oracle(values, prec):
+    """sigma_min(n1, n2) of the mixed systems on the exponents: the smaller
+    of the two blocks' least eigenvalues in diag(G[N1,N1], G^-1[N2,N2]),
+    from mpmath.eigsy, with G rebuilt from the exponents and inverted at
+    prec bits (1-based index sets)."""
+    with mp.workprec(prec):
+        x = [mpf(v) for v in values]
+        G = matrix([[1 / (a + b + 1) for b in x] for a in x])
+        Ginv = mp.inverse(G)
+
+    def sigma_min(n1, n2):
+        with mp.workprec(prec):
+            mins = [min(mp.eigsy(matrix([[A[i - 1, j - 1] for j in idx] for i in idx]),
+                                 eigvals_only=True))
+                    for idx, A in ((sorted(n1), G), (sorted(n2), Ginv)) if idx]
+            return mp.sqrt(min(mins))
+
+    return sigma_min
 
 
 def operator_norm(M, prec):

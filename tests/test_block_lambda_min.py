@@ -1,13 +1,13 @@
 """linalg's certified eigenvalue kernels and the checks built on them.
 
-block_diagonal_lambda_min under the mixed-system checks, and
-pencil_lambda_max under the operator norms of the synthesis certificate
-(the lambda_max tests below run it on the standard problem, B = I).  The
-property tests draw admissible exponent sets and hold each certified
-enclosure against an independent oracle.  For the mixed systems that is
-the Gram matrix and its inverse rebuilt at twice the bits, with
-mpmath.eigsy on both principal blocks of
-X^H X = diag(G[N1,N1], G^-1[N2,N2]).  For the operator norms it is the
+perron_lambda_max under the mixed-system checks, and pencil_lambda_max
+under the operator norms of the synthesis certificate (the lambda_max
+tests below run it on the standard problem, B = I).  The property tests
+draw admissible exponent sets and hold each certified enclosure against an
+independent oracle.  For the mixed systems that is the Gram matrix and its
+inverse rebuilt at twice the bits, with mpmath.eigsy on both principal
+blocks of X^H X = diag(G[N1,N1], G^-1[N2,N2]), and the same exact matrices
+for the closed-form block inverses.  For the operator norms it is the
 orthonormal matrix M_w = L^T diag(w) L^-T built from mpmath.cholesky at
 twice the bits: mpmath.eigsy on M_w^H M_w as the kernel receives it, and
 mpmath.eighe on it for the pencil the certificate solves.
@@ -30,12 +30,12 @@ from muntzlab import (
     working_precision,
 )
 from muntzlab import linalg
-from muntzlab.completeness import all_partitions
+from muntzlab.completeness import _mixed_scales, _perron_block, all_partitions, mixed_system_floor
 from muntzlab.exponents import DEFAULT_DELTA_MIN
-from muntzlab.linalg import _start_vector, block_diagonal_lambda_min, pencil_lambda_max
+from muntzlab.linalg import _start_vector, pencil_lambda_max, perron_lambda_max
 from muntzlab.operators import _norm_enclosure
 
-from conftest import commutator_norm, operator_norm, orthonormal_matrix
+from conftest import commutator_norm, mixed_sigma_oracle, operator_norm, orthonormal_matrix
 
 BITS = 256
 
@@ -47,43 +47,46 @@ def standard_lambda_max(H, bits):
 
 
 def test_unit_block_is_certified():
-    # x = (1), theta = 1 and r = 0 exactly: only the rounding margin keeps
-    # the shifted factorization off a zero pivot
-    theta, s, iterations = block_diagonal_lambda_min([[[mpf(1)]]], BITS)
+    # x = (1), theta = 1 and y = x exactly: only the rounding factor lifts
+    # the upper end
+    theta, upper, iterations = perron_lambda_max([[[mpf(1)]]], 0, BITS)
     assert theta == 1
-    assert 1 - mpf(2) ** -200 < s < 1
+    assert 1 < upper < 1 + mpf(2) ** -200
     assert iterations == 2
 
 
 def test_diagonal_blocks_give_the_smaller_minimum():
-    blocks = [[[mpf(3), mpf(1)], [mpf(1), mpf(3)]], [[mpf(5)]]]
-    theta, s, _ = block_diagonal_lambda_min(blocks, BITS)
-    with working_precision(BITS):
-        assert s < 2 <= theta * (1 + mpf(10) ** -60)
-        assert abs(theta - 2) < mpf(10) ** -20
-        assert 2 - s < mpf(10) ** -8
+    # lambda_min(diag(B_1, B_2)) = 1 / lambda_max(diag(B_1^-1, B_2^-1)):
+    # B_1 = [[3, 1], [1, 3]] (lambda_min 2, its inverse similar to the
+    # positive [[3, 1], [1, 3]] / 8) and B_2 = (5), in either order
+    pair = [[mpf(3) / 8, mpf(1) / 8], [mpf(1) / 8, mpf(3) / 8]]
+    single = [[mpf(1) / 5]]
+    for blocks in ([pair, single], [single, pair]):
+        theta, upper, _ = perron_lambda_max(blocks, 0, BITS)
+        with working_precision(BITS):
+            assert 1 / upper < 2 <= (1 / theta) * (1 + mpf(10) ** -60)
+            assert abs(1 / theta - 2) < mpf(10) ** -20
+            assert 2 - 1 / upper < mpf(10) ** -8
 
 
-def test_start_vector_eigenvector_is_refused():
-    # B = I + 4 v v^T/|v|^2 with v the fixed start vector: v is an eigenvector
-    # for 5, so the iteration stalls there at once although lambda_min = 1;
-    # only the shifted Cholesky can tell
-    with working_precision(BITS):
-        v = _start_vector(2)
-        vv = sum(c * c for c in v)
-        B = [[(1 if i == j else 0) + 4 * v[i] * v[j] / vv for j in range(2)] for i in range(2)]
-    with pytest.raises(PrecisionInsufficientError):
-        block_diagonal_lambda_min([B], BITS)
-
-
-def test_indefinite_block_is_refused():
-    with pytest.raises(PrecisionInsufficientError):
-        block_diagonal_lambda_min([[[mpf(1), mpf(2)], [mpf(2), mpf(1)]]], BITS)
+def test_negative_entry_is_refused():
+    # Collatz-Wielandt needs P >= 0; an indefinite block with positive
+    # entries, [[1, 2], [2, 1]], is fine (lambda_max 3)
+    with pytest.raises(InputError):
+        perron_lambda_max([[[mpf(1), mpf(-2)], [mpf(-2), mpf(1)]]], 0, BITS)
+    # below double range the entry's double is -0.0 and still carries the sign
+    tiny = -mp.ldexp(mpf(1), -3000)
+    with pytest.raises(InputError):
+        perron_lambda_max([[[mpf(1), tiny], [tiny, mpf(1)]]], 0, BITS)
+    theta, upper, _ = perron_lambda_max([[[mpf(1), mpf(2)], [mpf(2), mpf(1)]]], 0, BITS)
+    assert theta <= 3 * (1 + mpf(2) ** -200) and 3 < upper
 
 
 def test_no_block_is_an_input_error():
     with pytest.raises(InputError):
-        block_diagonal_lambda_min([[], []], BITS)
+        perron_lambda_max([[], []], 0, BITS)
+    with pytest.raises(InputError):
+        perron_lambda_max([[[mpf(0)] * 2] * 2], 0, BITS)
 
 
 def test_lambda_max_of_a_scalar_is_certified():
@@ -125,13 +128,13 @@ def _misleading_seed(monkeypatch, vector):
 
 
 def test_misleading_seed_is_refused(monkeypatch):
-    # spectrum {2, 4} + {5}: (1, 1, 0) is the eigenvector for 4, so the mpmath
-    # loop settles on 4 at once; the shifted Cholesky must refuse it
-    calls = _misleading_seed(monkeypatch, [1, 1, 0])
-    blocks = [[[mpf(3), mpf(1)], [mpf(1), mpf(3)]], [[mpf(5)]]]
+    # spectrum {2, 4}: (1, -1) is the eigenvector for 2, so the mpmath loop
+    # settles on 2 at once; Collatz-Wielandt needs a positive vector and
+    # refuses it
+    calls = _misleading_seed(monkeypatch, [1, -1])
     with pytest.raises(PrecisionInsufficientError):
-        block_diagonal_lambda_min(blocks, BITS)
-    assert calls == [3]
+        perron_lambda_max([[[mpf(3), mpf(1)], [mpf(1), mpf(3)]]], 0, BITS)
+    assert calls == [2]
 
 
 def test_lambda_max_misleading_seed_is_refused(monkeypatch):
@@ -145,27 +148,28 @@ def test_lambda_max_misleading_seed_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("k", [1500, -1500])
 def test_entries_beyond_double_range_are_certified(fam_squares_10, k):
-    # one common power-of-two scale brings the seed's data back into double
-    # range, so the scaled run repeats the unscaled one to the bit
+    # each block's own power-of-two scale brings the seed's data back into
+    # double range, so the scaled run repeats the unscaled one to the bit
     part = Partition.from_monomial_set({1, 3, 5, 7, 9}, 10)
-    G, Ginv = fam_squares_10.gram_rows, fam_squares_10.inverse_rows
-    blocks = [[[A[i - 1][j - 1] for j in idx] for i in idx]
-              for A, idx in ((G, sorted(part.n1)), (Ginv, sorted(part.n2)))]
+    n1, n2, d, e = _mixed_scales(part, fam_squares_10)
+    G = fam_squares_10.gram_rows
+    with working_precision(BITS):
+        blocks = [_perron_block(G, n1, d), _perron_block(G, n2, e)]
     scaled = [[[mp.ldexp(v, k) for v in row] for row in B] for B in blocks]
-    theta, s, iterations = block_diagonal_lambda_min(blocks, BITS)
-    assert block_diagonal_lambda_min(scaled, BITS) == (mp.ldexp(theta, k), mp.ldexp(s, k),
-                                                       iterations)
+    theta, upper, iterations = perron_lambda_max(blocks, 0, BITS)
+    assert perron_lambda_max(scaled, 0, BITS) == (mp.ldexp(theta, k), mp.ldexp(upper, k),
+                                                  iterations)
     assert iterations <= 3
 
-    H = blocks[0]
+    H = [[G[i - 1][j - 1] for j in n1] for i in n1]
     lo, theta, hi = standard_lambda_max(H, BITS)
     assert standard_lambda_max([[mp.ldexp(v, k) for v in row] for row in H], BITS) == (
         mp.ldexp(lo, k), mp.ldexp(theta, k), mp.ldexp(hi, k))
 
 
 def test_seeded_sweep_takes_few_steps(lam_squares):
-    # the float pre-phase leaves the mpmath loop about two steps on the
-    # N = 8 sweep (mean 9.65, max 19 from the fixed start vector alone)
+    # the float pre-phase leaves the mpmath loop about two steps per block
+    # on the N = 8 sweep
     fam = dual_family(lam_squares, 8, BITS)
     steps = [mixed_completeness_check(part, fam).iterations for part in all_partitions(8)]
     assert sum(steps) / len(steps) <= 3
@@ -185,23 +189,6 @@ def test_invertible_rests_on_the_certified_bound(fam_squares_10):
 
 # ---------------------------------------------------------------------------
 # properties
-
-
-def _oracle_sigma_min(values, n1, n2, prec):
-    """sqrt of the smallest eigenvalue over the two blocks, rebuilt independently."""
-    with mp.workprec(prec):
-        N = len(values)
-        G = matrix(N, N)
-        for j in range(N):
-            for k in range(N):
-                G[j, k] = 1 / (mpf(values[j]) + mpf(values[k]) + 1)
-        Ginv = mp.inverse(G)
-        mins = []
-        for idx, A in ((sorted(n1), G), (sorted(n2), Ginv)):
-            if idx:
-                B = matrix([[A[i - 1, j - 1] for j in idx] for i in idx])
-                mins.append(min(mp.eigsy(B, eigvals_only=True)))
-        return sqrt(min(mins))
 
 
 @st.composite
@@ -227,19 +214,55 @@ def exponent_sets(draw, max_n=10):
 
 @given(lam=exponent_sets(), data=st.data())
 def test_certified_enclosure_property(lam, data):
+    # a drawn partition, the all-monomial and all-dual ones, and the floor
+    # over every partition, which the last two attain
     N = len(lam)
     fam = dual_family(lam, N, BITS)
     bits = fam.precision_bits
+    oracle = mixed_sigma_oracle(lam.values, 2 * bits)
     n1 = data.draw(st.sets(st.integers(1, N)))
     monomial_sets = {frozenset(n1), frozenset(), frozenset(range(1, N + 1))}
+    ends = []
     for ns in monomial_sets:
         part = Partition.from_monomial_set(ns, N)
         check = mixed_completeness_check(part, fam)
-        want = _oracle_sigma_min(lam.values, part.n1, part.n2, 2 * bits)
-        with mp.workprec(2 * bits):
-            assert check.sigma_lower <= want <= check.min_singular * (1 + mpf(2) ** (-bits // 2))
-            assert abs(check.min_singular - want) <= mpf(10) ** -20 * want
+        ends.append((check.min_singular, check.sigma_lower, oracle(part.n1, part.n2)))
         assert check.invertible
+    sigma, lower, _ = mixed_system_floor(fam)
+    everything = range(1, N + 1)
+    ends.append((sigma, lower, min(oracle(everything, ()), oracle((), everything))))
+    with mp.workprec(2 * bits):
+        for estimate, certified, want in ends:
+            assert certified <= want <= estimate * (1 + mpf(2) ** (-bits // 2))
+            assert abs(estimate - want) <= mpf(10) ** -20 * want
+
+
+@given(lam=exponent_sets(), data=st.data())
+def test_closed_form_block_inverses_property(lam, data):
+    # (D G[N1,N1] D) G[N1,N1] = I and (E G[N2,N2] E) G^-1[N2,N2] = I with the
+    # scales as the checks take them and G, G^-1 exact at twice the bits.
+    # Each scale is within 4N + 1 roundings of its exact value, so every
+    # entry of the product is within (8N + 10) 2^(1-p) of the identity,
+    # relative to the same product of absolute values
+    N = len(lam)
+    fam = dual_family(lam, N, BITS)
+    bits = fam.precision_bits
+    part = Partition.from_monomial_set(data.draw(st.sets(st.integers(1, N))), N)
+    n1, n2, d, e = _mixed_scales(part, fam)
+    with mp.workprec(2 * bits):
+        x = [mpf(v) for v in lam.values]
+        G = matrix([[1 / (a + b + 1) for b in x] for a in x])
+        blocks = ((n1, d, G), (n2, e, mp.inverse(G)))
+        tol = (8 * N + 10) * mpf(2) ** (1 - bits)
+        for idx, s, B in blocks:
+            inv = [[s[a] * G[i - 1, j - 1] * s[b] for b, j in enumerate(idx)]
+                   for a, i in enumerate(idx)]
+            Bs = [[B[i - 1, j - 1] for j in idx] for i in idx]
+            for a, row in enumerate(inv):
+                for b in range(len(idx)):
+                    col = [r[b] for r in Bs]
+                    got = mp.fdot(row, col) - (a == b)
+                    assert abs(got) <= tol * mp.fdot([abs(v) for v in row], [abs(v) for v in col])
 
 
 @given(lam=exponent_sets(), data=st.data())

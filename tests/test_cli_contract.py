@@ -11,14 +11,21 @@ The operator certificate (squares, N = 10, 512 bits) is held to the digest
 of the fields that do not rest on an iteration's last digits: the status,
 every item's name, verdict and tolerance, the eigen and adjoint residuals,
 the envelope bounds, the reported spectrum and the mixed-system floor.
+
+The printed sigma_min of ``hereditary`` and the certificate's floor do
+hold an iteration's last digits, so they are also checked against an
+oracle at twice the bits (mpmath.eigsy on the exact blocks): a change of
+the kernel behind them moves their digests but must keep these checks.
 """
 
 import hashlib
 import json
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from muntzlab.cli import main
+
+from conftest import mixed_sigma_oracle
 
 DIGESTS = {
     "lambda.json": "c3ae84d1d1693db6b8e56a218bfba8842fbcbe15c60aa5144187570ddae5ef49",
@@ -64,7 +71,7 @@ SERIES_DIGESTS = {
     "proj.json": "07d076b185b5343f4ad0f4a8080fe90076dc17d81cde8a2db140512672e8dc29",
     "rec.jsonl": "ca2bb1b95eb15abcadb7c7f1df6fe54444573b332f6a5fa947e4c225a4aca1cf",
     "eval.json": "5821b0b57463afea9811180248e8cdfcb38e8bd4272f1aef96a14e638de2cd3a",
-    "mixed.csv": "dd58071a1fe85ccfcbd6b12cb257998164e5e167037cb910d04bebc0354021f6",
+    "mixed.csv": "b296ac87fc8ffc77899048484a635a37713e4bb9c05e09e6204c1073e5612ad2",
     "hardy.json": "186694a3aa5dcc64567cd55ba58fdbde01f211b9562e226d5da6f89bb309d355",
     "radial.json": "5588d7e94d078a9a98e820cfade16f5137d402d3da5d8bce95ea7db44d591f9d",
 }
@@ -81,9 +88,9 @@ SERIES_COMMANDS = [
 ]
 
 CERTIFICATE_DIGESTS = {
-    "0.3": "9ab21976073a3cc0aa67c51ce367ccc87f69f91704ff51a867ec6319151b5cdd",
-    "0.5": "626c2f8e53ac8c16af01a290fbf6148e6ed2ef38bcdb7044adecf8e287520745",
-    "0.8": "6dc1d7b06c68c38ec0f8acd42d900cf080e494bedcc97d09ab22500614bd5518",
+    "0.3": "eaf7ef8c7a58296a94f981dd11f45f2e20b42363ab02f6513843a2d312ef56e4",
+    "0.5": "0793eca2d101241540defb28e7561ef840b0811084f1c9f2485e0e689707a910",
+    "0.8": "b03a44e0253ca218fa75e8d466e9db3aaad41a73a97582c98e4826eeed035b2a",
 }
 
 
@@ -109,10 +116,31 @@ def test_series_and_verdict_artifacts_are_byte_identical(tmp_path, monkeypatch):
     assert got == SERIES_DIGESTS
 
 
+def test_hereditary_rows_hold_against_the_oracle(tmp_path, monkeypatch):
+    # every printed sigma_min within 1e-20 of the oracle, every system invertible
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    with mp.workprec(53):
+        assert main(SERIES_COMMANDS[0]) == 0
+        assert main(SERIES_COMMANDS[4]) == 0
+    # the monomial indices are an unquoted comma list: split from the right
+    rows = [line.rsplit(",", 3) for line in (tmp_path / "mixed.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == ["monomial_indices", "monomial_count", "sigma_min", "invertible"]
+    oracle = mixed_sigma_oracle([k * k for k in range(1, 9)], 512)
+    assert len(rows) == 257
+    for key, _, sigma, invertible in rows[1:]:
+        n1 = set() if key == "-" else {int(k) for k in key.split(",")}
+        want = oracle(n1, set(range(1, 9)) - n1)
+        with mp.workprec(512):
+            assert abs(mpf(sigma) - want) <= mpf(10) ** -20 * want, key
+        assert invertible == "1"
+
+
 def test_certificate_verdicts_and_exact_fields(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
-    got = {}
+    got, floors = {}, []
     with mp.workprec(53):
         assert main(COMMANDS[0]) == 0
         for rho in CERTIFICATE_DIGESTS:
@@ -121,4 +149,12 @@ def test_certificate_verdicts_and_exact_fields(tmp_path, monkeypatch):
             data = json.loads((tmp_path / "cert.json").read_text())
             assert data["status"] == ("fail" if rho == "0.8" else "pass")
             got[rho] = _certificate_contract(data)
+            floors.append(next(it["value"] for it in data["items"]
+                               if it["name"] == "mixed_system_sample"))
+    # the floor is the certified lower end of min(sigma_min) over all partitions
+    everything = set(range(1, 11))
+    oracle = mixed_sigma_oracle([k * k for k in range(1, 11)], 1024)
+    want = min(oracle(everything, set()), oracle(set(), everything))
+    with mp.workprec(1024):
+        assert all(mpf(floor) <= want for floor in floors)
     assert got == CERTIFICATE_DIGESTS

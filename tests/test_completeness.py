@@ -6,6 +6,7 @@ from muntzlab import (
     InputError,
     Partition,
     all_partitions,
+    distance,
     dual_family,
     finite_series,
     generate_exponents,
@@ -173,6 +174,23 @@ def test_floor_against_eigsy_oracle(lam_squares):
         assert want == min(eigs)
         assert lower ** 2 <= want
         assert abs(sigma ** 2 - want) <= mpf("1e-30") * want
+
+
+@pytest.mark.parametrize("kind, params, n", [
+    ("power", {"p": 2}, 12),
+    ("lacunary", {"q": 2}, 10),
+    ("custom", {"values": [0.3, 1.7, 1.700003, 2.9, 4.4, 5.1, 6.8, 7.3]}, 8),
+], ids=["squares", "lacunary", "custom"])
+def test_lambda_min_lies_below_every_squared_distance(kind, params, n):
+    # D_{n,N}^2 = 1/(G^-1)_nn and (G^-1)_nn <= lambda_max(G^-1) = 1/lambda_min(G),
+    # with lambda_min(G) read off the all-monomial check (equality at N = 1)
+    lam = generate_exponents(kind, params, n)
+    for N in range(1, n + 1):
+        fam = dual_family(lam, N, 256)
+        check = mixed_completeness_check(Partition.from_monomial_set(range(1, N + 1), N), fam)
+        floor = min(distance(lam, k, N).distance for k in range(1, N + 1)) ** 2
+        assert check.sigma_lower ** 2 <= floor
+        assert check.min_singular ** 2 <= floor * (1 + mpf(2) ** -128)
 
 
 def test_residual_in_span_target(fam_12):

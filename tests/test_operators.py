@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import mpmath
@@ -339,20 +340,46 @@ def test_certificate_mixed_item_is_the_floor(fam_squares_10_512):
     assert "all 1024 partitions" in item.detail
 
 
+# SHA-256 of repr((finite_rank_enclosures, kernel_trivial value, kernel_min_singular))
+# at 1024 bits, certificate computed at a 53-bit ambient precision
+ENCLOSURE_DIGESTS = {
+    ("squares", 0.3): "6f7f46b415119f96f4d9370d2ac6c41f1817e6c2b44a6f445f46b6712d2e1af2",
+    ("squares", 0.5): "f4e0310d521868032a19262c276da19b78aa28e4d5c12fb8641c893baa4476bf",
+    ("squares", 0.8): "5fe08d77a4c1f7cec47fc449595ef373b2dfd8d08be4e8aac42174ce30ca695e",
+    ("custom", 0.2): "5331f1da04342e0b36f37a6dc4a8494e565a090e8a9b1442ab7d9906fb351a76",
+}
+
+
+@pytest.mark.parametrize("kind, rho", list(ENCLOSURE_DIGESTS))
+def test_norm_enclosures_are_pinned_to_the_bit(kind, rho, fam_squares_10_512, custom_set):
+    # every pencil's float seed takes C through the family's inverse_doubles,
+    # rounded once; each seed, and so each tail and kernel enclosure, must be
+    # the one a per-pencil rounding of C gives (squares: N = 10 at 512 bits;
+    # custom: the benchmark's set for seed 7, N = 8 at 256 bits)
+    fam = fam_squares_10_512 if kind == "squares" else dual_family(custom_set(7), 8, 256)
+    op = dilation_operator(fam.lam, rho, fam.truncation)
+    with mp.workprec(53):
+        cert = synthesis_certificate(op, fam)
+    with mp.workprec(1024):
+        text = repr((cert.finite_rank_enclosures, cert.item("kernel_trivial").value,
+                     cert.kernel_min_singular))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENCLOSURE_DIGESTS[(kind, rho)]
+
+
 @pytest.mark.parametrize("N", [6, 10])
 def test_certificate_makes_one_floor_call(N, monkeypatch):
-    # item 8 covers every partition with one kernel call on diag(G, G^-1);
-    # a per-partition sample would show up here as more calls
+    # item 8 covers every partition with one kernel call on the inverses of
+    # G and G^-1; a per-partition sample would show up here as more calls
     fam = dual_family(LAM_SQ, N, 256)
     op = dilation_operator(fam.lam, 0.5, N)
-    kernel = completeness.block_diagonal_lambda_min
+    kernel = completeness.perron_lambda_max
     sizes = []
 
-    def counting(blocks, bits):
+    def counting(blocks, roundings, bits):
         sizes.append([len(B) for B in blocks])
-        return kernel(blocks, bits)
+        return kernel(blocks, roundings, bits)
 
-    monkeypatch.setattr(completeness, "block_diagonal_lambda_min", counting)
+    monkeypatch.setattr(completeness, "perron_lambda_max", counting)
     cert = synthesis_certificate(op, fam)
     assert sizes == [[N, N]]
     assert cert.item("mixed_system_sample").passed is True
