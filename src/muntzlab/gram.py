@@ -3,14 +3,26 @@
 With nodes x_i = lambda_i + 1/2 the Gram matrix is the symmetric Cauchy
 matrix G_jk = 1/(x_j + x_k), so its determinant, inverse, and the distance
 from each monomial to the span of the others all have product formulas.
-Products are accumulated in log-space with sign tracking: already for
-lambda = {n^2} and N around 12 they span more than thirty orders of
-magnitude, which would overflow any fixed-exponent representation of the
-intermediate factors.  Each call fills one table of log(x_i + x_k) and
-log|x_i - x_k| over its prefix, so each logarithm is taken once (O(N^2),
-distance's single row O(N)); under round-to-nearest x_i - x_k rounds to
-exactly -(x_k - x_i), so every table entry is the value a per-pair
-evaluation would give, and the sums keep their order.
+Products are assembled in log-space with sign tracking.  mpf has an
+unbounded exponent, so nothing would overflow in direct products; the
+log-space values are kept because they are the values every artifact
+pins (the inverse, the dual norms, the distances and the determinant).
+Each call fills one table of log(x_i + x_k) and log|x_i - x_k| over its
+prefix, so each logarithm is taken once (O(N^2), distance's single row
+O(N)); under round-to-nearest x_i - x_k rounds to exactly -(x_k - x_i), so
+every table entry is the value a per-pair evaluation would give, and the
+sums keep their order.  distance_lower_bound_check fills the same tables
+over the exponents themselves, log(lambda_i + lambda_k + 1) and
+log|lambda_i - lambda_k|, for all its distances.
+
+The kernel runs on raw mpf values (mpmath.libmp's (sign, man, exp, bc)
+tuples): mpf_log, mpf_add, mpf_sub and mpf_exp at working precision and
+round-to-nearest, the operations and order the mpf wrappers would apply,
+so every value is the same bits without the wrappers' per-call cost.
+identity_residual scales G and the inverse to integers at one power of
+two each, so every entry of G*M is an exact integer dot product, rounded
+once as fdot rounds it; where fdot's own sum could drop a term (exponents
+within one sum more than 2 prec apart) fdot forms the sums instead.
 
 gram_form is the one exact kernel for the norm of a Muntz polynomial and
 the pairing of two, for any int or mpf exponents: one power-of-two scale
@@ -20,13 +32,18 @@ makes every denominator an integer, so the sum is exact in Python integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
-from mpmath import exp, log, matrix, mp, mpc, mpf, sqrt
+from mpmath import exp, matrix, mp, mpc, mpf, sqrt
+from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_lt,
+                          mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest as RND)
 
 from .config import inverse_residual_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
+
+_HALF = from_man_exp(1, -1)
 
 
 @dataclass
@@ -64,7 +81,14 @@ class DistanceReport:
 
 
 def _nodes(lam: ExponentSequence):
-    return [mpf(v) + mpf(1) / 2 for v in lam.values]
+    """Nodes x_i = lambda_i + 1/2, raw, at working precision."""
+    prec = mp.prec
+    return [mpf_add(mpf(v)._mpf_, _HALF, prec, RND) for v in lam.values]
+
+
+def _lambdas(lam: ExponentSequence):
+    """Exponents lambda_i, raw, at working precision."""
+    return [mpf(v)._mpf_ for v in lam.values]
 
 
 def _check_distinct(lam: ExponentSequence):
@@ -78,11 +102,14 @@ def gram_matrix(lam: ExponentSequence, precision_bits: int = 256) -> GramMatrix:
     if precision_bits < 64:
         raise ParameterError(f"precision_bits must be >= 64, got {precision_bits}")
     with working_precision(precision_bits):
+        prec = mp.prec
         N = len(lam)
+        vals = _lambdas(lam)
         G = matrix(N, N)
         for j in range(N):
             for k in range(j, N):
-                G[j, k] = G[k, j] = 1 / (mpf(lam.values[j]) + mpf(lam.values[k]) + 1)
+                d = mpf_add(mpf_add(vals[j], vals[k], prec, RND), fone, prec, RND)
+                G[j, k] = G[k, j] = mp.make_mpf(mpf_rdiv_int(1, d, prec, RND))
     return GramMatrix(lam, G, precision_bits)
 
 
@@ -94,46 +121,71 @@ def cauchy_determinant(G: GramMatrix):
     """
     _check_distinct(G.lam)
     with working_precision(G.precision_bits):
-        x = _nodes(G.lam)
-        N = len(x)
-        Lp, Lm = _log_tables(x)
-        acc = mpf(0)
+        prec = mp.prec
+        N = len(G.lam)
+        Lp, Lm = _log_tables(_nodes(G.lam))
+        acc = fzero
         for j in range(N):
             for k in range(j + 1, N):
-                acc += 2 * Lm[j][k]
+                acc = mpf_add(acc, mpf_shift(Lm[j][k], 1), prec, RND)
         for j in range(N):
             for k in range(N):
-                acc -= Lp[j][k]
-        return exp(acc)
+                acc = mpf_sub(acc, Lp[j][k], prec, RND)
+        return mp.make_mpf(mpf_exp(acc, prec, RND))
 
 
-def _log_tables(x):
+def _log_sum(a, b, one, prec):
+    """log(a + b), or log(a + b + 1) with the sum rounded before the 1 is added."""
+    s = mpf_add(a, b, prec, RND)
+    if one:
+        s = mpf_add(s, fone, prec, RND)
+    return mpf_log(s, prec, RND)
+
+
+def _log_gap(a, b, prec):
+    """log|a - b|."""
+    return mpf_log(mpf_abs(mpf_sub(a, b, prec, RND)), prec, RND)
+
+
+def _log_tables(x, one=False):
     """(Lp, Lm) with Lp[i][k] = log(x_i + x_k) and Lm[i][k] = log|x_i - x_k|
-    (Lm[i][i] is None): the upper triangle is computed and mirrored."""
+    (Lm[i][i] is None): the upper triangle is computed and mirrored.  With
+    one, Lp[i][k] = log(x_i + x_k + 1), so over the exponents themselves the
+    tables hold the factors of log_distance."""
+    prec = mp.prec
     N = len(x)
     Lp = [[None] * N for _ in range(N)]
     Lm = [[None] * N for _ in range(N)]
-    for i in range(N):
+    for i, a in enumerate(x):
         for k in range(i, N):
-            Lp[i][k] = Lp[k][i] = log(x[i] + x[k])
+            Lp[i][k] = Lp[k][i] = _log_sum(a, x[k], one, prec)
         for k in range(i + 1, N):
-            Lm[i][k] = Lm[k][i] = log(abs(x[i] - x[k]))
+            Lm[i][k] = Lm[k][i] = _log_gap(a, x[k], prec)
     return Lp, Lm
+
+
+def _log_table_row(x, i, one=False):
+    """Row i of _log_tables(x, one), from its own 2N - 1 logarithms."""
+    prec = mp.prec
+    a = x[i]
+    return ([_log_sum(a, b, one, prec) for b in x],
+            [None if k == i else _log_gap(a, b, prec) for k, b in enumerate(x)])
 
 
 def _log_row(x, i, lp, lm):
     """log|A_i| and sign(A_i) for A_i = prod_k (x_i+x_k) / prod_{k!=i} (x_i-x_k),
     from row i of the log tables."""
-    s = mpf(0)
+    prec = mp.prec
+    s = fzero
     for v in lp:
-        s += v
+        s = mpf_add(s, v, prec, RND)
     sign = 1
     for k, v in enumerate(lm):
         if k == i:
             continue
-        if x[i] < x[k]:
+        if mpf_lt(x[i], x[k]):
             sign = -sign
-        s -= v
+        s = mpf_sub(s, v, prec, RND)
     return s, sign
 
 
@@ -144,7 +196,8 @@ def _log_row_factors(x, Lp, Lm):
 
 def _dual_norm(log_a, log_2x):
     """((G^-1)_nn)^(1/2) = |A_n| / (2 x_n)^(1/2) from the logs of both."""
-    return exp(log_a - log_2x / 2)
+    prec = mp.prec
+    return mp.make_mpf(mpf_exp(mpf_sub(log_a, mpf_shift(log_2x, -1), prec, RND), prec, RND))
 
 
 def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
@@ -166,6 +219,7 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
     if residual_tol is None:
         residual_tol = inverse_residual_tolerance(G.precision_bits)
     with working_precision(G.precision_bits):
+        prec = mp.prec
         x = _nodes(G.lam)
         N = len(x)
         Lp, Lm = _log_tables(x)
@@ -173,8 +227,9 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
         M = matrix(N, N)
         for i in range(N):
             for j in range(i, N):
-                val = signs[i] * signs[j] * exp(logs[i] + logs[j] - Lp[i][j])
-                M[i, j] = M[j, i] = val
+                v = mpf_exp(mpf_sub(mpf_add(logs[i], logs[j], prec, RND), Lp[i][j], prec, RND),
+                            prec, RND)
+                M[i, j] = M[j, i] = mp.make_mpf(v if signs[i] == signs[j] else mpf_neg(v))
         residual = identity_residual(G.entries, M)
     if not residual <= mpf(residual_tol):
         raise PrecisionInsufficientError(
@@ -186,19 +241,52 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
     return M, residual
 
 
-def identity_residual(G: matrix, M: matrix):
-    """max-norm of G*M - I.
+def _one_scale(rows):
+    """(A, e, spread) for lists of finite mpf: integers A_ik with A_ik 2^e
+    the entries, and the widest range of entry exponents within one list."""
+    raw = [[v._mpf_ for v in row] for row in rows]
+    exps = [[ex for _, man, ex, _ in row if man] for row in raw]
+    e = min((v for r in exps for v in r), default=0)
+    spread = max((max(r) - min(r) for r in exps if r), default=0)
+    A = [[0 if not man else -(man << (ex - e)) if sign else man << (ex - e)
+          for sign, man, ex, _ in row] for row in raw]
+    return A, e, spread
 
-    Row i of G against column j of M, summed by fdot in k order: the sum
-    mpmath's matrix product forms, read from row lists.
+
+def identity_residual(G: matrix, M: matrix):
+    """max-norm of G*M - I at working precision, for finite real G and M.
+
+    Entry (i, j) of the product is, as mpmath's matrix product forms it,
+    fdot of row i of G and column j of M: the exact products summed
+    exactly, then rounded once.  Scaled to integers at one power of two per
+    matrix, every such sum is an exact integer dot product at one common
+    exponent.  Each diagonal sum is rounded, then 1 is subtracted, as
+    fdot(...) - 1 rounds; the off-diagonal sums are compared as integers and
+    only the largest is rounded, since rounding to nearest is monotone and
+    symmetric.  fdot's sum drops a term only when two exponents within one
+    sum lie more than 2 prec apart, so where a row's exponent spread plus a
+    column's could exceed that, fdot itself forms the sums.  Either way the
+    result is the one the fdot loop gives, bit for bit.
     """
-    rows, cols = G.tolist(), M.T.tolist()
-    worst = mpf(0)
-    for i, row in enumerate(rows):
-        for j, col in enumerate(cols):
-            target = 1 if i == j else 0
-            worst = max(worst, abs(mp.fdot(row, col) - target))
-    return worst
+    prec = mp.prec
+    rows, cols = G.tolist(), list(zip(*M.tolist()))
+    (A, ea, sa), (B, eb, sb) = _one_scale(rows), _one_scale(cols)
+    if sa + sb > 2 * prec:
+        return max(abs(mp.fdot(row, col) - (1 if i == j else 0))
+                   for i, row in enumerate(rows) for j, col in enumerate(cols))
+    e = ea + eb
+    worst, top = fzero, 0
+    for i, row in enumerate(A):
+        for j, col in enumerate(B):
+            s = sum(map(mul, row, col))
+            if i == j:
+                d = mpf_abs(mpf_sub(from_man_exp(s, e, prec, RND), fone, prec, RND))
+                if mpf_lt(worst, d):
+                    worst = d
+            elif abs(s) > top:
+                top = abs(s)
+    off = from_man_exp(top, e, prec, RND)
+    return mp.make_mpf(off if mpf_lt(worst, off) else worst)
 
 
 def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
@@ -225,19 +313,26 @@ def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
     raise last_exc
 
 
+def _log_distance(tp, tm, i):
+    """Raw log D from row i of the exponent tables _log_tables(lambda, one=True):
+    -log(2 lambda_i + 1)/2 + sum_{k!=i} (log|lambda_i - lambda_k|
+    - log(lambda_i + lambda_k + 1)), summed in k order."""
+    prec = mp.prec
+    acc = mpf_shift(mpf_neg(tp[i]), -1)
+    for k, (p, m) in enumerate(zip(tp, tm)):
+        if k != i:
+            acc = mpf_add(acc, mpf_sub(m, p, prec, RND), prec, RND)
+    return acc
+
+
 def log_distance(lam: ExponentSequence, n: int, N: int):
     """log of the closed-form distance D_{n,N}; exact up to rounding."""
     if not 1 <= n <= N <= len(lam):
         raise InputError(f"need 1 <= n <= N <= {len(lam)}, got n={n}, N={N}")
-    _check_distinct(lam.prefix(N))
-    ln = mpf(lam.values[n - 1])
-    acc = -log(2 * ln + 1) / 2
-    for k in range(N):
-        if k == n - 1:
-            continue
-        lk = mpf(lam.values[k])
-        acc += log(abs(ln - lk)) - log(ln + lk + 1)
-    return acc
+    prefix = lam.prefix(N)
+    _check_distinct(prefix)
+    tp, tm = _log_table_row(_lambdas(prefix), n - 1, one=True)
+    return mp.make_mpf(_log_distance(tp, tm, n - 1))
 
 
 def distance(lam: ExponentSequence, n: int, N: int, precision_bits: int = 256) -> DistanceReport:
@@ -253,8 +348,7 @@ def distance(lam: ExponentSequence, n: int, N: int, precision_bits: int = 256) -
         x = _nodes(lam.prefix(N))
         i = n - 1
         # (G^-1)_nn = A_n^2 / (2 x_n), so the dual norm needs only row n
-        lp = [log(x[i] + xk) for xk in x]
-        lm = [None if k == i else log(abs(x[i] - xk)) for k, xk in enumerate(x)]
+        lp, lm = _log_table_row(x, i)
         log_a, _ = _log_row(x, i, lp, lm)
         dual = _dual_norm(log_a, lp[i])
     return DistanceReport(n=n, truncation=N, distance=d, dual_norm=dual)
@@ -267,22 +361,27 @@ def distance_lower_bound_check(lam: ExponentSequence, N: int, epsilon: float,
     Returns (reports, m_fit) where m_fit = min_n D_{n,N} / (1-eps)^lambda_n
     over n <= N.  m_fit is positive whenever the exponents are distinct;
     its trend over N is the quantity worth watching, so each report
-    carries the shared fit.
+    carries the shared fit.  One table over the nodes gives every dual
+    norm and one over the exponents every distance, each logarithm taken
+    once.
     """
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
     with working_precision(precision_bits):
+        prec = mp.prec
         eps = mpf(epsilon)
         prefix = lam.prefix(N)
         _check_distinct(prefix)
         x = _nodes(prefix)
         Lp, Lm = _log_tables(x)
         logs, _ = _log_row_factors(x, Lp, Lm)
+        Tp, Tm = _log_tables(_lambdas(prefix), one=True)
         base = []
-        for n in range(1, N + 1):
-            rep = DistanceReport(n=n, truncation=N, distance=exp(log_distance(lam, n, N)),
-                                 dual_norm=_dual_norm(logs[n - 1], Lp[n - 1][n - 1]))
-            ratio = rep.distance / (1 - eps) ** mpf(lam.values[n - 1])
+        for i in range(N):
+            d = mp.make_mpf(mpf_exp(_log_distance(Tp[i], Tm[i], i), prec, RND))
+            rep = DistanceReport(n=i + 1, truncation=N, distance=d,
+                                 dual_norm=_dual_norm(logs[i], Lp[i][i]))
+            ratio = rep.distance / (1 - eps) ** mpf(lam.values[i])
             base.append((rep, ratio))
         m_fit = min(r for _, r in base)
     reports = [
@@ -290,7 +389,6 @@ def distance_lower_bound_check(lam: ExponentSequence, N: int, epsilon: float,
         for rep, _ in base
     ]
     return reports, m_fit
-
 
 
 def _dyadic(lams):

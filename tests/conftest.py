@@ -3,11 +3,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings, strategies as st
 from mpmath import cholesky, diag, matrix, mp, mpf
 
 import muntzlab
 from muntzlab import dual_family, generate_exponents
+from muntzlab.exponents import DEFAULT_DELTA_MIN
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,6 +20,27 @@ ROOT = Path(__file__).resolve().parents[1]
 settings.register_profile("muntzlab", derandomize=True, database=None, deadline=None,
                           max_examples=40)
 settings.load_profile("muntzlab")
+
+
+@st.composite
+def exponent_sets(draw, max_n=10):
+    """Admissible prefixes: power, lacunary, or custom non-integer with a tight gap."""
+    N = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(("power", "lacunary", "custom")))
+    if kind == "power":
+        return generate_exponents("power", {"p": draw(st.floats(1.5, 3.0))}, N)
+    if kind == "lacunary":
+        return generate_exponents("lacunary", {"q": draw(st.floats(1.25, 3.0))}, N)
+    gaps = draw(st.lists(st.floats(0.5, 3.0), min_size=N - 1, max_size=N - 1))
+    if gaps:
+        # one gap close to delta_min (10^-5.8 = 1.6 delta_min at the low end)
+        gaps[draw(st.integers(0, N - 2))] = 10 ** -draw(st.floats(2.0, 5.8))
+    values = [draw(st.floats(0.25, 2.0))]
+    for g in gaps:
+        values.append(values[-1] + g)
+    assume(all(v != int(v) for v in values))
+    assume(all(b - a >= DEFAULT_DELTA_MIN for a, b in zip(values, values[1:])))
+    return generate_exponents("custom", {"values": values}, N)
 
 
 def cholesky_oracle(family, exact=False):

@@ -31,11 +31,11 @@ from muntzlab import (
 )
 from muntzlab import linalg
 from muntzlab.completeness import _mixed_scales, _perron_block, all_partitions, mixed_system_floor
-from muntzlab.exponents import DEFAULT_DELTA_MIN
 from muntzlab.linalg import _start_vector, pencil_lambda_max, perron_lambda_max
 from muntzlab.operators import _norm_enclosure
 
-from conftest import commutator_norm, mixed_sigma_oracle, operator_norm, orthonormal_matrix
+from conftest import (commutator_norm, exponent_sets, mixed_sigma_oracle, operator_norm,
+                      orthonormal_matrix)
 
 BITS = 256
 
@@ -189,27 +189,6 @@ def test_invertible_rests_on_the_certified_bound(fam_squares_10):
 
 # ---------------------------------------------------------------------------
 # properties
-
-
-@st.composite
-def exponent_sets(draw, max_n=10):
-    """Admissible prefixes: power, lacunary, or custom non-integer with a tight gap."""
-    N = draw(st.integers(1, max_n))
-    kind = draw(st.sampled_from(("power", "lacunary", "custom")))
-    if kind == "power":
-        return generate_exponents("power", {"p": draw(st.floats(1.5, 3.0))}, N)
-    if kind == "lacunary":
-        return generate_exponents("lacunary", {"q": draw(st.floats(1.25, 3.0))}, N)
-    gaps = draw(st.lists(st.floats(0.5, 3.0), min_size=N - 1, max_size=N - 1))
-    if gaps:
-        # one gap close to delta_min (10^-5.8 = 1.6 delta_min at the low end)
-        gaps[draw(st.integers(0, N - 2))] = 10 ** -draw(st.floats(2.0, 5.8))
-    values = [draw(st.floats(0.25, 2.0))]
-    for g in gaps:
-        values.append(values[-1] + g)
-    assume(all(v != int(v) for v in values))
-    assume(all(b - a >= DEFAULT_DELTA_MIN for a, b in zip(values, values[1:])))
-    return generate_exponents("custom", {"values": values}, N)
 
 
 @given(lam=exponent_sets(), data=st.data())

@@ -1,3 +1,5 @@
+import hashlib
+
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from muntzlab import (
     cauchy_inverse,
     distance,
     distance_lower_bound_check,
+    dual_family,
     generate_exponents,
     gram_matrix,
     working_precision,
@@ -19,7 +22,9 @@ from muntzlab import (
 from muntzlab import gram
 from muntzlab.config import inverse_residual_tolerance
 from muntzlab.exponents import ExponentSequence
-from muntzlab.gram import gram_form, inverse_with_escalation, log_distance
+from muntzlab.gram import gram_form, identity_residual, inverse_with_escalation, log_distance
+
+from conftest import exponent_sets
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_1 = generate_exponents("integers", {"values": [1]}, 1)
@@ -391,19 +396,99 @@ def test_escalated_inverse_bit_identical_to_per_pair():
 
 
 # ---------------------------------------------------------------------------
+# the exact identity residual is fdot's, bit for bit
+
+
+def _fdot_residual(G, M):
+    """max|G*M - I| with each entry summed by fdot, row i of G against column j of M."""
+    rows, cols = G.tolist(), M.T.tolist()
+    worst = mpf(0)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            worst = max(worst, abs(mp.fdot(row, col) - (1 if i == j else 0)))
+    return worst
+
+
+@given(lam=exponent_sets(max_n=16), bits=st.sampled_from([64, 128, 256, 512]))
+def test_identity_residual_is_fdot_bit_for_bit(lam, bits):
+    # N = 1, tight gaps, and with no residual target the 64-bit sets that
+    # miss it (and escalate in dual_family) are compared too
+    G = gram_matrix(lam, bits)
+    M, res = cauchy_inverse(G, residual_tol=mp.inf)
+    with working_precision(bits):
+        want = _fdot_residual(G.entries, M)
+        assert repr(identity_residual(G.entries, M)) == repr(want)
+    assert repr(res) == repr(want)
+
+
+def test_identity_residual_guard_keeps_fdot(monkeypatch):
+    # entries 2^(prec+64) and 2^-(prec+64) in one row of G put two terms of
+    # one sum more than 2 prec bits apart, where fdot's sum may drop a term:
+    # fdot itself forms that product; an unsymmetric M stays on the integers
+    G = gram_matrix(_cauchy_set("squares", 256).prefix(8), 256)
+    M, _ = cauchy_inverse(G)
+    calls = []
+    fdot = mp.fdot
+
+    def counting(*args):
+        calls.append(args)
+        return fdot(*args)
+
+    with working_precision(256):
+        shift = mp.prec + 64
+        A = G.entries.copy()
+        A[0, 0] = mp.ldexp(A[0, 0], shift)
+        A[0, 1] = mp.ldexp(A[0, 1], -shift)
+        B = M.copy()
+        B[0, 1] = 2 * B[0, 1]
+        want_A, want_B = _fdot_residual(A, M), _fdot_residual(G.entries, B)
+        monkeypatch.setattr(mp, "fdot", counting)
+        assert repr(identity_residual(G.entries, B)) == repr(want_B)
+        assert not calls
+        assert repr(identity_residual(A, M)) == repr(want_A)
+        assert len(calls) == 64
+
+
+# every family the duals benchmark builds, pinned before the residual and the
+# log/exp assembly moved to raw mantissas: repr at 1024 bits shows every bit
+FAMILY_DIGESTS = {
+    "custom": "704aeea7fdebb1b215bceb145a8f488f7b81367be68b77a14b5962790b235886",
+    "lacunary2": "306c229bc7349dd81fe6c0205a318e5fd8035a08c1f105a396255dc837023ce2",
+    "power1.5": "5e1aa11d941adebaad07f4cb020743f6ec52acf71833940521d53fe9e2772ed7",
+    "squares": "ea7cfa0b14a22347eaf0f2a02eb5b0863b1ecfdec642bd857ae4410952b0346d",
+}
+# (name, N) whose 64-bit request escalates to 128 bits
+ESCALATED = {("squares", 16), ("power1.5", 16), ("custom", 12), ("custom", 16)}
+
+
+@pytest.mark.parametrize("name", sorted(CAUCHY_SETS))
+def test_dual_families_are_pinned(name):
+    digest = hashlib.sha256()
+    for N in (8, 12, 16):
+        for bits in (64, 256, 512):
+            fam = dual_family(_cauchy_set(name, bits), N, bits)
+            assert fam.precision_bits == (128 if bits == 64 and (name, N) in ESCALATED else bits)
+            with mp.workprec(1024):
+                text = repr((fam.coeffs.tolist(), fam.norms, fam.projection_deficit,
+                             fam.biorthogonality_residual, fam.precision_bits))
+            digest.update(text.encode())
+    assert digest.hexdigest() == FAMILY_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
 # regression guard: how many logarithms each formula takes (counts, no timing)
 
 
 @pytest.fixture()
 def log_calls(monkeypatch):
     calls = []
-    real = gram.log
+    real = gram.mpf_log
 
-    def counting(v):
+    def counting(v, *args):
         calls.append(v)
-        return real(v)
+        return real(v, *args)
 
-    monkeypatch.setattr(gram, "log", counting)
+    monkeypatch.setattr(gram, "mpf_log", counting)
     return calls
 
 
@@ -418,7 +503,7 @@ def test_log_counts_per_formula(log_calls):
     assert len(log_calls) <= 4 * N
     del log_calls[:]
     distance_lower_bound_check(lam, N, 0.5)
-    assert len(log_calls) <= 3 * N * N
+    assert len(log_calls) == 2 * N * N
 
 
 # ---------------------------------------------------------------------------
