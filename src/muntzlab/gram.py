@@ -80,15 +80,15 @@ class DistanceReport:
     m_fit: Optional[object] = None
 
 
-def _nodes(lam: ExponentSequence):
-    """Nodes x_i = lambda_i + 1/2, raw, at working precision."""
-    prec = mp.prec
-    return [mpf_add(mpf(v)._mpf_, _HALF, prec, RND) for v in lam.values]
-
-
 def _lambdas(lam: ExponentSequence):
     """Exponents lambda_i, raw, at working precision."""
     return [mpf(v)._mpf_ for v in lam.values]
+
+
+def _nodes(lam: ExponentSequence):
+    """Nodes x_i = lambda_i + 1/2, raw, at working precision."""
+    prec = mp.prec
+    return [mpf_add(v, _HALF, prec, RND) for v in _lambdas(lam)]
 
 
 def _check_distinct(lam: ExponentSequence):
