@@ -422,31 +422,32 @@ def test_identity_residual_is_fdot_bit_for_bit(lam, bits):
 
 
 def test_identity_residual_guard_keeps_fdot(monkeypatch):
-    # entries 2^(prec+64) and 2^-(prec+64) in one row of G put two terms of
-    # one sum more than 2 prec bits apart, where fdot's sum may drop a term:
-    # fdot itself forms that product; an unsymmetric M stays on the integers
-    G = gram_matrix(_cauchy_set("squares", 256).prefix(8), 256)
-    M, _ = cauchy_inverse(G)
+    # G*M - I is exactly 2^-(prec+64) at (0, 1) and 0 elsewhere, but fdot
+    # sums that entry's terms 2^-(prec+64), 2^(prec+64), -2^(prec+64) in
+    # that order, drops the first and returns 0: the exponent spread of
+    # G's first row exceeds 2 prec, so fdot itself must form the sums.
+    # An unsymmetric M of a real family stays on the integers.
+    family = gram_matrix(_cauchy_set("squares", 256).prefix(8), 256)
+    B = cauchy_inverse(family)[0].copy()
+    B[0, 1] = 2 * B[0, 1]
     calls = []
     fdot = mp.fdot
 
-    def counting(*args):
+    def counting(ctx, *args):
         calls.append(args)
         return fdot(*args)
 
     with working_precision(256):
-        shift = mp.prec + 64
-        A = G.entries.copy()
-        A[0, 0] = mp.ldexp(A[0, 0], shift)
-        A[0, 1] = mp.ldexp(A[0, 1], -shift)
-        B = M.copy()
-        B[0, 1] = 2 * B[0, 1]
-        want_A, want_B = _fdot_residual(A, M), _fdot_residual(G.entries, B)
-        monkeypatch.setattr(mp, "fdot", counting)
-        assert repr(identity_residual(G.entries, B)) == repr(want_B)
-        assert not calls
-        assert repr(identity_residual(A, M)) == repr(want_A)
-        assert len(calls) == 64
+        a, H = mp.ldexp(1, -(mp.prec + 64)), mp.ldexp(1, mp.prec + 64)
+        G = matrix([[a, H, -H], [1, 0, 0], [-1, 0, 1]])
+        M = matrix([[0, 1, 0], [1 / H, 1, 1], [0, 1, 1]])
+        assert _fdot_residual(G, M) == 0
+        want = _fdot_residual(family.entries, B)
+        monkeypatch.setattr(type(mp), "fdot", counting)
+        assert identity_residual(G, M) == 0
+        assert len(calls) == 9
+        assert repr(identity_residual(family.entries, B)) == repr(want)
+        assert len(calls) == 9
 
 
 # every family the duals benchmark builds, pinned before the residual and the
