@@ -22,12 +22,21 @@ blocks at the family's nodes.  The invertibility verdict rests on the
 certified lower bound, and the reconstruction residual applies the same
 inverses to its normal equations.
 
+Only the block with the larger trace is iterated.  A PSD block has
+lambda_max <= trace (Horn and Johnson, Matrix Analysis), an O(N) sum.
+When the other block's trace, rounded up (its entries' roundings and the
+sum's, inflated as perron_lambda_max inflates its end), lies below the
+iterated block's theta, then lambda_other <= trace_up < theta <= upper,
+and the other block is never formed.  min_singular keeps the bits of a
+two-block call, whose theta is the larger Rayleigh quotient: the other
+block's lies within a few roundings of its lambda_max, below trace_up.
+
 One floor covers all 2^N partitions.  By Cauchy interlacing (Horn and
 Johnson, Matrix Analysis, Thm 4.3.28) lambda_min(A[S,S]) >= lambda_min(A)
 for every principal block of a symmetric A, so for every partition
 sigma_min(X)^2 >= min(lambda_min(G), lambda_min(G^-1)), and the
 all-monomial (D = D_A) or the all-dual (E = I) partition attains it.
-mixed_system_floor encloses it with one kernel call on both.
+mixed_system_floor encloses it from those two blocks.
 
 At finite truncation invertibility always holds (principal submatrices
 of positive definite matrices); the sigma_min trend over N is the
@@ -36,18 +45,18 @@ reported desk-scale evidence, with no uniform-conditioning claim attached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 from typing import Optional
 
 from mpmath import mp, mpf, sqrt
+from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_mul, mpf_sum, round_nearest as RND
 
 from .biorthogonal import BiorthogonalFamily
 from .config import rank_collapse_threshold, working_precision
 from .errors import InputError
-from .linalg import perron_lambda_max
+from .linalg import _grow, perron_lambda_max
 from .muntz_space import (
     QuadratureSpec,
     SeriesOrCallable,
@@ -103,9 +112,9 @@ class MixedCheck:
     min_singular is the power-iteration estimate sqrt(1/theta);
     sigma_lower is certified, sigma_lower < sigma_min <= min_singular up to
     the rounding of theta.  invertible is sigma_lower > threshold.
-    iterations counts the mpmath power-iteration steps of the block that
-    took most, after the float pre-phase that seeds them
-    (linalg._float_seed).
+    iterations counts the mpmath power-iteration steps of the dominant
+    block (or the most of either, when both ran), after the float
+    pre-phase that seeds them (linalg._float_seed).
     """
 
     partition: Partition
@@ -119,35 +128,57 @@ class MixedCheck:
 def _mixed_scales(partition: Partition, family: BiorthogonalFamily):
     """(N1, N2, d, e): G[N1,N1]^-1 = D G[N1,N1] D and (G^-1[N2,N2])^-1 = E G[N2,N2] E,
     d_i = prod_{k in N1} R_ik and e_i = 1 / prod_{k in N1} R_ik with R the
-    family's ratio_rows, each within 4N + 1 roundings of its exact value."""
+    family's ratio_rows, each within 4N + 1 roundings of its exact value
+    (raw mpf_mul from 1 in the order of N1, at mp.prec with guard bits)."""
     if partition.truncation != family.truncation:
         raise InputError("partition truncation differs from the family's")
     n1, n2 = sorted(partition.n1), sorted(partition.n2)
     with working_precision(family.precision_bits):
-        p = [math.prod(row[k - 1] for k in n1) for row in family.ratio_rows]
-        return n1, n2, [p[i - 1] for i in n1], [1 / mpf(p[i - 1]) for i in n2]
+        prec, R = mp.prec, family.ratio_rows
+        p = [fone] * len(R)
+        for k in n1:
+            p = [mpf_mul(v, row[k - 1]._mpf_, prec, RND) for v, row in zip(p, R)]
+        return (n1, n2, [mp.make_mpf(p[i - 1]) for i in n1],
+                [mp.make_mpf(mpf_div(fone, p[i - 1], prec, RND)) for i in n2])
+
+
+def _block_entry(G, i, j, s, t):
+    """(s G_ij) t on raw mpf, each product rounded at mp.prec (1-based i, j)."""
+    return mpf_mul(mpf_mul(s, G[i - 1][j - 1]._mpf_, mp.prec, RND), t, mp.prec, RND)
 
 
 def _perron_block(G, idx, d):
-    """|d| G[idx,idx] |d|, symmetric to the bit."""
-    d = [abs(v) for v in d]
+    """|d| G[idx,idx] |d| as rows of mpf, symmetric to the bit."""
+    d = [mpf_abs(v._mpf_, mp.prec, RND) for v in d]
     P = [[None] * len(d) for _ in d]
     for a, i in enumerate(idx):
         for b in range(a, len(d)):
-            P[a][b] = P[b][a] = d[a] * G[i - 1][idx[b] - 1] * d[b]
+            P[a][b] = P[b][a] = mp.make_mpf(_block_entry(G, i, idx[b], d[a], d[b]))
     return P
 
 
+def _trace_up(G, idx, d, roundings):
+    """Upper end of the exact tr |d| G[idx,idx] |d|: the diagonal's mpf_sum times _grow."""
+    diag = [_block_entry(G, i, i, v._mpf_, v._mpf_) for i, v in zip(idx, d)]
+    return mp.make_mpf(mpf_sum(diag, mp.prec, RND)) * _grow(roundings)
+
+
 def _sigma_ends(scaled, family: BiorthogonalFamily):
-    """(sqrt(1/theta), sqrt(1/upper), iterations) from perron_lambda_max on
-    the blocks |d| G[U,U] |d|, (U, d) in scaled.  Each entry is within
-    8N + 7 roundings of its exact value (two scales, the stored Gram entry
+    """(sqrt(1/theta), sqrt(1/upper), iterations) for the two blocks
+    |d| G[U,U] |d|, (U, d) in scaled.  Each entry is within 8N + 7
+    roundings of its exact value (two scales, the stored Gram entry
     1/(lambda_j + lambda_k + 1) and two products); three more cover
-    sqrt(1/upper)."""
+    sqrt(1/upper).  The block with the larger trace runs alone unless the
+    other's _trace_up fails to lie below its theta; then both run."""
     G, bits = family.gram_rows, family.precision_bits
+    roundings = 8 * family.truncation + 10
     with working_precision(bits):
-        blocks = [_perron_block(G, idx, d) for idx, d in scaled]
-        theta, upper, iterations = perron_lambda_max(blocks, 8 * family.truncation + 10, bits)
+        traces = [_trace_up(G, idx, d, roundings) for idx, d in scaled]
+        top = int(traces[1] > traces[0])
+        ends = perron_lambda_max([_perron_block(G, *scaled[top])], roundings, bits)
+        if not traces[1 - top] < ends[0]:
+            ends = perron_lambda_max([_perron_block(G, *s) for s in scaled], roundings, bits)
+        theta, upper, iterations = ends
         return sqrt(1 / theta), sqrt(1 / upper), iterations
 
 
@@ -174,13 +205,13 @@ def mixed_system_floor(family: BiorthogonalFamily):
     over all 2^N mixed systems of the family.
 
     That is the smaller sigma_min of the all-monomial and the all-dual
-    partition (interlacing), whose inverses are |A| G |A| and G: one
-    perron_lambda_max call on both gives the estimate sqrt(1/theta) and
-    the lower end sqrt(1/upper), below every partition's sigma_min.
+    partition (interlacing), whose inverses are |A| G |A| and G (unit
+    scales): _sigma_ends on both gives the estimate sqrt(1/theta) and the
+    lower end sqrt(1/upper), below every partition's sigma_min.
     """
     N = family.truncation
     n1, _, d, _ = _mixed_scales(Partition.from_monomial_set(range(1, N + 1), N), family)
-    return _sigma_ends([(n1, d), (n1, [1] * N)], family)
+    return _sigma_ends([(n1, d), (n1, [mpf(1)] * N)], family)
 
 
 def _inverse_apply(G, idx, d, v):

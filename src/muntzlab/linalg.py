@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from mpmath import matrix, mp, mpc, mpf, sqrt
+from mpmath.libmp import mpf_shift, round_nearest, to_float
 
 from .config import DEFAULT_TOLERANCES, working_precision
 from .errors import DegenerateInputError, InputError, PrecisionInsufficientError
@@ -42,9 +43,11 @@ def _start_vector(n):
 def _doubles(rows):
     """rows of mpf rounded to double after a power-of-two scale to unit
     largest entry (v = man 2^exp with a bc-bit man lies below 2^(exp+bc)),
-    so no entry overflows and the relative sizes survive."""
-    k = max((v.exp + v.bc for row in rows for v in row if v), default=0)
-    return [[float(mp.ldexp(v, -k)) for v in row] for row in rows]
+    so no entry overflows and the relative sizes survive; on the raw
+    tuples, the doubles of float(mp.ldexp(v, -k))."""
+    raw = [[v._mpf_ for v in row] for row in rows]
+    k = max((t[2] + t[3] for row in raw for t in row if t[1]), default=0)
+    return [[to_float(mpf_shift(t, -k), rnd=round_nearest) for t in row] for row in raw]
 
 
 def _float_seed(mats, step):
@@ -177,6 +180,11 @@ def _cholesky_rows(B, shift=0):
     return rows
 
 
+def _grow(roundings):
+    """1 + 2u (roundings + 5) >= (1 - u)^-(roundings + 5), u = 2^(1-p)."""
+    return 1 + (roundings + 5) * mpf(2) ** (2 - mp.prec)
+
+
 def perron_lambda_max(blocks, roundings: int, precision_bits: int):
     """Largest eigenvalue of diag(P_1, P_2, ...), certified from above.
 
@@ -209,7 +217,7 @@ def perron_lambda_max(blocks, roundings: int, precision_bits: int):
     if not blocks:
         raise InputError("no non-empty block")
     with working_precision(precision_bits):
-        grow = 1 + (roundings + 5) * mpf(2) ** (2 - mp.prec)
+        grow = _grow(roundings)
         ends = []
         for B in blocks:
             doubles = _doubles(B)

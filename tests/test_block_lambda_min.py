@@ -13,8 +13,10 @@ twice the bits: mpmath.eigsy on M_w^H M_w as the kernel receives it, and
 mpmath.eighe on it for the pencil the certificate solves.
 """
 
+import hashlib
+
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from mpmath import matrix, mp, mpf, sqrt
 
 from muntzlab import (
@@ -24,13 +26,17 @@ from muntzlab import (
     PrecisionInsufficientError,
     dilation_operator,
     dual_family,
+    finite_series,
     generate_exponents,
     mixed_completeness_check,
+    mixed_reconstruction_residual,
     normality_defect,
+    sample_partitions,
     working_precision,
 )
-from muntzlab import linalg
-from muntzlab.completeness import _mixed_scales, _perron_block, all_partitions, mixed_system_floor
+from muntzlab import completeness, linalg
+from muntzlab.completeness import (_mixed_scales, _perron_block, _sigma_ends, all_partitions,
+                                   mixed_system_floor)
 from muntzlab.linalg import _start_vector, pencil_lambda_max, perron_lambda_max
 from muntzlab.operators import _norm_enclosure
 
@@ -310,3 +316,91 @@ def test_pencil_enclosure_property(lam, data):
     want = commutator_norm(orthonormal_matrix(fam, u, exact=True), 2 * bits)
     with mp.workprec(2 * bits):
         assert abs(normality_defect(op, fam) - want) <= mpf(10) ** (-mpf(bits) / 4) * want
+
+
+# ---------------------------------------------------------------------------
+# the dominant block alone
+
+# sha256 of repr([(key, min_singular, sigma_lower, invertible), ...]) with the
+# mpf values as raw (sign, man, exp, bc) tuples, computed before the checks
+# iterated only the dominant block: every partition at N = 8 on squares and
+# on power p = 1.5 (nodes wider than the working precision), 32 sampled
+# partitions at N = 12, the floor at N = 10 and 8 reconstruction residuals
+MIXED_DIGEST = "df6faffed031e5a9e06ee5e0438b360b48ef920f04386f431ff9704bda4875c9"
+
+
+def test_mixed_checks_keep_their_bits(lam_squares):
+    power = generate_exponents("power", {"p": 1.5}, 8)
+    rows = []
+    for lam in (lam_squares, power):
+        fam = dual_family(lam, 8, BITS)
+        rows += [(part, mixed_completeness_check(part, fam)) for part in all_partitions(8)]
+    fam = dual_family(lam_squares, 12, BITS)
+    rows += [(part, mixed_completeness_check(part, fam))
+             for part in sample_partitions(12, 32, seed=5)]
+    rows = [(part.key(), c.min_singular._mpf_, c.sigma_lower._mpf_, c.invertible)
+            for part, c in rows]
+    sigma, lower, _ = mixed_system_floor(dual_family(lam_squares, 10, BITS))
+    rows.append(("floor", sigma._mpf_, lower._mpf_))
+    t3 = finite_series(generate_exponents("integers", {"values": [3]}, 1), [1])
+    fam = dual_family(power, 8, BITS)
+    rows += [(part.key(), mixed_reconstruction_residual(t3, part, fam)._mpf_)
+             for part in sample_partitions(8, 8, seed=2)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == MIXED_DIGEST
+
+
+def _recording_kernel(monkeypatch):
+    # (number of blocks, result) of every perron_lambda_max call of the checks
+    calls = []
+
+    def kernel(blocks, roundings, bits):
+        calls.append((len(blocks), perron_lambda_max(blocks, roundings, bits)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(completeness, "perron_lambda_max", kernel)
+    return calls
+
+
+def test_equal_blocks_take_the_two_block_call(fam_squares_10, monkeypatch):
+    # each trace lies above the other block's theta, so the skip cannot fire
+    fam = fam_squares_10
+    n1, _, d, _ = _mixed_scales(Partition.from_monomial_set({2, 5, 6}, 10), fam)
+    calls = _recording_kernel(monkeypatch)
+    got = _sigma_ends([(n1, d), (n1, d)], fam)
+    assert [n for n, _ in calls] == [1, 2]
+    with working_precision(BITS):
+        block = _perron_block(fam.gram_rows, n1, d)
+        theta, upper, iterations = perron_lambda_max([block, block], 8 * 10 + 10, BITS)
+        assert got == (sqrt(1 / theta), sqrt(1 / upper), iterations)
+
+
+def test_skip_fires_on_every_two_block_partition(lam_squares, monkeypatch):
+    # the smaller block's lambda_max is at most 3.5 % of the larger's on this
+    # sweep, so one call on one block decides every partition (with one
+    # empty block there is only one to iterate)
+    fam = dual_family(lam_squares, 8, BITS)
+    calls = _recording_kernel(monkeypatch)
+    for part in all_partitions(8):
+        del calls[:]
+        mixed_completeness_check(part, fam)
+        assert [n for n, _ in calls] == [1]
+
+
+@given(lam=exponent_sets(), data=st.data())
+def test_skip_keeps_the_two_block_ends_property(lam, data):
+    # whenever one call on one block decides, its theta and upper are those
+    # of the kernel on both blocks, bit for bit
+    N = len(lam)
+    fam = dual_family(lam, N, BITS)
+    part = Partition.from_monomial_set(data.draw(st.sets(st.integers(1, N))), N)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _recording_kernel(patch)
+        mixed_completeness_check(part, fam)
+    n1, n2, d, e = _mixed_scales(part, fam)
+    with working_precision(BITS):
+        G = fam.gram_rows
+        blocks = [_perron_block(G, n1, d), _perron_block(G, n2, e)]
+    theta, upper, _ = perron_lambda_max(blocks, 8 * N + 10, BITS)
+    event("one block decides" if len(calls) == 1 else "two-block call")
+    if len(calls) == 1:
+        assert [v._mpf_ for v in calls[0][1][:2]] == [theta._mpf_, upper._mpf_]
