@@ -8,7 +8,7 @@ everything downstream runs on log-space product formulas instead of
 generic dense solves.
 """
 
-from mpmath import mp, mpf
+from mpmath import matrix, mp, mpf
 
 from muntzlab import (
     cauchy_determinant,
@@ -44,7 +44,7 @@ G = gram_matrix(lam12, 256)
 print("det =", mp.nstr(cauchy_determinant(G), 10), " (1/240 =", mp.nstr(mpf(1) / 240, 10), ")")
 Minv, residual = cauchy_inverse(G)
 print("closed-form inverse:")
-print(Minv)
+print(matrix(Minv))
 print("identity residual max|G*Minv - I| =", mp.nstr(residual, 3))
 
 print("\n== distances to the span of the other monomials ==")

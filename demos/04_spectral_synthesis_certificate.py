@@ -11,7 +11,7 @@ relations, kernel triviality, the spectrum, simplicity, non-normality,
 and a certified floor on sigma_min over every mixed system.
 """
 
-from mpmath import mp
+from mpmath import matrix, mp
 
 from muntzlab import (
     dilation_operator,
@@ -30,9 +30,9 @@ op2 = dilation_operator(lam12, 0.5, 2)
 
 print("== the 2x2 picture ==")
 print("Gram matrix G:")
-print(fam2.gram.entries)
+print(matrix(fam2.gram.entries))
 print("dual coefficients C = G^-1:")
-print(fam2.coeffs)
+print(matrix(fam2.inverse_rows))
 print("eigenvalues u:", [mp.nstr(u, 8) for u in op2.u])
 print("normality defect ||MM* - M*M||_F =", mp.nstr(normality_defect(op2, fam2), 8),
       " (= sqrt(15/8), from 2 tr((C U* G U)^2) - 2 tr(U^2 C U*^2 G))")

@@ -29,14 +29,15 @@ from .linalg import _doubles
 class BiorthogonalFamily:
     """Truncated dual family r_n^(N), with norms and projection deficits.
 
-    coeffs column n (0-based n-1) gives r_n^(N) = sum_k coeffs[k, n-1] * t^lambda_k.
+    inverse_rows is G^-1 as rows of mpf, as gram.cauchy_inverse built it:
+    r_n^(N) = sum_k inverse_rows[k][n-1] * t^lambda_k.
     norms[n-1]^2 = (G^-1)_nn and norms[n-1] * projection_deficit[n-1] = 1:
     the deficit is the distance D_{n,N} from e_n to the span of the others.
     """
 
     lam: ExponentSequence
     truncation: int
-    coeffs: matrix
+    inverse_rows: list
     norms: tuple
     projection_deficit: tuple
     gram: GramMatrix
@@ -47,15 +48,16 @@ class BiorthogonalFamily:
     def size(self) -> int:
         return self.truncation
 
-    @cached_property
-    def gram_rows(self) -> list:
-        """G as a list of rows of mpf, for the plain-list kernels."""
-        return self.gram.entries.tolist()
+    @property
+    def coeffs(self) -> matrix:
+        """inverse_rows as a new mpmath.matrix on every read (not cached, so no
+        family holds both copies).
 
-    @cached_property
-    def inverse_rows(self) -> list:
-        """G^-1 (the dual coefficients) as a list of rows of mpf."""
-        return self.coeffs.tolist()
+        No path in the package reads it.  It stays for the benchmark's
+        family digest (perfbench/workloads.py, _matrix_rows), which indexes
+        coeffs[i, j]; a list there raises TypeError in every duals check.
+        """
+        return matrix(self.inverse_rows)
 
     @cached_property
     def inverse_doubles(self) -> list:
@@ -77,7 +79,7 @@ class BiorthogonalFamily:
         """Monomial coefficients of r_n^(N), 1-based n."""
         if not 1 <= n <= self.truncation:
             raise InputError(f"n={n} outside 1..{self.truncation}")
-        return [self.coeffs[k, n - 1] for k in range(self.truncation)]
+        return [row[n - 1] for row in self.inverse_rows]
 
     def dual_callable(self, n: int):
         """r_n^(N) as a plain function on (0,1)."""
@@ -135,12 +137,12 @@ def dual_family(lam: ExponentSequence, N: int, precision_bits: int = 256) -> Bio
     prefix = lam.prefix(N)
     G, Minv, residual = inverse_with_escalation(prefix, precision_bits)
     with working_precision(G.precision_bits):
-        norms = tuple(sqrt(Minv[n, n]) for n in range(N))
+        norms = tuple(sqrt(Minv[n][n]) for n in range(N))
         deficits = tuple(1 / v for v in norms)
     return BiorthogonalFamily(
         lam=prefix,
         truncation=N,
-        coeffs=Minv,
+        inverse_rows=Minv,
         norms=norms,
         projection_deficit=deficits,
         gram=G,
@@ -152,7 +154,7 @@ def dual_family(lam: ExponentSequence, N: int, precision_bits: int = 256) -> Bio
 def biorthogonality_residual(family: BiorthogonalFamily):
     """Recompute max_{j,n} |<e_j, r_n^(N)> - delta_jn| from scratch."""
     with working_precision(family.precision_bits):
-        return identity_residual(family.gram.entries, family.coeffs)
+        return identity_residual(family.gram.entries, family.inverse_rows)
 
 
 def norm_growth_check(family: BiorthogonalFamily, epsilon: float) -> NormGrowthReport:
@@ -188,6 +190,7 @@ def truncation_convergence(lam: ExponentSequence, n: int, N1: int, N2: int,
     fam2 = dual_family(lam, N2, precision_bits)
     bits = max(fam1.precision_bits, fam2.precision_bits)
     with working_precision(bits):
-        d = [fam2.coeffs[k, n - 1] - (fam1.coeffs[k, n - 1] if k < N1 else 0) for k in range(N2)]
+        C1, C2 = fam1.inverse_rows, fam2.inverse_rows
+        d = [C2[k][n - 1] - (C1[k][n - 1] if k < N1 else 0) for k in range(N2)]
         q, _ = gram_form(fam2.lam.values, d)
         return sqrt(abs(q))

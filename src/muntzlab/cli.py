@@ -98,8 +98,7 @@ def cmd_gen_exponents(args, cfg):
 def cmd_gram(args, cfg):
     lam = load_exponents(args.lam).prefix(args.n)
     G = gram.gram_matrix(lam, cfg.precision_bits)
-    rows = [[decimal_str(G.entries[i, j], G.precision_bits) for j in range(args.n)]
-            for i in range(args.n)]
+    rows = [[decimal_str(v, G.precision_bits) for v in row] for row in G.entries]
     if cfg.output_format == "csv" or (args.out or "").endswith(".csv"):
         text = dump_csv(rows, [f"g{j + 1}" for j in range(args.n)], cfg, args.out)
     else:
@@ -139,8 +138,7 @@ def cmd_biorthogonal(args, cfg):
     payload = with_config({
         "lambda": fam.lam.as_dict(),
         "truncation": fam.truncation,
-        "coefficients": [[decimal_str(fam.coeffs[k, n], bits) for n in range(fam.truncation)]
-                         for k in range(fam.truncation)],
+        "coefficients": [[decimal_str(v, bits) for v in row] for row in fam.inverse_rows],
         "norms": [decimal_str(v, bits) for v in fam.norms],
         "projection_deficit": [decimal_str(v, bits) for v in fam.projection_deficit],
         "biorthogonality_residual": decimal_str(fam.biorthogonality_residual, bits),

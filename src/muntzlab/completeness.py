@@ -170,7 +170,7 @@ def _sigma_ends(scaled, family: BiorthogonalFamily):
     1/(lambda_j + lambda_k + 1) and two products); three more cover
     sqrt(1/upper).  The block with the larger trace runs alone unless the
     other's _trace_up fails to lie below its theta; then both run."""
-    G, bits = family.gram_rows, family.precision_bits
+    G, bits = family.gram.entries, family.precision_bits
     roundings = 8 * family.truncation + 10
     with working_precision(bits):
         traces = [_trace_up(G, idx, d, roundings) for idx, d in scaled]
@@ -248,7 +248,7 @@ def mixed_reconstruction_residuals(target: SeriesOrCallable, partitions,
     N, bits = family.truncation, family.precision_bits
     b, norm2 = moments_and_norm2(target, family.lam, N, quad, bits)
     a = dual_pairings(family, b)
-    G, C = family.gram_rows, family.inverse_rows
+    G, C = family.gram.entries, family.inverse_rows
     lams = family.lam.values[:N]
     out = []
     with working_precision(bits):

@@ -19,10 +19,9 @@ The kernel runs on raw mpf values (mpmath.libmp's (sign, man, exp, bc)
 tuples): mpf_log, mpf_add, mpf_sub and mpf_exp at working precision and
 round-to-nearest, the operations and order the mpf wrappers would apply,
 so every value is the same bits without the wrappers' per-call cost.
-identity_residual scales G and the inverse to integers at one power of
-two each, so every entry of G*M is an exact integer dot product, rounded
-once as fdot rounds it; where fdot's own sum could drop a term (exponents
-within one sum more than 2 prec apart) fdot forms the sums instead.
+G and its inverse are rows of mpf.  _exact_product, the one G*M kernel,
+forms every entry as an exact integer dot product at one power of two;
+identity_residual and gram_product round its entries as fdot rounds them.
 
 gram_form is the one exact kernel for the norm of a Muntz polynomial and
 the pairing of two, for any int or mpf exponents: one power-of-two scale
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
-from mpmath import exp, matrix, mp, mpc, mpf, sqrt
+from mpmath import exp, mp, mpc, mpf, sqrt
 from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_lt,
                           mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest as RND)
 
@@ -48,19 +47,22 @@ _HALF = from_man_exp(1, -1)
 
 @dataclass
 class GramMatrix:
-    """Gram matrix of a Muntz monomial prefix at a stated precision."""
+    """Gram matrix of a Muntz monomial prefix at a stated precision, as rows of mpf."""
 
     lam: ExponentSequence
-    entries: matrix
+    entries: list
     precision_bits: int
 
     @property
     def size(self) -> int:
-        return self.entries.rows
+        return len(self.entries)
 
     def entry(self, j: int, k: int):
         """G_jk with 1-based indices."""
-        return self.entries[j - 1, k - 1]
+        N = self.size
+        if not (1 <= j <= N and 1 <= k <= N):
+            raise InputError(f"index ({j}, {k}) outside 1..{N}")
+        return self.entries[j - 1][k - 1]
 
 
 @dataclass(frozen=True)
@@ -105,11 +107,11 @@ def gram_matrix(lam: ExponentSequence, precision_bits: int = 256) -> GramMatrix:
         prec = mp.prec
         N = len(lam)
         vals = _lambdas(lam)
-        G = matrix(N, N)
+        G = [[None] * N for _ in range(N)]
         for j in range(N):
             for k in range(j, N):
                 d = mpf_add(mpf_add(vals[j], vals[k], prec, RND), fone, prec, RND)
-                G[j, k] = G[k, j] = mp.make_mpf(mpf_rdiv_int(1, d, prec, RND))
+                G[j][k] = G[k][j] = mp.make_mpf(mpf_rdiv_int(1, d, prec, RND))
     return GramMatrix(lam, G, precision_bits)
 
 
@@ -206,7 +208,7 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
     Returns
     -------
     (M, residual)
-        M is the symmetric inverse with (M)_ij = A_i A_j / (x_i + x_j);
+        M is the symmetric inverse as rows of mpf, M_ij = A_i A_j / (x_i + x_j);
         residual is max|G*M - I| computed at working precision.
 
     Raises
@@ -224,12 +226,12 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
         N = len(x)
         Lp, Lm = _log_tables(x)
         logs, signs = _log_row_factors(x, Lp, Lm)
-        M = matrix(N, N)
+        M = [[None] * N for _ in range(N)]
         for i in range(N):
             for j in range(i, N):
                 v = mpf_exp(mpf_sub(mpf_add(logs[i], logs[j], prec, RND), Lp[i][j], prec, RND),
                             prec, RND)
-                M[i, j] = M[j, i] = mp.make_mpf(v if signs[i] == signs[j] else mpf_neg(v))
+                M[i][j] = M[j][i] = mp.make_mpf(v if signs[i] == signs[j] else mpf_neg(v))
         residual = identity_residual(G.entries, M)
     if not residual <= mpf(residual_tol):
         raise PrecisionInsufficientError(
@@ -242,51 +244,43 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
 
 
 def _one_scale(rows):
-    """(A, e, spread) for lists of finite mpf: integers A_ik with A_ik 2^e
-    the entries, and the widest range of entry exponents within one list."""
+    """(A, e) for rows of finite mpf: integers A_ik with A_ik 2^e the entries."""
     raw = [[v._mpf_ for v in row] for row in rows]
-    exps = [[ex for _, man, ex, _ in row if man] for row in raw]
-    e = min((v for r in exps for v in r), default=0)
-    spread = max((max(r) - min(r) for r in exps if r), default=0)
+    e = min((ex for row in raw for _, man, ex, _ in row if man), default=0)
     A = [[0 if not man else -(man << (ex - e)) if sign else man << (ex - e)
           for sign, man, ex, _ in row] for row in raw]
-    return A, e, spread
+    return A, e
 
 
-def identity_residual(G: matrix, M: matrix):
-    """max-norm of G*M - I at working precision, for finite real G and M.
+def _exact_product(G, M):
+    """(S, e) for rows of finite real mpf: integers S_ij with S_ij 2^e exactly
+    (G M)_ij, each an integer dot product of G and M scaled by _one_scale."""
+    (A, ea), (B, eb) = _one_scale(G), _one_scale(zip(*M))
+    return [[sum(map(mul, row, col)) for col in B] for row in A], ea + eb
 
-    Entry (i, j) of the product is, as mpmath's matrix product forms it,
-    fdot of row i of G and column j of M: the exact products summed
-    exactly, then rounded once.  Scaled to integers at one power of two per
-    matrix, every such sum is an exact integer dot product at one common
-    exponent.  Each diagonal sum is rounded, then 1 is subtracted, as
-    fdot(...) - 1 rounds; the off-diagonal sums are compared as integers and
-    only the largest is rounded, since rounding to nearest is monotone and
-    symmetric.  fdot's sum drops a term only when two exponents within one
-    sum lie more than 2 prec apart, so where a row's exponent spread plus a
-    column's could exceed that, fdot itself forms the sums.  Either way the
-    result is the one the fdot loop gives, bit for bit.
+
+def gram_product(G, M):
+    """G*M as rows of mpf, each exact entry rounded once at working precision:
+    the value fdot gives wherever its own sum keeps every term, and so the
+    value of mpmath's matrix product."""
+    prec = mp.prec
+    S, e = _exact_product(G, M)
+    return [[mp.make_mpf(from_man_exp(s, e, prec, RND)) for s in row] for row in S]
+
+
+def identity_residual(G, M):
+    """max-norm of G*M - I at working precision, for rows of finite real mpf.
+
+    Each diagonal entry of _exact_product is rounded, then 1 is subtracted,
+    as fdot(...) - 1 rounds; the off-diagonal sums are compared as integers
+    and only the largest is rounded, since rounding to nearest is monotone
+    and symmetric.  The result is that of gram_product(G, M) - I.
     """
     prec = mp.prec
-    rows, cols = G.tolist(), list(zip(*M.tolist()))
-    (A, ea, sa), (B, eb, sb) = _one_scale(rows), _one_scale(cols)
-    if sa + sb > 2 * prec:
-        return max(abs(mp.fdot(row, col) - (1 if i == j else 0))
-                   for i, row in enumerate(rows) for j, col in enumerate(cols))
-    e = ea + eb
-    worst, top = fzero, 0
-    for i, row in enumerate(A):
-        for j, col in enumerate(B):
-            s = sum(map(mul, row, col))
-            if i == j:
-                d = mpf_abs(mpf_sub(from_man_exp(s, e, prec, RND), fone, prec, RND))
-                if mpf_lt(worst, d):
-                    worst = d
-            elif abs(s) > top:
-                top = abs(s)
-    off = from_man_exp(top, e, prec, RND)
-    return mp.make_mpf(off if mpf_lt(worst, off) else worst)
+    S, e = _exact_product(G, M)
+    top = max((abs(s) for i, row in enumerate(S) for s in row[:i] + row[i + 1:]), default=0)
+    diag = [mpf_sub(from_man_exp(S[i][i], e, prec, RND), fone, prec, RND) for i in range(len(S))]
+    return max(mp.make_mpf(mpf_abs(v)) for v in diag + [from_man_exp(top, e, prec, RND)])
 
 
 def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,

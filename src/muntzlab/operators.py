@@ -3,7 +3,7 @@
 The operator class acts as T f = sum_n <f, r_n> u_n t^lambda_n for a
 sequence of distinct non-zero eigenvalues u_n dominated by rho^lambda_n.
 Everything the certificate needs is held by the family: the Gram matrix
-G and the dual coefficients C = G^-1.  For f = sum_n a_n t^lambda_n,
+G and the dual coefficients C = G^-1, rows of mpf.  For f = sum_n a_n t^lambda_n,
 ||T_w f||^2 = (Wa)^H G (Wa) with W = diag(w), so the norm of the operator
 with weights w on the span is ||M_w||^2 = lambda_max of the definite
 pencil (W^H G W, G), enclosed by linalg.pencil_lambda_max with C placing
@@ -26,7 +26,7 @@ from .biorthogonal import BiorthogonalFamily, norm_growth_check
 from .config import RunConfig, rank_collapse_threshold, working_precision
 from .errors import InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
-from .gram import gram_form
+from .gram import gram_form, gram_product
 from . import completeness as _completeness
 from .linalg import pencil_lambda_max
 from .muntz_space import (
@@ -86,9 +86,10 @@ def dilation_operator(lam: ExponentSequence, rho: float, N: int) -> MuntzOperato
     """T_rho f = f(rho x): eigenvalues u_n = rho^lambda_n, saturating the decay bound."""
     if not 0 < rho < 1:
         raise ParameterError(f"rho must lie in (0,1), got {rho}")
+    prefix = lam.prefix(N)
     with working_precision(256):
-        u = tuple(mpf(rho) ** mpf(lam.values[n]) for n in range(N))
-    return MuntzOperator(lam=lam.prefix(N), u=u, rho=rho, truncation=N)
+        u = tuple(mpf(rho) ** mpf(v) for v in prefix.values)
+    return MuntzOperator(lam=prefix, u=u, rho=rho, truncation=N)
 
 
 def apply_operator(op: MuntzOperator, f: SeriesOrCallable, family: BiorthogonalFamily,
@@ -105,7 +106,7 @@ def apply_operator(op: MuntzOperator, f: SeriesOrCallable, family: BiorthogonalF
 def _norm_enclosure(w: Sequence, family: BiorthogonalFamily):
     """(lower, estimate, upper) for ||M_w||: the root of lambda_max of (W^H G W, G)."""
     bits = family.precision_bits
-    G = family.gram_rows
+    G = family.gram.entries
     with working_precision(bits):
         A = [[conj(a) * g * b for g, b in zip(row, w)] for a, row in zip(w, G)]
         return tuple(sqrt(v) for v in pencil_lambda_max(A, G, family.inverse_rows, bits,
@@ -124,7 +125,7 @@ def normality_defect(op: MuntzOperator, family: BiorthogonalFamily):
         raise InputError("operator and family truncations differ")
     if N < 2:
         return mpf(0)
-    G, C = family.gram_rows, family.inverse_rows
+    G, C = family.gram.entries, family.inverse_rows
     with working_precision(family.precision_bits):
         u = [mp.mpmathify(v) for v in op.u]
         ub = [conj(v) for v in u]
@@ -218,7 +219,7 @@ def _eigen_relation_residual(op, family, B):
         lams = family.lam.values[:N]
         worst = mpf(0)
         for k in range(N):
-            d = [B[k, n] * op.u[n] - (op.u[k] if n == k else 0) for n in range(N)]
+            d = [B[k][n] * op.u[n] - (op.u[k] if n == k else 0) for n in range(N)]
             q, _ = gram_form(lams, d)
             worst = max(worst, sqrt(abs(q)))
         return worst
@@ -234,7 +235,7 @@ def _adjoint_relation_residual(op, family, B):
                 # <T e_j, r_k> = sum_n u_n B_jn <e_n, r_k> = sum_n u_n B_jn B_nk
                 acc = mpc(0)
                 for n in range(N):
-                    acc += op.u[n] * B[j, n] * conj(B[n, k])
+                    acc += op.u[n] * B[j][n] * conj(B[n][k])
                 target = op.u[k] if j == k else 0
                 worst = max(worst, abs(acc - target))
         return worst
@@ -293,9 +294,10 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         add("finite_rank_decay", None, str(exc))
         fr = fr_enclosures = ()
 
-    # 2 and 3 read the biorthogonality matrix B_jn = <e_j, r_n> = (G G^-1)_jn
+    # 2 and 3 read the biorthogonality matrix B_jn = <e_j, r_n> = (G G^-1)_jn,
+    # as rows from the exact product kernel, each entry rounded once
     with working_precision(bits):
-        B = family.gram.entries * family.coeffs
+        B = gram_product(family.gram.entries, family.inverse_rows)
 
     # 2. eigen relations
     tol_eig = config.tolerance("eigen_residual")

@@ -56,7 +56,7 @@ def cholesky_oracle(family, exact=False):
             x = [mpf(v) for v in family.lam.values[:family.truncation]]
             G = matrix([[1 / (a + b + 1) for b in x] for a in x])
         else:
-            G = family.gram.entries
+            G = matrix(family.gram.entries)
         L = cholesky(G)
         return L, L ** -1
 

@@ -73,14 +73,14 @@ def test_criterion_2_closed_form_vs_oracle():
         for N in range(1, 9):
             G = gram_matrix(LAM_SQ.prefix(N), 256)
             det = cauchy_determinant(G)
-            lu_det = mpmath.det(G.entries)
+            lu_det = mpmath.det(matrix(G.entries))
             worst_det = max(worst_det, abs(det - lu_det) / abs(lu_det))
             M, _ = cauchy_inverse(G)
             for j in range(N):
                 e = matrix([1 if i == j else 0 for i in range(N)])
-                col = mpmath.lu_solve(G.entries, e)
+                col = mpmath.lu_solve(matrix(G.entries), e)
                 for i in range(N):
-                    worst_inv = max(worst_inv, abs(M[i, j] - col[i]) / abs(col[i]))
+                    worst_inv = max(worst_inv, abs(M[i][j] - col[i]) / abs(col[i]))
     verdict(2, worst_det < mpf("1e-25") and worst_inv < mpf("1e-25"),
             f"N<=8 rel err vs oracles: det {mpmath.nstr(worst_det, 3)}, "
             f"inverse {mpmath.nstr(worst_inv, 3)} (< 1e-25)")
@@ -128,7 +128,7 @@ def test_criterion_5_projection():
     worst_idem = mpf(0)
     worst_ls = mpf(0)
     with working_precision(256):
-        G = fam10.gram.entries
+        G = matrix(fam10.gram.entries)
         for _ in range(20):
             f = finite_series(lam_targets, [mpf(rng.uniform(-2, 2)) for _ in range(5)])
             once = project(f, fam10)

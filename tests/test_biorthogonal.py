@@ -59,7 +59,7 @@ def test_norms_match_inverse_diagonal(fam_12):
 def test_uniqueness_against_linear_solve_oracle(fam_squares_10):
     # any element of the truncated span biorthogonal to all e_j solves
     # G x = e_n; lu_solve is the independent route to the same columns
-    G = fam_squares_10.gram.entries
+    G = matrix(fam_squares_10.gram.entries)
     with working_precision(fam_squares_10.precision_bits):
         for n in (1, 5, 10):
             e = matrix([1 if i == n - 1 else 0 for i in range(10)])

@@ -158,7 +158,7 @@ def test_entries_beyond_double_range_are_certified(fam_squares_10, k):
     # double range, so the scaled run repeats the unscaled one to the bit
     part = Partition.from_monomial_set({1, 3, 5, 7, 9}, 10)
     n1, n2, d, e = _mixed_scales(part, fam_squares_10)
-    G = fam_squares_10.gram_rows
+    G = fam_squares_10.gram.entries
     with working_precision(BITS):
         blocks = [_perron_block(G, n1, d), _perron_block(G, n2, e)]
     scaled = [[[mp.ldexp(v, k) for v in row] for row in B] for B in blocks]
@@ -369,7 +369,7 @@ def test_equal_blocks_take_the_two_block_call(fam_squares_10, monkeypatch):
     got = _sigma_ends([(n1, d), (n1, d)], fam)
     assert [n for n, _ in calls] == [1, 2]
     with working_precision(BITS):
-        block = _perron_block(fam.gram_rows, n1, d)
+        block = _perron_block(fam.gram.entries, n1, d)
         theta, upper, iterations = perron_lambda_max([block, block], 8 * 10 + 10, BITS)
         assert got == (sqrt(1 / theta), sqrt(1 / upper), iterations)
 
@@ -398,7 +398,7 @@ def test_skip_keeps_the_two_block_ends_property(lam, data):
         mixed_completeness_check(part, fam)
     n1, n2, d, e = _mixed_scales(part, fam)
     with working_precision(BITS):
-        G = fam.gram_rows
+        G = fam.gram.entries
         blocks = [_perron_block(G, n1, d), _perron_block(G, n2, e)]
     theta, upper, _ = perron_lambda_max(blocks, 8 * N + 10, BITS)
     event("one block decides" if len(calls) == 1 else "two-block call")

@@ -102,7 +102,7 @@ def test_extreme_partitions(fam_squares_10):
     # the block identity X^T X = diag(G[N1,N1], G^-1[N2,N2]) at both extremes
     # and in between, on the oracle X
     N = 10
-    G, C = fam_squares_10.gram_rows, fam_squares_10.inverse_rows
+    G, C = fam_squares_10.gram.entries, fam_squares_10.inverse_rows
     for n1 in (range(1, N + 1), (), (2, 4, 6, 8, 10)):
         part = Partition.from_monomial_set(n1, N)
         X = mixed_matrix(part, fam_squares_10)

@@ -22,7 +22,8 @@ from muntzlab import (
 from muntzlab import gram
 from muntzlab.config import inverse_residual_tolerance
 from muntzlab.exponents import ExponentSequence
-from muntzlab.gram import gram_form, identity_residual, inverse_with_escalation, log_distance
+from muntzlab.gram import (gram_form, gram_product, identity_residual, inverse_with_escalation,
+                           log_distance)
 
 from conftest import exponent_sets
 
@@ -41,14 +42,21 @@ def test_entries_hand_values():
     assert abs(gram_matrix(lam149, 256).entry(1, 3) - mpf(1) / 11) < 1e-70
 
 
+@pytest.mark.parametrize("j,k", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, 2)])
+def test_entry_outside_the_matrix_is_refused(j, k):
+    # on rows, index 0 would wrap to G_{N,1}
+    with pytest.raises(InputError):
+        gram_matrix(LAM_12, 256).entry(j, k)
+
+
 def test_entries_range_and_symmetry():
     lam = generate_exponents("power", {"p": 2}, 8)
     G = gram_matrix(lam, 256)
     hi = 1 / (2 * mpf(lam.values[0]) + 1)
     for i in range(8):
         for j in range(8):
-            assert G.entries[i, j] == G.entries[j, i]
-            assert 0 < G.entries[i, j] <= hi * (1 + mpf(10) ** -70)
+            assert G.entries[i][j] == G.entries[j][i]
+            assert 0 < G.entries[i][j] <= hi * (1 + mpf(10) ** -70)
 
 
 @pytest.mark.parametrize("kind,params,n", [
@@ -60,7 +68,7 @@ def test_positive_definite_via_cholesky(kind, params, n):
     lam = generate_exponents(kind, params, n)
     G = gram_matrix(lam, 256)
     with working_precision(256):
-        L = mpmath.cholesky(G.entries)  # raises if not positive definite
+        L = mpmath.cholesky(matrix(G.entries))  # raises if not positive definite
         assert all(L[i, i] > 0 for i in range(n))
 
 
@@ -86,7 +94,7 @@ def test_determinant_matches_lu_oracle(kind, params, n):
     G = gram_matrix(lam, 256)
     det = cauchy_determinant(G)
     with working_precision(256):
-        lu_det = mpmath.det(G.entries)
+        lu_det = mpmath.det(matrix(G.entries))
         assert abs(det - lu_det) / abs(lu_det) < 1e-30
 
 
@@ -104,19 +112,19 @@ def test_inverse_matches_columnwise_solve_oracle(kind, params, n):
     with working_precision(256):
         for j in range(n):
             e = matrix([1 if i == j else 0 for i in range(n)])
-            col = mpmath.lu_solve(G.entries, e)
+            col = mpmath.lu_solve(matrix(G.entries), e)
             for i in range(n):
-                assert abs(M[i, j] - col[i]) / abs(col[i]) < 1e-25
+                assert abs(M[i][j] - col[i]) / abs(col[i]) < 1e-25
 
 
 def test_inverse_hand_values():
     M, _ = cauchy_inverse(gram_matrix(LAM_12, 256))
     with working_precision(256):
-        assert abs(M[0, 0] - 48) < 1e-60
-        assert abs(M[0, 1] + 60) < 1e-60
-        assert abs(M[1, 1] - 80) < 1e-60
+        assert abs(M[0][0] - 48) < 1e-60
+        assert abs(M[0][1] + 60) < 1e-60
+        assert abs(M[1][1] - 80) < 1e-60
     M1, _ = cauchy_inverse(gram_matrix(LAM_1, 256))
-    assert abs(M1[0, 0] - 3) < 1e-70
+    assert abs(M1[0][0] - 3) < 1e-70
 
 
 def test_duplicate_exponents_rejected():
@@ -311,7 +319,7 @@ def _pair_inverse(G):
         for i in range(N):
             for j in range(i, N):
                 M[i, j] = M[j, i] = signs[i] * signs[j] * exp(logs[i] + logs[j] - log(x[i] + x[j]))
-        P = G.entries * M
+        P = matrix(G.entries) * M
         worst = mpf(0)
         for i in range(N):
             for j in range(N):
@@ -365,7 +373,7 @@ def test_cauchy_formulas_bit_identical_to_per_pair(name, N, bits):
     want_M, want_res = _pair_inverse(G)
     if want_res <= mpf(inverse_residual_tolerance(bits)):
         M, res = cauchy_inverse(G)
-        assert repr(M.tolist()) == repr(want_M.tolist())
+        assert repr(M) == repr(want_M.tolist())
         assert repr(res) == repr(want_res)
     else:
         with pytest.raises(PrecisionInsufficientError) as info:
@@ -391,20 +399,19 @@ def test_escalated_inverse_bit_identical_to_per_pair():
     assert G.precision_bits == 128
     assert _pair_inverse(gram_matrix(lam, 64))[1] > mpf(inverse_residual_tolerance(64))
     want_M, want_res = _pair_inverse(gram_matrix(lam, 128))
-    assert repr(M.tolist()) == repr(want_M.tolist())
+    assert repr(M) == repr(want_M.tolist())
     assert repr(res) == repr(want_res)
 
 
 # ---------------------------------------------------------------------------
-# the exact identity residual is fdot's, bit for bit
+# the exact G*M kernel is fdot's, bit for bit
 
 
 def _fdot_residual(G, M):
     """max|G*M - I| with each entry summed by fdot, row i of G against column j of M."""
-    rows, cols = G.tolist(), M.T.tolist()
     worst = mpf(0)
-    for i, row in enumerate(rows):
-        for j, col in enumerate(cols):
+    for i, row in enumerate(G):
+        for j, col in enumerate(zip(*M)):
             worst = max(worst, abs(mp.fdot(row, col) - (1 if i == j else 0)))
     return worst
 
@@ -412,24 +419,42 @@ def _fdot_residual(G, M):
 @given(lam=exponent_sets(max_n=16), bits=st.sampled_from([64, 128, 256, 512]))
 def test_identity_residual_is_fdot_bit_for_bit(lam, bits):
     # N = 1, tight gaps, and with no residual target the 64-bit sets that
-    # miss it (and escalate in dual_family) are compared too
+    # miss it (and escalate in dual_family) are compared too; gram_product
+    # is held to mpmath's matrix product on the same draws
     G = gram_matrix(lam, bits)
     M, res = cauchy_inverse(G, residual_tol=mp.inf)
     with working_precision(bits):
         want = _fdot_residual(G.entries, M)
         assert repr(identity_residual(G.entries, M)) == repr(want)
+        _assert_product_is_mpmaths(G, M)
     assert repr(res) == repr(want)
 
 
-def test_identity_residual_guard_keeps_fdot(monkeypatch):
+def _assert_product_is_mpmaths(G, M):
+    want = (matrix(G.entries) * matrix(M)).tolist()
+    assert repr(gram_product(G.entries, M)) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(CAUCHY_SETS))
+def test_gram_product_is_the_matrix_product_bit_for_bit(name):
+    for bits in (64, 256, 512):
+        lam = _cauchy_set(name, bits)
+        for N in (8, 12, 16):
+            G = gram_matrix(lam.prefix(N), bits)
+            M, _ = cauchy_inverse(G, residual_tol=mp.inf)
+            with working_precision(bits):
+                _assert_product_is_mpmaths(G, M)
+
+
+def test_exact_product_keeps_the_term_fdot_drops(monkeypatch):
     # G*M - I is exactly 2^-(prec+64) at (0, 1) and 0 elsewhere, but fdot
     # sums that entry's terms 2^-(prec+64), 2^(prec+64), -2^(prec+64) in
-    # that order, drops the first and returns 0: the exponent spread of
-    # G's first row exceeds 2 prec, so fdot itself must form the sums.
-    # An unsymmetric M of a real family stays on the integers.
+    # that order, drops the first and returns 0.  The exact integer product
+    # keeps it in both kernels, and neither calls fdot.  An unsymmetric M of
+    # a real family gives fdot's residual, bit for bit.
     family = gram_matrix(_cauchy_set("squares", 256).prefix(8), 256)
-    B = cauchy_inverse(family)[0].copy()
-    B[0, 1] = 2 * B[0, 1]
+    B = cauchy_inverse(family)[0]
+    B[0][1] = 2 * B[0][1]
     calls = []
     fdot = mp.fdot
 
@@ -439,15 +464,15 @@ def test_identity_residual_guard_keeps_fdot(monkeypatch):
 
     with working_precision(256):
         a, H = mp.ldexp(1, -(mp.prec + 64)), mp.ldexp(1, mp.prec + 64)
-        G = matrix([[a, H, -H], [1, 0, 0], [-1, 0, 1]])
-        M = matrix([[0, 1, 0], [1 / H, 1, 1], [0, 1, 1]])
+        G = [[mpf(v) for v in row] for row in ([a, H, -H], [1, 0, 0], [-1, 0, 1])]
+        M = [[mpf(v) for v in row] for row in ([0, 1, 0], [1 / H, 1, 1], [0, 1, 1])]
         assert _fdot_residual(G, M) == 0
         want = _fdot_residual(family.entries, B)
         monkeypatch.setattr(type(mp), "fdot", counting)
-        assert identity_residual(G, M) == 0
-        assert len(calls) == 9
+        assert identity_residual(G, M) == a
+        assert gram_product(G, M) == [[1, a, 0], [0, 1, 0], [0, 0, 1]]
         assert repr(identity_residual(family.entries, B)) == repr(want)
-        assert len(calls) == 9
+        assert calls == []
 
 
 # every family the duals benchmark builds, pinned before the residual and the
@@ -470,7 +495,7 @@ def test_dual_families_are_pinned(name):
             fam = dual_family(_cauchy_set(name, bits), N, bits)
             assert fam.precision_bits == (128 if bits == 64 and (name, N) in ESCALATED else bits)
             with mp.workprec(1024):
-                text = repr((fam.coeffs.tolist(), fam.norms, fam.projection_deficit,
+                text = repr((fam.inverse_rows, fam.norms, fam.projection_deficit,
                              fam.biorthogonality_residual, fam.precision_bits))
             digest.update(text.encode())
     assert digest.hexdigest() == FAMILY_DIGESTS[name]

@@ -297,7 +297,7 @@ def test_project_matches_normal_equations_oracle(fam_squares_10):
     f = finite_series(lam_sub, [2, -1])
     f_star = project(f, fam_squares_10)
     with working_precision(fam_squares_10.precision_bits):
-        G = fam_squares_10.gram.entries
+        G = matrix(fam_squares_10.gram.entries)
         b = matrix([sum(c / (mpf(mu) + lv + 1) for mu, c in f.term_items())
                     for lv in fam_squares_10.lam.values[:10]])
         a = mpmath.lu_solve(G, b)

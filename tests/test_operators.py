@@ -44,6 +44,31 @@ def test_dilation_rho_domain(rho):
         dilation_operator(LAM_12, rho, 2)
 
 
+@pytest.mark.parametrize("N", [0, 3])
+def test_dilation_truncation_domain(N):
+    with pytest.raises(InputError):
+        dilation_operator(LAM_12, 0.5, N)
+
+
+def test_no_mpmath_matrix_on_the_certificate_path(monkeypatch):
+    # G and G^-1 are rows from gram_matrix through the certificate and the
+    # mixed checks; only the coeffs view builds an mpmath.matrix
+    calls = []
+    setitem = matrix.__setitem__
+
+    def counting(self, key, value):
+        calls.append(key)
+        setitem(self, key, value)
+
+    monkeypatch.setattr(matrix, "__setitem__", counting)
+    fam = dual_family(LAM_SQ, 8, 256)
+    op = dilation_operator(fam.lam, 0.5, 8)
+    assert synthesis_certificate(op, fam).status == "pass"
+    completeness.mixed_completeness_check(completeness.Partition.from_monomial_set({1, 4}, 8), fam)
+    assert calls == []
+    assert fam.coeffs[3, 5] == fam.inverse_rows[3][5] and len(calls) == 64
+
+
 def test_operator_invariants_enforced():
     with pytest.raises(ParameterError):
         MuntzOperator(LAM_12, (mpf("0.5"), mpf("0.5")), 0.5, 2)      # duplicate
@@ -174,7 +199,8 @@ def test_normality_defect_identity_gram_is_zero():
     # the representation diagonal, hence normal
     with working_precision(256):
         eye = [[mpf(int(i == j)) for j in range(3)] for i in range(3)]
-    fake = SimpleNamespace(truncation=3, precision_bits=256, gram_rows=eye, inverse_rows=eye)
+    fake = SimpleNamespace(truncation=3, precision_bits=256, gram=SimpleNamespace(entries=eye),
+                           inverse_rows=eye)
     op = MuntzOperator._unchecked(None, (mpf("0.5"), mpf("0.25"), mpf("0.125")), 0.5, 3)
     assert normality_defect(op, fake) == 0
 
