@@ -4,7 +4,7 @@ Walks through generating admissible exponent sequences, validating raw
 ones, and building the Gram matrix of {t^lambda_n} in L2(0,1) together
 with its closed-form determinant and inverse.  The punchline is the
 conditioning: determinants collapse super-exponentially, which is why
-everything downstream runs on log-space product formulas instead of
+everything downstream runs on exact integer product formulas instead of
 generic dense solves.
 """
 

@@ -21,7 +21,8 @@ from mpmath import log, matrix, mp, mpf, sqrt
 from .config import working_precision
 from .errors import InputError, ParameterError
 from .exponents import ExponentSequence
-from .gram import GramMatrix, gram_form, identity_residual, inverse_with_escalation
+from .gram import (GramMatrix, _norms_and_distances, gram_form, identity_residual,
+                   inverse_with_escalation)
 from .linalg import _doubles
 
 
@@ -129,6 +130,9 @@ def dual_family(lam: ExponentSequence, N: int, precision_bits: int = 256) -> Bio
     10^(-bits/8) target at the requested precision; the reported
     biorthogonality residual max_{j,n} |<e_j, r_n> - delta_jn| is exactly
     the Gram identity residual because the inner products are analytic.
+    The norms ((G^-1)_nn)^(1/2) and the deficits, their reciprocals, come
+    from the row factors the inverse was built from (G.row_factors), not
+    from its rounded diagonal.
     """
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
@@ -137,8 +141,7 @@ def dual_family(lam: ExponentSequence, N: int, precision_bits: int = 256) -> Bio
     prefix = lam.prefix(N)
     G, Minv, residual = inverse_with_escalation(prefix, precision_bits)
     with working_precision(G.precision_bits):
-        norms = tuple(sqrt(Minv[n][n]) for n in range(N))
-        deficits = tuple(1 / v for v in norms)
+        norms, deficits = zip(*_norms_and_distances(range(N), *G.row_factors))
     return BiorthogonalFamily(
         lam=prefix,
         truncation=N,

@@ -2,23 +2,25 @@
 
 With nodes x_i = lambda_i + 1/2 the Gram matrix is the symmetric Cauchy
 matrix G_jk = 1/(x_j + x_k), so its determinant, inverse, and the distance
-from each monomial to the span of the others all have product formulas.
-Products are assembled in log-space with sign tracking.  mpf has an
-unbounded exponent, so nothing would overflow in direct products; the
-log-space values are kept because they are the values every artifact
-pins (the inverse, the dual norms, the distances and the determinant).
-Each call fills one table of log(x_i + x_k) and log|x_i - x_k| over its
-prefix, so each logarithm is taken once (O(N^2), distance's single row
-O(N)); under round-to-nearest x_i - x_k rounds to exactly -(x_k - x_i), so
-every table entry is the value a per-pair evaluation would give, and the
-sums keep their order.  distance_lower_bound_check fills the same tables
-over the exponents themselves, log(lambda_i + lambda_k + 1) and
-log|lambda_i - lambda_k|, for all its distances.
+from each monomial to the span of the others all have product formulas
+(Schechter 1959; Demmel 1999).  Every one of them comes from exact integer
+row products: lambda_i is taken at working precision, the half is added
+exactly, and one power of two (_dyadic) makes every node an integer X_i.
+For each row P_i = prod_k (X_i + X_k) and Q_i = prod_{k!=i} (X_i - X_k) are
+Python integers, so no logarithm is taken and no error accumulates:
 
-The kernel runs on raw mpf values (mpmath.libmp's (sign, man, exp, bc)
-tuples): mpf_log, mpf_add, mpf_sub and mpf_exp at working precision and
-round-to-nearest, the operations and order the mpf wrappers would apply,
-so every value is the same bits without the wrappers' per-call cost.
+- A_i = prod_k (x_i + x_k) / prod_{k!=i} (x_i - x_k) is P_i / Q_i after the
+  scale, rounded once at _GUARD bits above the working precision;
+- the inverse M_ij = A_i A_j / (x_i + x_j) rounds each entry once;
+- the dual norm ||r_n|| = ((G^-1)_nn)^(1/2) = |A_n| / (2 x_n)^(1/2) and the
+  distance D_n = 1/||r_n|| round the root at the guard bits, then each
+  quotient once (lambda_n - lambda_k, lambda_n + lambda_k + 1 and
+  2 lambda_n + 1 are exactly x_n - x_k, x_n + x_k and 2 x_n);
+- det G = prod_i |Q_i| / prod_i P_i after the scale, rounded once.
+
+So each is within one unit of 2^-prec relative of the exact value for the
+rounded exponents.  A repeated node (Q_i = 0) is a DegenerateInputError.
+
 G and its inverse are rows of mpf.  _exact_product, the one G*M kernel,
 forms every entry as an exact integer dot product at one power of two;
 identity_residual and gram_product round its entries as fdot rounds them.
@@ -34,15 +36,16 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
-from mpmath import exp, mp, mpc, mpf, sqrt
-from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_lt,
-                          mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest as RND)
+from mpmath import mp, mpc, mpf, sqrt
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_rdiv_int,
+                          mpf_sqrt, mpf_sub, round_nearest as RND)
 
 from .config import inverse_residual_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
 
-_HALF = from_man_exp(1, -1)
+# bits above the working precision at which A_i and (2 x_i)^(1/2) are rounded
+_GUARD = 32
 
 
 @dataclass
@@ -63,6 +66,15 @@ class GramMatrix:
         if not (1 <= j <= N and 1 <= k <= N):
             raise InputError(f"index ({j}, {k}) outside 1..{N}")
         return self.entries[j - 1][k - 1]
+
+    @property
+    def row_factors(self):
+        """(X, t, A) of _row_factors over every row at this precision, built
+        on first use and kept: the inverse and the dual norms share them."""
+        if "_row_factors" not in self.__dict__:
+            with working_precision(self.precision_bits):
+                self.__dict__["_row_factors"] = _row_factors(self.lam, range(self.size))
+        return self.__dict__["_row_factors"]
 
 
 @dataclass(frozen=True)
@@ -87,18 +99,6 @@ def _lambdas(lam: ExponentSequence):
     return [mpf(v)._mpf_ for v in lam.values]
 
 
-def _nodes(lam: ExponentSequence):
-    """Nodes x_i = lambda_i + 1/2, raw, at working precision."""
-    prec = mp.prec
-    return [mpf_add(v, _HALF, prec, RND) for v in _lambdas(lam)]
-
-
-def _check_distinct(lam: ExponentSequence):
-    for i in range(len(lam) - 1):
-        if lam.values[i + 1] == lam.values[i]:
-            raise DegenerateInputError(f"duplicate exponent {lam.values[i]} at positions {i + 1}, {i + 2}")
-
-
 def gram_matrix(lam: ExponentSequence, precision_bits: int = 256) -> GramMatrix:
     """Build G_jk = 1/(lambda_j + lambda_k + 1) at the given precision."""
     if precision_bits < 64:
@@ -115,91 +115,53 @@ def gram_matrix(lam: ExponentSequence, precision_bits: int = 256) -> GramMatrix:
     return GramMatrix(lam, G, precision_bits)
 
 
-def cauchy_determinant(G: GramMatrix):
-    """det G via the Cauchy product formula, assembled in log-space.
+def _row_products(lam: ExponentSequence, rows):
+    """(X, t, P, Q): integers X_i = x_i 2^t for the nodes x_i = lambda_i + 1/2
+    (lambda_i at working precision, the half added exactly), and for each i in
+    rows P_i = prod_k (X_i + X_k) and Q_i = prod_{k!=i} (X_i - X_k), exact.
 
-    Every factor is positive for a strictly increasing node set, so no
-    sign tracking is needed here; the result is exp of a sum of logs.
+    A node that repeats makes G singular and Q_i zero: DegenerateInputError.
     """
-    _check_distinct(G.lam)
+    L, s = _dyadic([mpf(v) for v in lam.values])
+    X = [(v << 1) + (1 << s) for v in L]
+    first = {}
+    for k, v in enumerate(X):
+        if v in first:
+            raise DegenerateInputError(f"duplicate exponent {lam.values[k]} at positions "
+                                       f"{first[v] + 1}, {k + 1}")
+        first[v] = k
+    P, Q = [], []
+    for i in rows:
+        a, p, q = X[i], 1, 1
+        for k, b in enumerate(X):
+            p *= a + b
+            if k != i:
+                q *= a - b
+        P.append(p)
+        Q.append(q)
+    return X, s + 1, P, Q
+
+
+def _row_factors(lam: ExponentSequence, rows):
+    """(X, t, A): X and t of _row_products, and raw A_i = P_i / (Q_i 2^t),
+    that is prod_k (x_i + x_k) / prod_{k!=i} (x_i - x_k), for each i in rows,
+    rounded once at _GUARD bits above the working precision."""
+    X, t, P, Q = _row_products(lam, rows)
+    wp = mp.prec + _GUARD
+    return X, t, [mpf_div(from_man_exp(p, -t), from_man_exp(q, 0), wp, RND) for p, q in zip(P, Q)]
+
+
+def cauchy_determinant(G: GramMatrix):
+    """det G = prod_{j<k} (x_j - x_k)^2 / prod_{j,k} (x_j + x_k), from the
+    row products: prod_i |Q_i| 2^(tN) / prod_i P_i, rounded once."""
     with working_precision(G.precision_bits):
-        prec = mp.prec
         N = len(G.lam)
-        Lp, Lm = _log_tables(_nodes(G.lam))
-        acc = fzero
-        for j in range(N):
-            for k in range(j + 1, N):
-                acc = mpf_add(acc, mpf_shift(Lm[j][k], 1), prec, RND)
-        for j in range(N):
-            for k in range(N):
-                acc = mpf_sub(acc, Lp[j][k], prec, RND)
-        return mp.make_mpf(mpf_exp(acc, prec, RND))
-
-
-def _log_sum(a, b, one, prec):
-    """log(a + b), or log(a + b + 1) with the sum rounded before the 1 is added."""
-    s = mpf_add(a, b, prec, RND)
-    if one:
-        s = mpf_add(s, fone, prec, RND)
-    return mpf_log(s, prec, RND)
-
-
-def _log_gap(a, b, prec):
-    """log|a - b|."""
-    return mpf_log(mpf_abs(mpf_sub(a, b, prec, RND)), prec, RND)
-
-
-def _log_tables(x, one=False):
-    """(Lp, Lm) with Lp[i][k] = log(x_i + x_k) and Lm[i][k] = log|x_i - x_k|
-    (Lm[i][i] is None): the upper triangle is computed and mirrored.  With
-    one, Lp[i][k] = log(x_i + x_k + 1), so over the exponents themselves the
-    tables hold the factors of log_distance."""
-    prec = mp.prec
-    N = len(x)
-    Lp = [[None] * N for _ in range(N)]
-    Lm = [[None] * N for _ in range(N)]
-    for i, a in enumerate(x):
-        for k in range(i, N):
-            Lp[i][k] = Lp[k][i] = _log_sum(a, x[k], one, prec)
-        for k in range(i + 1, N):
-            Lm[i][k] = Lm[k][i] = _log_gap(a, x[k], prec)
-    return Lp, Lm
-
-
-def _log_table_row(x, i, one=False):
-    """Row i of _log_tables(x, one), from its own 2N - 1 logarithms."""
-    prec = mp.prec
-    a = x[i]
-    return ([_log_sum(a, b, one, prec) for b in x],
-            [None if k == i else _log_gap(a, b, prec) for k, b in enumerate(x)])
-
-
-def _log_row(x, i, lp, lm):
-    """log|A_i| and sign(A_i) for A_i = prod_k (x_i+x_k) / prod_{k!=i} (x_i-x_k),
-    from row i of the log tables."""
-    prec = mp.prec
-    s = fzero
-    for v in lp:
-        s = mpf_add(s, v, prec, RND)
-    sign = 1
-    for k, v in enumerate(lm):
-        if k == i:
-            continue
-        if mpf_lt(x[i], x[k]):
-            sign = -sign
-        s = mpf_sub(s, v, prec, RND)
-    return s, sign
-
-
-def _log_row_factors(x, Lp, Lm):
-    """(log|A_i|, ...), (sign(A_i), ...) over every row i."""
-    return zip(*(_log_row(x, i, Lp[i], Lm[i]) for i in range(len(x))))
-
-
-def _dual_norm(log_a, log_2x):
-    """((G^-1)_nn)^(1/2) = |A_n| / (2 x_n)^(1/2) from the logs of both."""
-    prec = mp.prec
-    return mp.make_mpf(mpf_exp(mpf_sub(log_a, mpf_shift(log_2x, -1), prec, RND), prec, RND))
+        _, t, P, Q = _row_products(G.lam, range(N))
+        num = den = 1
+        for p, q in zip(P, Q):
+            num *= abs(q)
+            den *= p
+        return mp.make_mpf(mpf_div(from_man_exp(num, t * N), from_man_exp(den, 0), mp.prec, RND))
 
 
 def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
@@ -208,7 +170,8 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
     Returns
     -------
     (M, residual)
-        M is the symmetric inverse as rows of mpf, M_ij = A_i A_j / (x_i + x_j);
+        M is the symmetric inverse as rows of mpf, M_ij = A_i A_j / (x_i + x_j),
+        A_i from G.row_factors and each entry rounded once at working precision;
         residual is max|G*M - I| computed at working precision.
 
     Raises
@@ -217,21 +180,17 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
         If the residual exceeds ``residual_tol`` (default 10^(-bits/8));
         the caller must raise precision_bits and rebuild.
     """
-    _check_distinct(G.lam)
     if residual_tol is None:
         residual_tol = inverse_residual_tolerance(G.precision_bits)
     with working_precision(G.precision_bits):
         prec = mp.prec
-        x = _nodes(G.lam)
-        N = len(x)
-        Lp, Lm = _log_tables(x)
-        logs, signs = _log_row_factors(x, Lp, Lm)
+        N = len(G.lam)
+        X, t, a = G.row_factors
         M = [[None] * N for _ in range(N)]
         for i in range(N):
             for j in range(i, N):
-                v = mpf_exp(mpf_sub(mpf_add(logs[i], logs[j], prec, RND), Lp[i][j], prec, RND),
-                            prec, RND)
-                M[i][j] = M[j][i] = mp.make_mpf(v if signs[i] == signs[j] else mpf_neg(v))
+                v = mpf_div(mpf_mul(a[i], a[j]), from_man_exp(X[i] + X[j], -t), prec, RND)
+                M[i][j] = M[j][i] = mp.make_mpf(v)
         residual = identity_residual(G.entries, M)
     if not residual <= mpf(residual_tol):
         raise PrecisionInsufficientError(
@@ -307,44 +266,31 @@ def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
     raise last_exc
 
 
-def _log_distance(tp, tm, i):
-    """Raw log D from row i of the exponent tables _log_tables(lambda, one=True):
-    -log(2 lambda_i + 1)/2 + sum_{k!=i} (log|lambda_i - lambda_k|
-    - log(lambda_i + lambda_k + 1)), summed in k order."""
+def _norms_and_distances(rows, X, t, A):
+    """[(||r_i||, D_i)] for each i in rows, from _row_factors over those rows:
+    |A_i| / (2 x_i)^(1/2) and its reciprocal.  The root is rounded at _GUARD
+    bits above the working precision, then each quotient once at working
+    precision."""
     prec = mp.prec
-    acc = mpf_shift(mpf_neg(tp[i]), -1)
-    for k, (p, m) in enumerate(zip(tp, tm)):
-        if k != i:
-            acc = mpf_add(acc, mpf_sub(m, p, prec, RND), prec, RND)
-    return acc
-
-
-def log_distance(lam: ExponentSequence, n: int, N: int):
-    """log of the closed-form distance D_{n,N}; exact up to rounding."""
-    if not 1 <= n <= N <= len(lam):
-        raise InputError(f"need 1 <= n <= N <= {len(lam)}, got n={n}, N={N}")
-    prefix = lam.prefix(N)
-    _check_distinct(prefix)
-    tp, tm = _log_table_row(_lambdas(prefix), n - 1, one=True)
-    return mp.make_mpf(_log_distance(tp, tm, n - 1))
+    out = []
+    for i, a in zip(rows, A):
+        a, r = mpf_abs(a), mpf_sqrt(from_man_exp(X[i], 1 - t), prec + _GUARD, RND)
+        out.append((mp.make_mpf(mpf_div(a, r, prec, RND)), mp.make_mpf(mpf_div(r, a, prec, RND))))
+    return out
 
 
 def distance(lam: ExponentSequence, n: int, N: int, precision_bits: int = 256) -> DistanceReport:
     """Distance from e_n to the span of the remaining N-1 monomials.
 
     D_{n,N} = (2 lambda_n + 1)^(-1/2) * prod_{k<=N, k!=n}
-    |lambda_n - lambda_k| / (lambda_n + lambda_k + 1), evaluated in
-    log-space; the dual norm is ((G_N^-1)_nn)^(1/2) and the two satisfy
-    distance * dual_norm = 1.
+    |lambda_n - lambda_k| / (lambda_n + lambda_k + 1) = (2 x_n)^(1/2) / |A_n|,
+    from row n's products alone; the dual norm is ((G_N^-1)_nn)^(1/2) =
+    |A_n| / (2 x_n)^(1/2), and the two satisfy distance * dual_norm = 1.
     """
+    if not 1 <= n <= N <= len(lam):
+        raise InputError(f"need 1 <= n <= N <= {len(lam)}, got n={n}, N={N}")
     with working_precision(precision_bits):
-        d = exp(log_distance(lam, n, N))
-        x = _nodes(lam.prefix(N))
-        i = n - 1
-        # (G^-1)_nn = A_n^2 / (2 x_n), so the dual norm needs only row n
-        lp, lm = _log_table_row(x, i)
-        log_a, _ = _log_row(x, i, lp, lm)
-        dual = _dual_norm(log_a, lp[i])
+        [(dual, d)] = _norms_and_distances([n - 1], *_row_factors(lam.prefix(N), [n - 1]))
     return DistanceReport(n=n, truncation=N, distance=d, dual_norm=dual)
 
 
@@ -355,28 +301,20 @@ def distance_lower_bound_check(lam: ExponentSequence, N: int, epsilon: float,
     Returns (reports, m_fit) where m_fit = min_n D_{n,N} / (1-eps)^lambda_n
     over n <= N.  m_fit is positive whenever the exponents are distinct;
     its trend over N is the quantity worth watching, so each report
-    carries the shared fit.  One table over the nodes gives every dual
-    norm and one over the exponents every distance, each logarithm taken
-    once.
+    carries the shared fit.  One pass of row products over the nodes gives
+    every distance and dual norm: lambda_n - lambda_k, lambda_n + lambda_k + 1
+    and 2 lambda_n + 1 are exactly x_n - x_k, x_n + x_k and 2 x_n.
     """
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
     with working_precision(precision_bits):
-        prec = mp.prec
         eps = mpf(epsilon)
-        prefix = lam.prefix(N)
-        _check_distinct(prefix)
-        x = _nodes(prefix)
-        Lp, Lm = _log_tables(x)
-        logs, _ = _log_row_factors(x, Lp, Lm)
-        Tp, Tm = _log_tables(_lambdas(prefix), one=True)
         base = []
-        for i in range(N):
-            d = mp.make_mpf(mpf_exp(_log_distance(Tp[i], Tm[i], i), prec, RND))
-            rep = DistanceReport(n=i + 1, truncation=N, distance=d,
-                                 dual_norm=_dual_norm(logs[i], Lp[i][i]))
-            ratio = rep.distance / (1 - eps) ** mpf(lam.values[i])
-            base.append((rep, ratio))
+        rows = range(N)
+        pairs = _norms_and_distances(rows, *_row_factors(lam.prefix(N), rows))
+        for i, (dual, d) in enumerate(pairs):
+            rep = DistanceReport(n=i + 1, truncation=N, distance=d, dual_norm=dual)
+            base.append((rep, d / (1 - eps) ** mpf(lam.values[i])))
         m_fit = min(r for _, r in base)
     reports = [
         DistanceReport(rep.n, rep.truncation, rep.distance, rep.dual_norm, epsilon, m_fit)

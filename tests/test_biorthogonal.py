@@ -5,6 +5,7 @@ from mpmath import log, matrix, mpf, sqrt
 from muntzlab import (
     InputError,
     ParameterError,
+    distance,
     dual_family,
     generate_exponents,
     norm_growth_check,
@@ -12,7 +13,6 @@ from muntzlab import (
     working_precision,
 )
 from muntzlab.biorthogonal import biorthogonality_residual
-from muntzlab.gram import log_distance
 
 LAM_1 = generate_exponents("integers", {"values": [1]}, 1)
 
@@ -93,8 +93,9 @@ def test_truncation_drift_via_norm_identity(p):
     # an independent oracle from the closed-form distances, held to the bits
     lam = generate_exponents("power", {"p": p}, 12)
     drift = truncation_convergence(lam, 1, 6, 10, 256)
+    d10, d6 = (distance(lam, 1, N, 512).distance for N in (10, 6))
     with mpmath.workprec(512):
-        want = sqrt(mpmath.exp(-2 * log_distance(lam, 1, 10)) - mpmath.exp(-2 * log_distance(lam, 1, 6)))
+        want = sqrt(1 / d10 ** 2 - 1 / d6 ** 2)
         assert abs(drift - want) <= mpf(2) ** -250 * want
     assert drift > 0
 

@@ -1,7 +1,8 @@
 """Byte contract of the CLI artifacts.
 
-Each command runs on the README exponents (squares, N = 10; a 16-term file
-for the 64-bit run that escalates to 128 bits) and the README series, and
+Each command runs on the README exponents (squares, N = 10; 16-term files
+for two 64-bit runs: squares, which meet the residual target at 64 bits,
+and p = 1.5, which escalates to 128 bits) and the README series, and
 its artifact must hash to the recorded SHA-256 digest, so a change in any
 printed digit, field or layout fails. The digests come from fresh
 ``muntz`` processes (53-bit ambient precision), which the in-process runs
@@ -30,18 +31,24 @@ from conftest import mixed_sigma_oracle
 DIGESTS = {
     "lambda.json": "c3ae84d1d1693db6b8e56a218bfba8842fbcbe15c60aa5144187570ddae5ef49",
     "lambda16.json": "fc7902a9d6f885d85fb54a0372c975009931ee3aedfb900bacc71db5e9a59dfd",
+    "lambda15.json": "fd7baac3d580e0b35846c10e398ef0cf32744c7013babf119a6c7e58c810efee",
     "gram.json": "f214a669a344efd09e7abf14239018827b189051bcb92f7f7db3a9919efbdece",
-    "dist.jsonl": "df0ce83000471b419c415e9a7d2538b67a11bcdc49357f0ec9bcc7c67ddaa8b4",
-    "dist_eps.jsonl": "448130dc0d42a899b3edd474b9ea75924614d3dd75dcd64c68370f8cd3cdcbda",
-    "duals.json": "99fe621ce799a5e450983423fd76d44b22cc778e6bb190a7fee6b5c7a629493c",
-    "duals64.json": "b4611421ca23ef9884f13c14d515566ba0bd18aee73dede851df581487140c14",
-    "duals512.json": "6513cc7bc1275860fe69f736defa0eacfd171cadbdbee57fff18b93bf77a115c",
-    "duals16_64.json": "20a4c3831080057814ffaff7c68b118f08e79732686dba1fb399a29e89fe8a47",
+    "dist.jsonl": "707994154972c6b5ce2961d6c0f6060739056f81eb827abe667aecc94f509ffe",
+    "dist_eps.jsonl": "95671a832c6d4b26dad31060655320067f792a60e0a315acce0ff98397223fdf",
+    "duals.json": "f879df1b816540ca4fa585e72e77707fb98fa16f9b20bacd173998854ebfad84",
+    "duals64.json": "c46e30a5d7a4f97b2f58a7f677a80944abb12759d5932bb433f79a3a67481dbb",
+    "duals512.json": "c38461609d7314d2c5d26bdfc06204422ead4177a6a4821476457e6ba315746c",
+    "duals16_64.json": "d03ecb1c8a672f07b6b80b8b2b5831c89c5e1e32b39d7c89553a61b19f10b08d",
+    "duals15_64.json": "6bd24cb75d3eb5e05c41da228a09931ff89acf9190c8ab7d4f7509436ed603e2",
 }
+
+# bits each 16-term 64-bit run ends at: squares stay, p = 1.5 escalates once
+BITS_USED = {"duals16_64.json": 64, "duals15_64.json": 128}
 
 COMMANDS = [
     ["gen-exponents", "--kind", "power", "--p", "2", "--n", "10", "--out", "lambda.json"],
     ["gen-exponents", "--kind", "power", "--p", "2", "--n", "16", "--out", "lambda16.json"],
+    ["gen-exponents", "--kind", "power", "--p", "1.5", "--n", "16", "--out", "lambda15.json"],
     ["gram", "--lambda", "lambda.json", "--n", "10", "--bits", "256", "--format", "json",
      "--out", "gram.json"],
     ["distance", "--lambda", "lambda.json", "--n", "10", "--all", "--out", "dist.jsonl"],
@@ -52,6 +59,8 @@ COMMANDS = [
     ["biorthogonal", "--lambda", "lambda.json", "--n", "10", "--bits", "512", "--out", "duals512.json"],
     ["biorthogonal", "--lambda", "lambda16.json", "--n", "16", "--bits", "64",
      "--out", "duals16_64.json"],
+    ["biorthogonal", "--lambda", "lambda15.json", "--n", "16", "--bits", "64",
+     "--out", "duals15_64.json"],
 ]
 
 
@@ -63,13 +72,15 @@ def test_gram_algebra_artifacts_are_byte_identical(tmp_path, monkeypatch):
             assert main(argv) == 0, argv
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS}
     assert got == DIGESTS
+    for name, bits in BITS_USED.items():
+        assert json.loads((tmp_path / name).read_text())["precision_bits_used"] == bits
 
 
 SERIES = {"lambda_ref": "lambda.json", "coeffs": [[1, 0], [0.5, 0]], "rule": {"name": "inv_n"}}
 
 SERIES_DIGESTS = {
-    "proj.json": "07d076b185b5343f4ad0f4a8080fe90076dc17d81cde8a2db140512672e8dc29",
-    "rec.jsonl": "ca2bb1b95eb15abcadb7c7f1df6fe54444573b332f6a5fa947e4c225a4aca1cf",
+    "proj.json": "25ec28cb1747f497bccc47b107e851ca95d4561093a8af78ab558bbcda5b68a4",
+    "rec.jsonl": "173048362f1a045560ed5567a8e181781b27f7c3ec9fc16483aaaed87a2dbcad",
     "eval.json": "5821b0b57463afea9811180248e8cdfcb38e8bd4272f1aef96a14e638de2cd3a",
     "mixed.csv": "b296ac87fc8ffc77899048484a635a37713e4bb9c05e09e6204c1073e5612ad2",
     "hardy.json": "186694a3aa5dcc64567cd55ba58fdbde01f211b9562e226d5da6f89bb309d355",
@@ -88,9 +99,9 @@ SERIES_COMMANDS = [
 ]
 
 CERTIFICATE_DIGESTS = {
-    "0.3": "eaf7ef8c7a58296a94f981dd11f45f2e20b42363ab02f6513843a2d312ef56e4",
-    "0.5": "0793eca2d101241540defb28e7561ef840b0811084f1c9f2485e0e689707a910",
-    "0.8": "b03a44e0253ca218fa75e8d466e9db3aaad41a73a97582c98e4826eeed035b2a",
+    "0.3": "f71eb543c7f909d58a2758da0732af7aab7a6485425eb7934ca994a99f08715d",
+    "0.5": "d68e095a6b97fda906de548a350fc442bb2c151528407a5e76c0498ed327c855",
+    "0.8": "a8471b6ca52ff87e4295061bd54268b1ae640bcb76b2fff76e7982b42d5e61b7",
 }
 
 

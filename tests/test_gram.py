@@ -1,9 +1,12 @@
 import hashlib
+import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import exp, log, matrix, mp, mpc, mpf, sqrt
+from mpmath import matrix, mp, mpc, mpf, sqrt
+from mpmath.libmp import from_man_exp, from_rational, mpf_exp, mpf_log, mpf_sqrt, round_nearest
 
 from muntzlab import (
     DegenerateInputError,
@@ -22,8 +25,7 @@ from muntzlab import (
 from muntzlab import gram
 from muntzlab.config import inverse_residual_tolerance
 from muntzlab.exponents import ExponentSequence
-from muntzlab.gram import (gram_form, gram_product, identity_residual, inverse_with_escalation,
-                           log_distance)
+from muntzlab.gram import gram_form, gram_product, identity_residual, inverse_with_escalation
 
 from conftest import exponent_sets
 
@@ -134,6 +136,20 @@ def test_duplicate_exponents_rejected():
         cauchy_determinant(gram_matrix(bad, 256))
     with pytest.raises(DegenerateInputError):
         cauchy_inverse(gram_matrix(bad, 256))
+    # a repeat that is not next to its twin is refused on every path
+    apart = ExponentSequence((1, 2, 1), mpf(0))
+    for call in (lambda: cauchy_inverse(gram_matrix(apart, 64)),
+                 lambda: dual_family(apart, 3, 64),
+                 lambda: distance(apart, 1, 3, 64),
+                 lambda: distance(apart, 2, 3, 64),
+                 lambda: distance_lower_bound_check(apart, 3, 0.5, 64),
+                 lambda: cauchy_determinant(gram_matrix(apart, 64))):
+        with pytest.raises(DegenerateInputError, match="positions 1, 3"):
+            call()
+    # distinct nodes out of order stay valid
+    fam = dual_family(ExponentSequence((3, 1, 2), mpf(0)), 3, 64)
+    assert fam.precision_bits == 64
+    assert fam.biorthogonality_residual <= mpf(inverse_residual_tolerance(64))
 
 
 def test_insufficient_precision_raises_and_escalation_recovers():
@@ -278,77 +294,147 @@ def test_gram_form_within_its_error_bound(case):
 
 
 # ---------------------------------------------------------------------------
-# the Cauchy product formulas against per-pair evaluation, bit for bit
+# the Cauchy product formulas against per-pair evaluation in exact rationals
 #
-# The oracle takes every logarithm where the formula names it: log(x_i+x_k)
-# and log|x_i-x_k| once per ordered pair, log(x_i+x_j) again inside the
-# inverse's exp, and the identity residual from mpmath's matrix product.
+# The oracle takes the exponents as the kernels round them at the working
+# precision, adds the half, and forms A_i = prod_k (x_i+x_k) / prod_{k!=i}
+# (x_i-x_k) and every product per pair in fractions.Fraction.  Each value is
+# then rounded where the kernel contract rounds it: A_i at 32 bits above the
+# working precision, each inverse entry A_i A_j / (x_i+x_j) once, (2 x_i)^(1/2)
+# at the 32 bits and each quotient |A_i| / (2 x_i)^(1/2) and its reciprocal
+# once, and det G once.  The kernels must give those bits, and every value
+# must lie within one unit of 2^-prec relative of the exact rational (for the
+# roots, of the exact root).
 
 
-def _pair_log_row_factors(x):
-    N = len(x)
-    logs, signs = [], []
-    for i in range(N):
-        s = mpf(0)
-        for k in range(N):
-            s += log(x[i] + x[k])
-        sign = 1
-        for k in range(N):
-            if k == i:
-                continue
-            d = x[i] - x[k]
-            if d < 0:
-                sign = -sign
-            s -= log(abs(d))
-        logs.append(s)
-        signs.append(sign)
-    return logs, signs
+def _exact(v):
+    """The rational an int or mpf holds."""
+    if isinstance(v, int):
+        return Fraction(v)
+    sign, man, exp, _ = v._mpf_
+    q = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -q if sign else q
 
 
-def _pair_nodes(lam):
-    return [mpf(v) + mpf(1) / 2 for v in lam.values]
+def _rounded(q, prec):
+    """The rational q rounded to nearest at prec bits, as raw mpf."""
+    return from_rational(q.numerator, q.denominator, prec, round_nearest)
 
 
-def _pair_inverse(G):
-    """(M, residual) by the per-pair formulas, without the residual test."""
-    with working_precision(G.precision_bits):
-        x = _pair_nodes(G.lam)
-        N = len(x)
-        logs, signs = _pair_log_row_factors(x)
-        M = matrix(N, N)
-        for i in range(N):
-            for j in range(i, N):
-                M[i, j] = M[j, i] = signs[i] * signs[j] * exp(logs[i] + logs[j] - log(x[i] + x[j]))
-        P = matrix(G.entries) * M
-        worst = mpf(0)
-        for i in range(N):
-            for j in range(N):
-                worst = max(worst, abs(P[i, j] - (1 if i == j else 0)))
-    return M, worst
+class _CauchyOracle:
+    """Exact nodes, row factors and determinant of a prefix at bits, with the
+    values the kernel contract rounds from them.  A_i is accumulated as a
+    numerator and a denominator and reduced once; the one-unit checks
+    cross-multiply, so no large fraction is reduced twice."""
+
+    def __init__(self, values, bits):
+        with working_precision(bits):
+            self.prec = prec = mp.prec
+            self.x = x = [_exact(mpf(v)) + Fraction(1, 2) for v in values]
+        self.A, det_num, det_den = [], 1, 1
+        for i, a in enumerate(x):
+            num = den = 1
+            for k, b in enumerate(x):
+                s = a + b
+                num, den = num * s.numerator, den * s.denominator
+                if k != i:
+                    d = a - b
+                    num, den = num * d.denominator, den * d.numerator
+            self.A.append(Fraction(num, den))
+            det_num, det_den = det_num * abs(den), det_den * abs(num)
+        self.det = Fraction(det_num, det_den)
+        self.a = [_exact(mp.make_mpf(_rounded(A, prec + 32))) for A in self.A]
+        # 2 x_i is dyadic, so it enters the root exactly
+        roots = [mpf_sqrt(from_man_exp(v.numerator, 2 - v.denominator.bit_length()), prec + 32,
+                          round_nearest) for v in x]
+        self.roots = [_exact(mp.make_mpf(r)) for r in roots]
+
+    def inverse(self):
+        x, a, prec = self.x, self.a, self.prec
+        return [[mp.make_mpf(_rounded(a[i] * a[j] / (x[i] + x[j]), prec)) for j in range(len(x))]
+                for i in range(len(x))]
+
+    def norms_and_distances(self):
+        out = []
+        for a, r in zip(self.a, self.roots):
+            out.append((mp.make_mpf(_rounded(abs(a) / r, self.prec)),
+                        mp.make_mpf(_rounded(r / abs(a), self.prec))))
+        return out
+
+    def determinant(self):
+        return mp.make_mpf(_rounded(self.det, self.prec))
+
+    def assert_within_one_ulp(self, v, num, den):
+        """|v - num/den| <= |num/den| 2^-prec, for den > 0."""
+        q = _exact(v)
+        m, d = q.numerator, q.denominator
+        assert abs(m * den - num * d) << self.prec <= abs(num) * d, (v, num, den)
+
+    def assert_root_within_one_ulp(self, v, num, den):
+        """|v - r| <= r 2^-prec for r = (num/den)^(1/2) and v > 0, that is
+        (2^prec - 1)^2 <= 2^(2 prec) v^2 den / num <= (2^prec + 1)^2."""
+        q, one = _exact(v), 1 << self.prec
+        assert q > 0
+        lhs, rhs = q.numerator ** 2 * den * one * one, num * q.denominator ** 2
+        assert (one - 1) ** 2 * rhs <= lhs <= (one + 1) ** 2 * rhs, (v, num, den)
+
+    def assert_exact_values(self, M=None, pairs=None, det=None):
+        """Every given value within one unit of 2^-prec of its exact value."""
+        x, A = self.x, self.A
+        for i, row in enumerate(M or []):
+            for j, v in enumerate(row):
+                s = x[i] + x[j]
+                self.assert_within_one_ulp(v, A[i].numerator * A[j].numerator * s.denominator,
+                                           A[i].denominator * A[j].denominator * s.numerator)
+        for i, (nrm, d) in enumerate(pairs or []):
+            # ||r_i||^2 = A_i^2 / (2 x_i) and D_i^2 is its reciprocal
+            a2n, a2d = A[i].numerator ** 2, A[i].denominator ** 2
+            xn, xd = 2 * x[i].numerator, x[i].denominator
+            self.assert_root_within_one_ulp(nrm, a2n * xd, a2d * xn)
+            self.assert_root_within_one_ulp(d, a2d * xn, a2n * xd)
+        if det is not None:
+            self.assert_within_one_ulp(det, self.det.numerator, self.det.denominator)
 
 
-def _pair_determinant(G):
-    with working_precision(G.precision_bits):
-        x = _pair_nodes(G.lam)
-        N = len(x)
-        acc = mpf(0)
-        for j in range(N):
-            for k in range(j + 1, N):
-                acc += 2 * log(x[k] - x[j])
-        for j in range(N):
-            for k in range(N):
-                acc -= log(x[j] + x[k])
-        return exp(acc)
-
-
-def _pair_distances(lam, N, bits):
-    """[(D_{n,N}, dual norm)] for n = 1..N; each row factor is deterministic,
-    so the rows are built once and row n read for each n."""
+def _check_cauchy_formulas(lam, N, bits):
+    """Inverse, residual, determinant, distances, dual norms and the fit
+    against the oracle at bits; the dual family against the oracle at the
+    bits it was built with."""
+    G = gram_matrix(lam.prefix(N), bits)
+    oracle = _CauchyOracle(lam.values[:N], bits)
+    want_M = oracle.inverse()
     with working_precision(bits):
-        x = _pair_nodes(lam.prefix(N))
-        logs, _ = _pair_log_row_factors(x)
-        return [(exp(log_distance(lam, n, N)), exp(logs[n - 1] - log(2 * x[n - 1]) / 2))
-                for n in range(1, N + 1)]
+        want_res = _fdot_residual(G.entries, want_M)
+    if want_res <= mpf(inverse_residual_tolerance(bits)):
+        M, res = cauchy_inverse(G)
+        assert repr(M) == repr(want_M)
+        assert repr(res) == repr(want_res)
+    else:
+        with pytest.raises(PrecisionInsufficientError) as info:
+            cauchy_inverse(G)
+        assert repr(info.value.residual) == repr(want_res)
+    det = cauchy_determinant(G)
+    assert repr(det) == repr(oracle.determinant())
+
+    want = oracle.norms_and_distances()
+    reports, m_fit = distance_lower_bound_check(lam, N, 0.5, bits)
+    for n, (rep, (dual, d)) in enumerate(zip(reports, want), 1):
+        assert (repr(rep.distance), repr(rep.dual_norm)) == (repr(d), repr(dual))
+        single = distance(lam, n, N, bits)
+        assert (repr(single.distance), repr(single.dual_norm)) == (repr(d), repr(dual))
+    with working_precision(bits):
+        want_fit = min(d / (1 - mpf(0.5)) ** mpf(v) for (_, d), v in zip(want, lam.values))
+    assert repr(m_fit) == repr(want_fit)
+    oracle.assert_exact_values(want_M, want, det)
+
+    fam = dual_family(lam, N, bits)
+    if fam.precision_bits != bits:
+        oracle = _CauchyOracle(lam.values[:N], fam.precision_bits)
+    assert repr(fam.inverse_rows) == repr(oracle.inverse())
+    want = oracle.norms_and_distances()
+    assert repr(list(zip(fam.norms, fam.projection_deficit))) == repr(want)
+    oracle.assert_exact_values(fam.inverse_rows, want)
+    return fam
 
 
 CAUCHY_SETS = {
@@ -368,39 +454,35 @@ def _cauchy_set(name, bits):
 @pytest.mark.parametrize("N", [1, 2, 8, 16])
 @pytest.mark.parametrize("name", sorted(CAUCHY_SETS))
 def test_cauchy_formulas_bit_identical_to_per_pair(name, N, bits):
-    lam = _cauchy_set(name, bits)
-    G = gram_matrix(lam.prefix(N), bits)
-    want_M, want_res = _pair_inverse(G)
-    if want_res <= mpf(inverse_residual_tolerance(bits)):
-        M, res = cauchy_inverse(G)
-        assert repr(M) == repr(want_M.tolist())
-        assert repr(res) == repr(want_res)
-    else:
-        with pytest.raises(PrecisionInsufficientError) as info:
-            cauchy_inverse(G)
-        assert repr(info.value.residual) == repr(want_res)
-    assert repr(cauchy_determinant(G)) == repr(_pair_determinant(G))
+    _check_cauchy_formulas(_cauchy_set(name, bits), N, bits)
 
-    want = _pair_distances(lam, N, bits)
-    reports, m_fit = distance_lower_bound_check(lam, N, 0.5, bits)
-    for n, (rep, (d, dual)) in enumerate(zip(reports, want), 1):
-        assert (repr(rep.distance), repr(rep.dual_norm)) == (repr(d), repr(dual))
-        single = distance(lam, n, N, bits)
-        assert (repr(single.distance), repr(single.dual_norm)) == (repr(d), repr(dual))
-    with working_precision(bits):
-        want_fit = min(d / (1 - mpf(0.5)) ** mpf(v) for (d, _), v in zip(want, lam.values))
-    assert repr(m_fit) == repr(want_fit)
+
+@given(lam=exponent_sets(max_n=16), bits=st.sampled_from([64, 128, 256, 512]))
+def test_cauchy_formulas_within_one_ulp_property(lam, bits):
+    # exponents generated at the default precision, read at 64 to 512 bits
+    _check_cauchy_formulas(lam, len(lam), bits)
 
 
 def test_escalated_inverse_bit_identical_to_per_pair():
-    # squares at N = 16 miss the 64-bit residual target and escalate once
-    lam = _cauchy_set("squares", 64)
+    # p = 1.5 at N = 16 misses the 64-bit residual target and escalates once
+    lam = _cauchy_set("power1.5", 64)
     G, M, res = inverse_with_escalation(lam, 64)
     assert G.precision_bits == 128
-    assert _pair_inverse(gram_matrix(lam, 64))[1] > mpf(inverse_residual_tolerance(64))
-    want_M, want_res = _pair_inverse(gram_matrix(lam, 128))
-    assert repr(M) == repr(want_M.tolist())
-    assert repr(res) == repr(want_res)
+    with pytest.raises(PrecisionInsufficientError):
+        cauchy_inverse(gram_matrix(lam, 64))
+    want_M = _CauchyOracle(lam.values, 128).inverse()
+    assert repr(M) == repr(want_M)
+    with working_precision(128):
+        assert repr(res) == repr(_fdot_residual(G.entries, want_M))
+
+
+@pytest.mark.parametrize("name, N", [("squares", 16), ("custom", 12)])
+def test_accurate_inverse_meets_the_64_bit_target_without_escalating(name, N):
+    # an inverse within one unit of 2^-80 of the exact one meets 10^-8 at
+    # 64 bits; both of these escalated when each entry took N logarithms
+    fam = _check_cauchy_formulas(_cauchy_set(name, 64), N, 64)
+    assert fam.precision_bits == 64
+    assert fam.biorthogonality_residual <= mpf(inverse_residual_tolerance(64))
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +557,16 @@ def test_exact_product_keeps_the_term_fdot_drops(monkeypatch):
         assert calls == []
 
 
-# every family the duals benchmark builds, pinned before the residual and the
-# log/exp assembly moved to raw mantissas: repr at 1024 bits shows every bit
+# every family the duals benchmark builds, pinned when the Cauchy algebra
+# moved to exact integer row products: repr at 1024 bits shows every bit
 FAMILY_DIGESTS = {
-    "custom": "704aeea7fdebb1b215bceb145a8f488f7b81367be68b77a14b5962790b235886",
-    "lacunary2": "306c229bc7349dd81fe6c0205a318e5fd8035a08c1f105a396255dc837023ce2",
-    "power1.5": "5e1aa11d941adebaad07f4cb020743f6ec52acf71833940521d53fe9e2772ed7",
-    "squares": "ea7cfa0b14a22347eaf0f2a02eb5b0863b1ecfdec642bd857ae4410952b0346d",
+    "custom": "785e352468a59d8feb913e1a167b8faa6823175b60f89202ce058c4d4a3ba3db",
+    "lacunary2": "1c59b3bc8751392be3bf7efeaf1bf11f950298894ee8dddf5a36cd39294b0514",
+    "power1.5": "2532cfac458f721276aed27d00aa01000af3e37f7f90e991e0f5d2f452f0aae4",
+    "squares": "6db615b2dae21922e060f5128ec9e95a0556c2566ace383f50d44dc6e516012b",
 }
 # (name, N) whose 64-bit request escalates to 128 bits
-ESCALATED = {("squares", 16), ("power1.5", 16), ("custom", 12), ("custom", 16)}
+ESCALATED = {("power1.5", 16), ("custom", 16)}
 
 
 @pytest.mark.parametrize("name", sorted(CAUCHY_SETS))
@@ -502,34 +584,38 @@ def test_dual_families_are_pinned(name):
 
 
 # ---------------------------------------------------------------------------
-# regression guard: how many logarithms each formula takes (counts, no timing)
+# regression guard: how many logarithms each formula takes (none; counts, no timing)
 
 
 @pytest.fixture()
-def log_calls(monkeypatch):
+def log_calls():
+    """Every mpf_log and mpf_exp call, however it is reached (the mpmath
+    wrappers hold their own references, so the calls are caught by code
+    object rather than by name)."""
     calls = []
-    real = gram.mpf_log
+    codes = {mpf_log.__code__: "mpf_log", mpf_exp.__code__: "mpf_exp"}
 
-    def counting(v, *args):
-        calls.append(v)
-        return real(v, *args)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(codes[frame.f_code])
 
-    monkeypatch.setattr(gram, "mpf_log", counting)
-    return calls
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    yield calls
+    sys.setprofile(old)
 
 
 def test_log_counts_per_formula(log_calls):
+    # integer exponents, so the fit's (1 - eps)^lambda_n is an integer power
+    # and takes no logarithm either
     N = 12
     lam = generate_exponents("power", {"p": 2}, N)
-    G = gram_matrix(lam, 256)
-    cauchy_inverse(G)
-    assert len(log_calls) == N * N
-    del log_calls[:]
+    dual_family(lam, N, 256)
     distance(lam, 5, N)
-    assert len(log_calls) <= 4 * N
-    del log_calls[:]
     distance_lower_bound_check(lam, N, 0.5)
-    assert len(log_calls) == 2 * N * N
+    cauchy_determinant(gram_matrix(lam, 256))
+    dual_family(_cauchy_set("power1.5", 64), 16, 64)  # escalates to 128 bits
+    assert log_calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -369,10 +369,10 @@ def test_certificate_mixed_item_is_the_floor(fam_squares_10_512):
 # SHA-256 of repr((finite_rank_enclosures, kernel_trivial value, kernel_min_singular))
 # at 1024 bits, certificate computed at a 53-bit ambient precision
 ENCLOSURE_DIGESTS = {
-    ("squares", 0.3): "6f7f46b415119f96f4d9370d2ac6c41f1817e6c2b44a6f445f46b6712d2e1af2",
-    ("squares", 0.5): "f4e0310d521868032a19262c276da19b78aa28e4d5c12fb8641c893baa4476bf",
-    ("squares", 0.8): "5fe08d77a4c1f7cec47fc449595ef373b2dfd8d08be4e8aac42174ce30ca695e",
-    ("custom", 0.2): "5331f1da04342e0b36f37a6dc4a8494e565a090e8a9b1442ab7d9906fb351a76",
+    ("squares", 0.3): "eb64998e88ad2c8d5b33e18132bc003b84c22e8e4289779672f9a1d254339850",
+    ("squares", 0.5): "fce0e4c99fb357fc05c9f6b0da5f14d3e1894fbc77de6d69aadcf91120804781",
+    ("squares", 0.8): "2c5ef4259077570b1fe396d7a1ff2637d4e2775c0b0543b641da5761cddc9faf",
+    ("custom", 0.2): "3a59a36cea307bb6df65efa94934ec41b0d951f194d7de194949bc3ea7afec14",
 }
 
 
