@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from mpmath import log, matrix, mp, mpf, sqrt
+from mpmath import log, matrix, mpf, sqrt
 
 from .config import working_precision
 from .errors import InputError, ParameterError
@@ -64,17 +64,6 @@ class BiorthogonalFamily:
     def inverse_doubles(self) -> list:
         """inverse_rows through linalg._doubles, once for every float seed."""
         return _doubles(self.inverse_rows)
-
-    @cached_property
-    def ratio_rows(self) -> list:
-        """R_ik = (x_i + x_k)/(x_i - x_k) for k != i and R_ii = 2 x_i, with
-        x_i = lambda_i + 1/2 added exactly (the stored Gram's nodes), each
-        within three roundings of its exact value.  prod_k R_ik over a subset
-        of k holding i is that subset's Cauchy factor A_i (G^-1 = D_A G D_A)."""
-        with working_precision(self.precision_bits):
-            x = [mp.fadd(mpf(v), 0.5, exact=True) for v in self.lam.values]
-            return [[2 * a if i == k else (a + b) / (a - b) for k, b in enumerate(x)]
-                    for i, a in enumerate(x)]
 
     def dual_coefficients(self, n: int):
         """Monomial coefficients of r_n^(N), 1-based n."""
@@ -141,7 +130,7 @@ def dual_family(lam: ExponentSequence, N: int, precision_bits: int = 256) -> Bio
     prefix = lam.prefix(N)
     G, Minv, residual = inverse_with_escalation(prefix, precision_bits)
     with working_precision(G.precision_bits):
-        norms, deficits = zip(*_norms_and_distances(range(N), *G.row_factors))
+        norms, deficits = zip(*_norms_and_distances(range(N), *G.nodes, G.row_factors))
     return BiorthogonalFamily(
         lam=prefix,
         truncation=N,

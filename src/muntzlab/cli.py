@@ -78,6 +78,15 @@ def make_config(args) -> RunConfig:
     return cfg
 
 
+def _indices(args, N: int):
+    """1..N under --all, else [--index], which must lie in 1..N."""
+    if args.all:
+        return range(1, N + 1)
+    if not 1 <= args.index <= N:
+        raise InputError(f"--index {args.index} outside 1..{N}")
+    return [args.index]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -112,7 +121,7 @@ def cmd_gram(args, cfg):
 
 def cmd_distance(args, cfg):
     lam = load_exponents(args.lam).prefix(args.n)
-    indices = range(1, args.n + 1) if args.all else [args.index]
+    indices = _indices(args, args.n)
     if args.eps is not None:
         reports, m_fit = gram.distance_lower_bound_check(lam, args.n, args.eps, cfg.precision_bits)
         reports = [reports[i - 1] for i in indices]
@@ -170,7 +179,7 @@ def cmd_recover(args, cfg):
                                    args.n, cfg.precision_bits)
     coeffs = muntz_space.recovered_coefficients(f, fam)
     bits = fam.precision_bits
-    indices = range(1, fam.truncation + 1) if args.all else [args.index]
+    indices = _indices(args, fam.truncation)
     rows = [with_config({"n": n, "coefficient": complex_pair(coeffs[n - 1], bits)}, cfg)
             for n in indices]
     _emit(dump_json_lines(rows, args.out), args.out)

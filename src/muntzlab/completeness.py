@@ -22,6 +22,11 @@ blocks at the family's nodes.  The invertibility verdict rests on the
 certified lower bound, and the reconstruction residual applies the same
 inverses to its normal equations.
 
+Scales, blocks and traces come from gram's one Cauchy kernel on the
+family's integer nodes (_cauchy_factors of the subset N1, _cauchy_rows):
+exact products rounded once, so the rounding count handed to
+perron_lambda_max is a constant and no bit depends on the order of N1.
+
 Only the block with the larger trace is iterated.  A PSD block has
 lambda_max <= trace (Horn and Johnson, Matrix Analysis), an O(N) sum.
 When the other block's trace, rounded up (its entries' roundings and the
@@ -51,11 +56,12 @@ from random import Random
 from typing import Optional
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_mul, mpf_sum, round_nearest as RND
+from mpmath.libmp import fone, mpf_abs, mpf_sum, round_nearest as RND
 
 from .biorthogonal import BiorthogonalFamily
 from .config import rank_collapse_threshold, working_precision
 from .errors import InputError
+from .gram import _cauchy_factors, _cauchy_rows
 from .linalg import _grow, perron_lambda_max
 from .muntz_space import (
     QuadratureSpec,
@@ -64,6 +70,9 @@ from .muntz_space import (
     dual_pairings,
     moments_and_norm2,
 )
+
+# two roundings per block entry and three in sqrt(1/upper): see _sigma_ends
+_ROUNDINGS = 5
 
 
 @dataclass(frozen=True)
@@ -126,58 +135,45 @@ class MixedCheck:
 
 
 def _mixed_scales(partition: Partition, family: BiorthogonalFamily):
-    """(N1, N2, d, e): G[N1,N1]^-1 = D G[N1,N1] D and (G^-1[N2,N2])^-1 = E G[N2,N2] E,
-    d_i = prod_{k in N1} R_ik and e_i = 1 / prod_{k in N1} R_ik with R the
-    family's ratio_rows, each within 4N + 1 roundings of its exact value
-    (raw mpf_mul from 1 in the order of N1, at mp.prec with guard bits)."""
+    """(N1, N2, d, e) with 0-based index lists: G[N1,N1]^-1 = D G[N1,N1] D and
+    (G^-1[N2,N2])^-1 = E G[N2,N2] E, where d and e are the raw
+    gram._cauchy_factors of the subset N1 at the family's nodes, each within
+    one unit of 2^-(prec + 32) of its exact value whatever the order of N1."""
     if partition.truncation != family.truncation:
         raise InputError("partition truncation differs from the family's")
-    n1, n2 = sorted(partition.n1), sorted(partition.n2)
+    n1, n2 = [i - 1 for i in sorted(partition.n1)], [i - 1 for i in sorted(partition.n2)]
+    X, t = family.gram.nodes
     with working_precision(family.precision_bits):
-        prec, R = mp.prec, family.ratio_rows
-        p = [fone] * len(R)
-        for k in n1:
-            p = [mpf_mul(v, row[k - 1]._mpf_, prec, RND) for v, row in zip(p, R)]
-        return (n1, n2, [mp.make_mpf(p[i - 1]) for i in n1],
-                [mp.make_mpf(mpf_div(fone, p[i - 1], prec, RND)) for i in n2])
+        return n1, n2, _cauchy_factors(X, t, n1, n1), _cauchy_factors(X, t, n1, n2)
 
 
-def _block_entry(G, i, j, s, t):
-    """(s G_ij) t on raw mpf, each product rounded at mp.prec (1-based i, j)."""
-    return mpf_mul(mpf_mul(s, G[i - 1][j - 1]._mpf_, mp.prec, RND), t, mp.prec, RND)
+def _perron_block(X, t, idx, d):
+    """|d| G[idx,idx] |d| as rows of mpf: one _cauchy_rows call."""
+    return _cauchy_rows(X, t, [mpf_abs(v) for v in d], idx)
 
 
-def _perron_block(G, idx, d):
-    """|d| G[idx,idx] |d| as rows of mpf, symmetric to the bit."""
-    d = [mpf_abs(v._mpf_, mp.prec, RND) for v in d]
-    P = [[None] * len(d) for _ in d]
-    for a, i in enumerate(idx):
-        for b in range(a, len(d)):
-            P[a][b] = P[b][a] = mp.make_mpf(_block_entry(G, i, idx[b], d[a], d[b]))
-    return P
-
-
-def _trace_up(G, idx, d, roundings):
-    """Upper end of the exact tr |d| G[idx,idx] |d|: the diagonal's mpf_sum times _grow."""
-    diag = [_block_entry(G, i, i, v._mpf_, v._mpf_) for i, v in zip(idx, d)]
-    return mp.make_mpf(mpf_sum(diag, mp.prec, RND)) * _grow(roundings)
+def _trace_up(X, t, idx, d):
+    """Upper end of the exact tr |d| G[idx,idx] |d|: the mpf_sum of the
+    diagonal entries d_i^2 / (2 x_i) of _cauchy_rows, times _grow."""
+    diag = [_cauchy_rows(X, t, [v], [i])[0][0]._mpf_ for i, v in zip(idx, d)]
+    return mp.make_mpf(mpf_sum(diag, mp.prec, RND)) * _grow(_ROUNDINGS)
 
 
 def _sigma_ends(scaled, family: BiorthogonalFamily):
     """(sqrt(1/theta), sqrt(1/upper), iterations) for the two blocks
-    |d| G[U,U] |d|, (U, d) in scaled.  Each entry is within 8N + 7
-    roundings of its exact value (two scales, the stored Gram entry
-    1/(lambda_j + lambda_k + 1) and two products); three more cover
-    sqrt(1/upper).  The block with the larger trace runs alone unless the
+    |d| G[U,U] |d|, (U, d) in scaled, at the family's nodes.  Each entry is
+    within two roundings of its exact value: the scales carry _GUARD bits
+    above the working precision, their product is exact and the quotient
+    rounds once.  Three more cover sqrt(1/upper), so _ROUNDINGS does not
+    depend on N.  The block with the larger trace runs alone unless the
     other's _trace_up fails to lie below its theta; then both run."""
-    G, bits = family.gram.entries, family.precision_bits
-    roundings = 8 * family.truncation + 10
+    (X, t), bits = family.gram.nodes, family.precision_bits
     with working_precision(bits):
-        traces = [_trace_up(G, idx, d, roundings) for idx, d in scaled]
+        traces = [_trace_up(X, t, idx, d) for idx, d in scaled]
         top = int(traces[1] > traces[0])
-        ends = perron_lambda_max([_perron_block(G, *scaled[top])], roundings, bits)
+        ends = perron_lambda_max([_perron_block(X, t, *scaled[top])], _ROUNDINGS, bits)
         if not traces[1 - top] < ends[0]:
-            ends = perron_lambda_max([_perron_block(G, *s) for s in scaled], roundings, bits)
+            ends = perron_lambda_max([_perron_block(X, t, *s) for s in scaled], _ROUNDINGS, bits)
         theta, upper, iterations = ends
         return sqrt(1 / theta), sqrt(1 / upper), iterations
 
@@ -209,15 +205,15 @@ def mixed_system_floor(family: BiorthogonalFamily):
     scales): _sigma_ends on both gives the estimate sqrt(1/theta) and the
     lower end sqrt(1/upper), below every partition's sigma_min.
     """
-    N = family.truncation
-    n1, _, d, _ = _mixed_scales(Partition.from_monomial_set(range(1, N + 1), N), family)
-    return _sigma_ends([(n1, d), (n1, [mpf(1)] * N)], family)
+    every = list(range(family.truncation))
+    return _sigma_ends([(every, family.gram.row_factors), (every, [fone] * len(every))], family)
 
 
 def _inverse_apply(G, idx, d, v):
-    """D G[idx,idx] D v: a mixed block's closed-form inverse applied to v."""
+    """D G[idx,idx] D v on the stored G, raw d: a mixed block's inverse applied to v."""
+    d = [mp.make_mpf(s) for s in d]
     dv = [s * t for s, t in zip(d, v)]
-    return [s * mp.fdot([G[i - 1][j - 1] for j in idx], dv) for i, s in zip(idx, d)]
+    return [s * mp.fdot([G[i][j] for j in idx], dv) for i, s in zip(idx, d)]
 
 
 def mixed_reconstruction_residual(target: SeriesOrCallable, partition: Partition,
@@ -253,12 +249,12 @@ def mixed_reconstruction_residuals(target: SeriesOrCallable, partitions,
     out = []
     with working_precision(bits):
         for n1, n2, d, e in scales:
-            beta1 = _inverse_apply(G, n1, d, [b[j - 1] for j in n1])
-            beta2 = _inverse_apply(G, n2, e, [a[k - 1] for k in n2])
+            beta1 = _inverse_apply(G, n1, d, [b[j] for j in n1])
+            beta2 = _inverse_apply(G, n2, e, [a[k] for k in n2])
             c = [mpf(0)] * N
             for j, v in zip(n1, beta1):
-                c[j - 1] = v
+                c[j] = v
             # r_k = sum_m C_mk e_m
-            c = [c[m] + mp.fdot([C[m][k - 1] for k in n2], beta2) for m in range(N)]
+            c = [c[m] + mp.fdot([C[m][k] for k in n2], beta2) for m in range(N)]
             out.append(distance_to(target, lams, c, b, norm2))
     return out

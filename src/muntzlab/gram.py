@@ -3,23 +3,24 @@
 With nodes x_i = lambda_i + 1/2 the Gram matrix is the symmetric Cauchy
 matrix G_jk = 1/(x_j + x_k), so its determinant, inverse, and the distance
 from each monomial to the span of the others all have product formulas
-(Schechter 1959; Demmel 1999).  Every one of them comes from exact integer
-row products: lambda_i is taken at working precision, the half is added
-exactly, and one power of two (_dyadic) makes every node an integer X_i.
-For each row P_i = prod_k (X_i + X_k) and Q_i = prod_{k!=i} (X_i - X_k) are
-Python integers, so no logarithm is taken and no error accumulates:
+(Schechter 1959; Demmel 1999).  _nodes is the one place the nodes are
+formed: lambda_i is taken at working precision, the half is added exactly,
+and one power of two (_dyadic) makes every node an integer X_i.  Two
+kernels on those integers give every Cauchy-like value, with no logarithm:
 
-- A_i = prod_k (x_i + x_k) / prod_{k!=i} (x_i - x_k) is P_i / Q_i after the
-  scale, rounded once at _GUARD bits above the working precision;
-- the inverse M_ij = A_i A_j / (x_i + x_j) rounds each entry once;
+- _cauchy_factors: for a subset S, A_i = prod_{k in S} (x_i + x_k) /
+  prod_{k in S, k!=i} (x_i - x_k) (i in S) or prod_{k in S} (x_i - x_k) /
+  (x_i + x_k) (i not in S), exact integer products rounded once at _GUARD
+  bits above the working precision, whatever the order of S;
+- _cauchy_rows: the rows of s_a s_b / (x_i + x_j), each entry rounded once.
+  G (s = 1), the inverse A_i A_j / (x_i + x_j) (s = A over the prefix) and
+  the mixed systems' block inverses (completeness) are its rows;
 - the dual norm ||r_n|| = ((G^-1)_nn)^(1/2) = |A_n| / (2 x_n)^(1/2) and the
   distance D_n = 1/||r_n|| round the root at the guard bits, then each
-  quotient once (lambda_n - lambda_k, lambda_n + lambda_k + 1 and
-  2 lambda_n + 1 are exactly x_n - x_k, x_n + x_k and 2 x_n);
-- det G = prod_i |Q_i| / prod_i P_i after the scale, rounded once.
+  quotient once, and det G = prod_i |Q_i| / prod_i P_i rounds once.
 
 So each is within one unit of 2^-prec relative of the exact value for the
-rounded exponents.  A repeated node (Q_i = 0) is a DegenerateInputError.
+rounded exponents.  A repeated node is a DegenerateInputError from _nodes.
 
 G and its inverse are rows of mpf.  _exact_product, the one G*M kernel,
 forms every entry as an exact integer dot product at one power of two;
@@ -33,28 +34,32 @@ makes every denominator an integer, so the sum is exact in Python integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf, sqrt
-from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_rdiv_int,
-                          mpf_sqrt, mpf_sub, round_nearest as RND)
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_div, mpf_mul, mpf_sqrt, mpf_sub,
+                          round_nearest as RND)
 
 from .config import inverse_residual_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
 
-# bits above the working precision at which A_i and (2 x_i)^(1/2) are rounded
+# bits above the working precision at which the Cauchy factors and (2 x_i)^(1/2) are rounded
 _GUARD = 32
+_MAX_DOUBLINGS = 6
 
 
 @dataclass
 class GramMatrix:
-    """Gram matrix of a Muntz monomial prefix at a stated precision, as rows of mpf."""
+    """Gram matrix of a Muntz monomial prefix at a stated precision, as rows of
+    mpf, with the integer nodes (X, t) of _nodes it was built from."""
 
     lam: ExponentSequence
     entries: list
     precision_bits: int
+    nodes: tuple
 
     @property
     def size(self) -> int:
@@ -67,14 +72,14 @@ class GramMatrix:
             raise InputError(f"index ({j}, {k}) outside 1..{N}")
         return self.entries[j - 1][k - 1]
 
-    @property
+    @cached_property
     def row_factors(self):
-        """(X, t, A) of _row_factors over every row at this precision, built
-        on first use and kept: the inverse and the dual norms share them."""
-        if "_row_factors" not in self.__dict__:
-            with working_precision(self.precision_bits):
-                self.__dict__["_row_factors"] = _row_factors(self.lam, range(self.size))
-        return self.__dict__["_row_factors"]
+        """Raw A_i of _cauchy_factors over the whole prefix, built on first use
+        and kept: the inverse, the dual norms and the mixed-system floor share
+        them."""
+        X, t = self.nodes
+        with working_precision(self.precision_bits):
+            return _cauchy_factors(X, t, range(len(X)), range(len(X)))
 
 
 @dataclass(frozen=True)
@@ -94,34 +99,9 @@ class DistanceReport:
     m_fit: Optional[object] = None
 
 
-def _lambdas(lam: ExponentSequence):
-    """Exponents lambda_i, raw, at working precision."""
-    return [mpf(v)._mpf_ for v in lam.values]
-
-
-def gram_matrix(lam: ExponentSequence, precision_bits: int = 256) -> GramMatrix:
-    """Build G_jk = 1/(lambda_j + lambda_k + 1) at the given precision."""
-    if precision_bits < 64:
-        raise ParameterError(f"precision_bits must be >= 64, got {precision_bits}")
-    with working_precision(precision_bits):
-        prec = mp.prec
-        N = len(lam)
-        vals = _lambdas(lam)
-        G = [[None] * N for _ in range(N)]
-        for j in range(N):
-            for k in range(j, N):
-                d = mpf_add(mpf_add(vals[j], vals[k], prec, RND), fone, prec, RND)
-                G[j][k] = G[k][j] = mp.make_mpf(mpf_rdiv_int(1, d, prec, RND))
-    return GramMatrix(lam, G, precision_bits)
-
-
-def _row_products(lam: ExponentSequence, rows):
-    """(X, t, P, Q): integers X_i = x_i 2^t for the nodes x_i = lambda_i + 1/2
-    (lambda_i at working precision, the half added exactly), and for each i in
-    rows P_i = prod_k (X_i + X_k) and Q_i = prod_{k!=i} (X_i - X_k), exact.
-
-    A node that repeats makes G singular and Q_i zero: DegenerateInputError.
-    """
+def _nodes(lam: ExponentSequence):
+    """(X, t): integers X_i = x_i 2^t for the nodes x_i = lambda_i + 1/2 (lambda_i
+    at working precision, the half added exactly).  A repeat: DegenerateInputError."""
     L, s = _dyadic([mpf(v) for v in lam.values])
     X = [(v << 1) + (1 << s) for v in L]
     first = {}
@@ -130,35 +110,65 @@ def _row_products(lam: ExponentSequence, rows):
             raise DegenerateInputError(f"duplicate exponent {lam.values[k]} at positions "
                                        f"{first[v] + 1}, {k + 1}")
         first[v] = k
-    P, Q = [], []
+    return X, s + 1
+
+
+def _row_products(X, i, S):
+    """(P, Q) = (prod_{k in S} (X_i + X_k), prod_{k in S, k!=i} (X_i - X_k)), exact."""
+    a, p, q = X[i], 1, 1
+    for k in S:
+        p *= a + X[k]
+        if k != i:
+            q *= a - X[k]
+    return p, q
+
+
+def _cauchy_factors(X, t, S, rows):
+    """Raw mpf for each i in rows from _row_products over the subset S (indices
+    into X), rounded once at _GUARD bits above the working precision: for i in
+    S the subset's Cauchy factor P / (Q 2^t), else Q / P (module docstring)."""
+    wp, S = mp.prec + _GUARD, list(S)
+    out = []
     for i in rows:
-        a, p, q = X[i], 1, 1
-        for k, b in enumerate(X):
-            p *= a + b
-            if k != i:
-                q *= a - b
-        P.append(p)
-        Q.append(q)
-    return X, s + 1, P, Q
+        p, q = _row_products(X, i, S)
+        num, den = (from_man_exp(p, -t), q) if i in S else (from_man_exp(q, 0), p)
+        out.append(mpf_div(num, from_man_exp(den, 0), wp, RND))
+    return out
 
 
-def _row_factors(lam: ExponentSequence, rows):
-    """(X, t, A): X and t of _row_products, and raw A_i = P_i / (Q_i 2^t),
-    that is prod_k (x_i + x_k) / prod_{k!=i} (x_i - x_k), for each i in rows,
-    rounded once at _GUARD bits above the working precision."""
-    X, t, P, Q = _row_products(lam, rows)
-    wp = mp.prec + _GUARD
-    return X, t, [mpf_div(from_man_exp(p, -t), from_man_exp(q, 0), wp, RND) for p, q in zip(P, Q)]
+def _cauchy_rows(X, t, s, idx):
+    """Rows of mpf s_a s_b / (x_i + x_j), i = idx[a] and j = idx[b], for raw
+    mpf scales s: the product is exact and the quotient rounds once at
+    working precision, so the block is symmetric to the bit."""
+    prec, n = mp.prec, len(idx)
+    rows = [[None] * n for _ in range(n)]
+    for a, i in enumerate(idx):
+        for b in range(a, n):
+            v = mpf_div(mpf_mul(s[a], s[b]), from_man_exp(X[i] + X[idx[b]], -t), prec, RND)
+            rows[a][b] = rows[b][a] = mp.make_mpf(v)
+    return rows
+
+
+def gram_matrix(lam: ExponentSequence, precision_bits: int = 256) -> GramMatrix:
+    """Build G_jk = 1/(lambda_j + lambda_k + 1) = 1/(x_j + x_k) at the given
+    precision, each entry rounded once from the exact nodes."""
+    if precision_bits < 64:
+        raise ParameterError(f"precision_bits must be >= 64, got {precision_bits}")
+    with working_precision(precision_bits):
+        X, t = _nodes(lam)
+        entries = _cauchy_rows(X, t, [fone] * len(X), range(len(X)))
+    return GramMatrix(lam, entries, precision_bits, (X, t))
 
 
 def cauchy_determinant(G: GramMatrix):
     """det G = prod_{j<k} (x_j - x_k)^2 / prod_{j,k} (x_j + x_k), from the
     row products: prod_i |Q_i| 2^(tN) / prod_i P_i, rounded once."""
     with working_precision(G.precision_bits):
-        N = len(G.lam)
-        _, t, P, Q = _row_products(G.lam, range(N))
+        X, t = G.nodes
+        N = len(X)
         num = den = 1
-        for p, q in zip(P, Q):
+        for i in range(N):
+            p, q = _row_products(X, i, range(N))
             num *= abs(q)
             den *= p
         return mp.make_mpf(mpf_div(from_man_exp(num, t * N), from_man_exp(den, 0), mp.prec, RND))
@@ -171,8 +181,8 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
     -------
     (M, residual)
         M is the symmetric inverse as rows of mpf, M_ij = A_i A_j / (x_i + x_j),
-        A_i from G.row_factors and each entry rounded once at working precision;
-        residual is max|G*M - I| computed at working precision.
+        the _cauchy_rows of G.row_factors, each entry rounded once at working
+        precision; residual is max|G*M - I| computed at working precision.
 
     Raises
     ------
@@ -183,14 +193,8 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
     if residual_tol is None:
         residual_tol = inverse_residual_tolerance(G.precision_bits)
     with working_precision(G.precision_bits):
-        prec = mp.prec
-        N = len(G.lam)
-        X, t, a = G.row_factors
-        M = [[None] * N for _ in range(N)]
-        for i in range(N):
-            for j in range(i, N):
-                v = mpf_div(mpf_mul(a[i], a[j]), from_man_exp(X[i] + X[j], -t), prec, RND)
-                M[i][j] = M[j][i] = mp.make_mpf(v)
+        X, t = G.nodes
+        M = _cauchy_rows(X, t, G.row_factors, range(len(X)))
         residual = identity_residual(G.entries, M)
     if not residual <= mpf(residual_tol):
         raise PrecisionInsufficientError(
@@ -243,8 +247,9 @@ def identity_residual(G, M):
 
 
 def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
-                            residual_tol: Optional[float] = None, max_doublings: int = 6):
-    """gram_matrix + cauchy_inverse, doubling precision until the residual passes.
+                            residual_tol: Optional[float] = None):
+    """gram_matrix + cauchy_inverse, doubling precision (at most _MAX_DOUBLINGS
+    times) until the residual passes.
 
     The residual target stays pinned to the *requested* precision, so
     escalation refines the arithmetic without moving the goalposts.
@@ -255,7 +260,7 @@ def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
         residual_tol = inverse_residual_tolerance(precision_bits)
     bits = precision_bits
     last_exc = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         G = gram_matrix(lam, bits)
         try:
             M, residual = cauchy_inverse(G, residual_tol=residual_tol)
@@ -267,10 +272,10 @@ def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
 
 
 def _norms_and_distances(rows, X, t, A):
-    """[(||r_i||, D_i)] for each i in rows, from _row_factors over those rows:
-    |A_i| / (2 x_i)^(1/2) and its reciprocal.  The root is rounded at _GUARD
-    bits above the working precision, then each quotient once at working
-    precision."""
+    """[(||r_i||, D_i)] for each i in rows, from the nodes and the prefix's
+    _cauchy_factors A over those rows: |A_i| / (2 x_i)^(1/2) and its
+    reciprocal.  The root is rounded at _GUARD bits above the working
+    precision, then each quotient once at working precision."""
     prec = mp.prec
     out = []
     for i, a in zip(rows, A):
@@ -290,7 +295,8 @@ def distance(lam: ExponentSequence, n: int, N: int, precision_bits: int = 256) -
     if not 1 <= n <= N <= len(lam):
         raise InputError(f"need 1 <= n <= N <= {len(lam)}, got n={n}, N={N}")
     with working_precision(precision_bits):
-        [(dual, d)] = _norms_and_distances([n - 1], *_row_factors(lam.prefix(N), [n - 1]))
+        X, t = _nodes(lam.prefix(N))
+        [(dual, d)] = _norms_and_distances([n - 1], X, t, _cauchy_factors(X, t, range(N), [n - 1]))
     return DistanceReport(n=n, truncation=N, distance=d, dual_norm=dual)
 
 
@@ -311,7 +317,8 @@ def distance_lower_bound_check(lam: ExponentSequence, N: int, epsilon: float,
         eps = mpf(epsilon)
         base = []
         rows = range(N)
-        pairs = _norms_and_distances(rows, *_row_factors(lam.prefix(N), rows))
+        X, t = _nodes(lam.prefix(N))
+        pairs = _norms_and_distances(rows, X, t, _cauchy_factors(X, t, rows, rows))
         for i, (dual, d) in enumerate(pairs):
             rep = DistanceReport(n=i + 1, truncation=N, distance=d, dual_norm=dual)
             base.append((rep, d / (1 - eps) ** mpf(lam.values[i])))

@@ -99,23 +99,18 @@ def h2_membership(f: MuntzSeries, K: int = 1000) -> HardyReport:
 
 
 def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily,
-                                 K: Optional[int] = None,
-                                 quad: QuadratureSpec = QuadratureSpec(),
-                                 closure_tol: Optional[float] = None,
-                                 stagnation_ratio: Optional[float] = None) -> HardyReport:
+                                 quad: QuadratureSpec = QuadratureSpec()) -> HardyReport:
     """Desk-scale realization of the two-sided membership criterion.
 
     (a) projection residuals over growing truncations decide closeness to
     the span; (b) the recovered dual pairings supply the coefficient
     square-sums.  "yes" needs the residual below tolerance and decaying
     square-sum increments; a stagnating residual (trailing ratio at or
-    above ``stagnation_ratio``) is the desk signature of a positive
-    distance and yields "no"; anything in between stays inconclusive.
+    above the default "stagnation_ratio") is the desk signature of a
+    positive distance and yields "no"; anything in between stays
+    inconclusive.  The residual tolerance is the default "closure_residual".
     """
     _require_integer_lambda(family.lam)
-    closure_tol = closure_tol if closure_tol is not None else DEFAULT_TOLERANCES["closure_residual"]
-    stagnation_ratio = (stagnation_ratio if stagnation_ratio is not None
-                        else DEFAULT_TOLERANCES["stagnation_ratio"])
     N = family.truncation
     bits = family.precision_bits
 
@@ -140,9 +135,10 @@ def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily
         scale = max(mpf(1), sqrt(acc))
 
     res_final = trend[-1][1]
-    if res_final <= mpf(closure_tol) * scale:
+    if res_final <= mpf(DEFAULT_TOLERANCES["closure_residual"]) * scale:
         closure = "yes"
-    elif len(trend) >= 2 and trend[-2][1] > 0 and res_final / trend[-2][1] >= mpf(stagnation_ratio):
+    elif (len(trend) >= 2 and trend[-2][1] > 0
+          and res_final / trend[-2][1] >= mpf(DEFAULT_TOLERANCES["stagnation_ratio"])):
         closure = "no"
     else:
         closure = "inconclusive"

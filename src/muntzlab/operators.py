@@ -147,26 +147,22 @@ def _tail_enclosure(op: MuntzOperator, family: BiorthogonalFamily, m: int):
     return _norm_enclosure([0] * m + list(op.u[m:]), family)
 
 
-def _envelope_bounds(op: MuntzOperator, family: BiorthogonalFamily,
-                     growth_epsilon: Optional[float] = None):
+def _envelope_bounds(op: MuntzOperator, family: BiorthogonalFamily):
     """m_fit * sum_{n>m} ((rho+1)/2)^lambda_n for m = 0..N, m_fit fitted at
     eps = (1-rho)/(2 rho), the choice that turns (1+eps) rho into (rho+1)/2."""
     N = op.truncation
     with working_precision(family.precision_bits):
-        if growth_epsilon is None:
-            growth_epsilon = (1 - op.rho) / (2 * op.rho)
-        growth = norm_growth_check(family, min(growth_epsilon, 1 - 1e-12))
+        growth = norm_growth_check(family, min((1 - op.rho) / (2 * op.rho), 1 - 1e-12))
         envelope_base = (mpf(op.rho) + 1) / 2
         terms = [envelope_base ** mpf(v) for v in op.lam.values[:N]]
         return [growth.m_fit * sum(terms[m:]) for m in range(N + 1)]
 
 
-def finite_rank_error(op: MuntzOperator, family: BiorthogonalFamily, m: int,
-                      growth_epsilon: Optional[float] = None):
+def finite_rank_error(op: MuntzOperator, family: BiorthogonalFamily, m: int):
     """(computed, bound) for ||T - T_m||: the estimate inside the certified
     enclosure of the tail M_w, w = (0..0, u_{m+1}..u_N), and its envelope."""
     _, computed, _ = _tail_enclosure(op, family, m)
-    return computed, _envelope_bounds(op, family, growth_epsilon)[m]
+    return computed, _envelope_bounds(op, family)[m]
 
 
 # ---------------------------------------------------------------------------

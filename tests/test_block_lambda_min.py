@@ -35,8 +35,8 @@ from muntzlab import (
     working_precision,
 )
 from muntzlab import completeness, linalg
-from muntzlab.completeness import (_mixed_scales, _perron_block, _sigma_ends, all_partitions,
-                                   mixed_system_floor)
+from muntzlab.completeness import (_ROUNDINGS, _mixed_scales, _perron_block, _sigma_ends,
+                                   all_partitions, mixed_system_floor)
 from muntzlab.linalg import _start_vector, pencil_lambda_max, perron_lambda_max
 from muntzlab.operators import _norm_enclosure
 
@@ -158,16 +158,16 @@ def test_entries_beyond_double_range_are_certified(fam_squares_10, k):
     # double range, so the scaled run repeats the unscaled one to the bit
     part = Partition.from_monomial_set({1, 3, 5, 7, 9}, 10)
     n1, n2, d, e = _mixed_scales(part, fam_squares_10)
-    G = fam_squares_10.gram.entries
+    G, (X, t) = fam_squares_10.gram.entries, fam_squares_10.gram.nodes
     with working_precision(BITS):
-        blocks = [_perron_block(G, n1, d), _perron_block(G, n2, e)]
+        blocks = [_perron_block(X, t, n1, d), _perron_block(X, t, n2, e)]
     scaled = [[[mp.ldexp(v, k) for v in row] for row in B] for B in blocks]
     theta, upper, iterations = perron_lambda_max(blocks, 0, BITS)
     assert perron_lambda_max(scaled, 0, BITS) == (mp.ldexp(theta, k), mp.ldexp(upper, k),
                                                   iterations)
     assert iterations <= 3
 
-    H = [[G[i - 1][j - 1] for j in n1] for i in n1]
+    H = [[G[i][j] for j in n1] for i in n1]
     lo, theta, hi = standard_lambda_max(H, BITS)
     assert standard_lambda_max([[mp.ldexp(v, k) for v in row] for row in H], BITS) == (
         mp.ldexp(lo, k), mp.ldexp(theta, k), mp.ldexp(hi, k))
@@ -225,24 +225,27 @@ def test_certified_enclosure_property(lam, data):
 @given(lam=exponent_sets(), data=st.data())
 def test_closed_form_block_inverses_property(lam, data):
     # (D G[N1,N1] D) G[N1,N1] = I and (E G[N2,N2] E) G^-1[N2,N2] = I with the
-    # scales as the checks take them and G, G^-1 exact at twice the bits.
-    # Each scale is within 4N + 1 roundings of its exact value, so every
-    # entry of the product is within (8N + 10) 2^(1-p) of the identity,
-    # relative to the same product of absolute values
+    # scales as the checks take them and G, G^-1 exact at twice the bits on
+    # the family's nodes.  Each scale is within one unit of 2^-(bits + 32)
+    # of its exact value, so every entry of the product is within
+    # 2^-(bits + 30) of the identity, relative to the same product of
+    # absolute values
     N = len(lam)
     fam = dual_family(lam, N, BITS)
     bits = fam.precision_bits
     part = Partition.from_monomial_set(data.draw(st.sets(st.integers(1, N))), N)
     n1, n2, d, e = _mixed_scales(part, fam)
+    X, t = fam.gram.nodes
     with mp.workprec(2 * bits):
-        x = [mpf(v) for v in lam.values]
-        G = matrix([[1 / (a + b + 1) for b in x] for a in x])
+        x = [mp.ldexp(v, -t) for v in X]
+        G = matrix([[1 / (a + b) for b in x] for a in x])
         blocks = ((n1, d, G), (n2, e, mp.inverse(G)))
-        tol = (8 * N + 10) * mpf(2) ** (1 - bits)
+        tol = mpf(2) ** -(bits + 30)
         for idx, s, B in blocks:
-            inv = [[s[a] * G[i - 1, j - 1] * s[b] for b, j in enumerate(idx)]
+            s = [mp.make_mpf(v) for v in s]
+            inv = [[s[a] * G[i, j] * s[b] for b, j in enumerate(idx)]
                    for a, i in enumerate(idx)]
-            Bs = [[B[i - 1, j - 1] for j in idx] for i in idx]
+            Bs = [[B[i, j] for j in idx] for i in idx]
             for a, row in enumerate(inv):
                 for b in range(len(idx)):
                     col = [r[b] for r in Bs]
@@ -322,11 +325,13 @@ def test_pencil_enclosure_property(lam, data):
 # the dominant block alone
 
 # sha256 of repr([(key, min_singular, sigma_lower, invertible), ...]) with the
-# mpf values as raw (sign, man, exp, bc) tuples, computed before the checks
-# iterated only the dominant block: every partition at N = 8 on squares and
-# on power p = 1.5 (nodes wider than the working precision), 32 sampled
-# partitions at N = 12, the floor at N = 10 and 8 reconstruction residuals
-MIXED_DIGEST = "df6faffed031e5a9e06ee5e0438b360b48ef920f04386f431ff9704bda4875c9"
+# mpf values as raw (sign, man, exp, bc) tuples: every partition at N = 8 on
+# squares and on power p = 1.5 (nodes wider than the working precision), 32
+# sampled partitions at N = 12, the floor at N = 10 and 8 reconstruction
+# residuals.  Pinned when the scales and blocks moved onto the exact Cauchy
+# kernel: each scale is then the exact value rounded once, and every
+# sigma_lower rose or stayed with its rounding count a constant
+MIXED_DIGEST = "57ad3ee572794d2ae02c71cd648bdd520db7b4822eacf63013d96445bfb21e92"
 
 
 def test_mixed_checks_keep_their_bits(lam_squares):
@@ -369,8 +374,8 @@ def test_equal_blocks_take_the_two_block_call(fam_squares_10, monkeypatch):
     got = _sigma_ends([(n1, d), (n1, d)], fam)
     assert [n for n, _ in calls] == [1, 2]
     with working_precision(BITS):
-        block = _perron_block(fam.gram.entries, n1, d)
-        theta, upper, iterations = perron_lambda_max([block, block], 8 * 10 + 10, BITS)
+        block = _perron_block(*fam.gram.nodes, n1, d)
+        theta, upper, iterations = perron_lambda_max([block, block], _ROUNDINGS, BITS)
         assert got == (sqrt(1 / theta), sqrt(1 / upper), iterations)
 
 
@@ -398,9 +403,9 @@ def test_skip_keeps_the_two_block_ends_property(lam, data):
         mixed_completeness_check(part, fam)
     n1, n2, d, e = _mixed_scales(part, fam)
     with working_precision(BITS):
-        G = fam.gram.entries
-        blocks = [_perron_block(G, n1, d), _perron_block(G, n2, e)]
-    theta, upper, _ = perron_lambda_max(blocks, 8 * N + 10, BITS)
+        X, t = fam.gram.nodes
+        blocks = [_perron_block(X, t, n1, d), _perron_block(X, t, n2, e)]
+    theta, upper, _ = perron_lambda_max(blocks, _ROUNDINGS, BITS)
     event("one block decides" if len(calls) == 1 else "two-block call")
     if len(calls) == 1:
         assert [v._mpf_ for v in calls[0][1][:2]] == [theta._mpf_, upper._mpf_]

@@ -107,6 +107,24 @@ def test_project_and_recover(lambda_file, tmp_path):
     assert abs(mpf(rows[2]["coefficient"][0]) - 2) < mpf(10) ** -40
 
 
+@pytest.mark.parametrize("index", ["0", "-1", "7"])
+def test_index_outside_the_truncation_is_typed_error(lambda_file, tmp_path, capsys, index):
+    # checked on every path: picked by position, 0 and -1 would name the last
+    # report or coefficient
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"lambda_ref": "lambda.json", "coeffs": [[1, 0], [0, 0], [2, 0]]}))
+    out = tmp_path / "rows.jsonl"
+    for argv in (["distance", "--lambda", str(lambda_file), "--n", "6", "--eps", "0.5"],
+                 ["distance", "--lambda", str(lambda_file), "--n", "6"],
+                 ["recover", "--f", str(series), "--n", "6"]):
+        capsys.readouterr()
+        assert main(argv + ["--index", index, "--out", str(out)]) == 1, argv
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError", argv
+        assert "outside 1..6" in err["message"], argv
+        assert not out.exists()
+
+
 def test_project_artifact_carries_full_precision(lambda_file, tmp_path):
     # t + t^16 projected onto span{t, t^4, t^9}: coefficients no double holds
     series = tmp_path / "series.json"

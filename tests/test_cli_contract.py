@@ -98,10 +98,13 @@ SERIES_COMMANDS = [
      "--out", "radial.json"],
 ]
 
+# pinned when the mixed scales became exact products rounded once: of these
+# fields only the floor moved, in its last printed digit (up, and still
+# below the oracle at 1024 bits)
 CERTIFICATE_DIGESTS = {
-    "0.3": "f71eb543c7f909d58a2758da0732af7aab7a6485425eb7934ca994a99f08715d",
-    "0.5": "d68e095a6b97fda906de548a350fc442bb2c151528407a5e76c0498ed327c855",
-    "0.8": "a8471b6ca52ff87e4295061bd54268b1ae640bcb76b2fff76e7982b42d5e61b7",
+    "0.3": "42b8a7555430d50e9c47c93b0e31815237876780024c752040795c1b9639499d",
+    "0.5": "43ae9198d1a2e26fd9fb3d7f591db0a8baae275d8d241b0ae6ed724a5b549d96",
+    "0.8": "32ac34a14731f089677780876bf523ff033ea7cb0a38695655c096bacbeb7eff",
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 from fractions import Fraction
+from random import Random
 
 import mpmath
 import pytest
@@ -12,6 +13,7 @@ from muntzlab import (
     DegenerateInputError,
     InputError,
     ParameterError,
+    Partition,
     PrecisionInsufficientError,
     cauchy_determinant,
     cauchy_inverse,
@@ -23,9 +25,11 @@ from muntzlab import (
     working_precision,
 )
 from muntzlab import gram
+from muntzlab.completeness import _mixed_scales, _perron_block, _trace_up
 from muntzlab.config import inverse_residual_tolerance
 from muntzlab.exponents import ExponentSequence
-from muntzlab.gram import gram_form, gram_product, identity_residual, inverse_with_escalation
+from muntzlab.gram import (_cauchy_factors, gram_form, gram_product, identity_residual,
+                           inverse_with_escalation)
 
 from conftest import exponent_sets
 
@@ -138,7 +142,9 @@ def test_duplicate_exponents_rejected():
         cauchy_inverse(gram_matrix(bad, 256))
     # a repeat that is not next to its twin is refused on every path
     apart = ExponentSequence((1, 2, 1), mpf(0))
-    for call in (lambda: cauchy_inverse(gram_matrix(apart, 64)),
+    # the check lives in the nodes, so gram_matrix itself refuses the repeat
+    for call in (lambda: gram_matrix(apart, 64),
+                 lambda: cauchy_inverse(gram_matrix(apart, 64)),
                  lambda: dual_family(apart, 3, 64),
                  lambda: distance(apart, 1, 3, 64),
                  lambda: distance(apart, 2, 3, 64),
@@ -558,11 +564,14 @@ def test_exact_product_keeps_the_term_fdot_drops(monkeypatch):
 
 
 # every family the duals benchmark builds, pinned when the Cauchy algebra
-# moved to exact integer row products: repr at 1024 bits shows every bit
+# moved to exact integer row products: repr at 1024 bits shows every bit.
+# power1.5 was pinned again when G's entries became 1/(x_j + x_k) rounded
+# once: its duals, norms and deficits kept their bits, only the residual of
+# the better rounded G moved
 FAMILY_DIGESTS = {
     "custom": "785e352468a59d8feb913e1a167b8faa6823175b60f89202ce058c4d4a3ba3db",
     "lacunary2": "1c59b3bc8751392be3bf7efeaf1bf11f950298894ee8dddf5a36cd39294b0514",
-    "power1.5": "2532cfac458f721276aed27d00aa01000af3e37f7f90e991e0f5d2f452f0aae4",
+    "power1.5": "7dbf0bc1aaa021e0b80fbaa4fca3036b543c71d616050c824285c1373404c29c",
     "squares": "6db615b2dae21922e060f5128ec9e95a0556c2566ace383f50d44dc6e516012b",
 }
 # (name, N) whose 64-bit request escalates to 128 bits
@@ -581,6 +590,87 @@ def test_dual_families_are_pinned(name):
                              fam.biorthogonality_residual, fam.precision_bits))
             digest.update(text.encode())
     assert digest.hexdigest() == FAMILY_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the one Cauchy kernel: G, every mixed scale, block entry and trace bound
+# against exact rationals on the Gram's own nodes
+
+
+def _node_fractions(G):
+    X, t = G.nodes
+    return [Fraction(v, 1 << t) for v in X]
+
+
+def _subset_factor(x, S, i):
+    """The exact scale _cauchy_factors rounds: for i in S the subset's Cauchy
+    factor prod_{k in S} (x_i + x_k) / prod_{k in S, k!=i} (x_i - x_k), else
+    prod_{k in S} (x_i - x_k) / (x_i + x_k)."""
+    q = Fraction(1)
+    for k in S:
+        if k == i:
+            q *= 2 * x[i]
+        elif i in S:
+            q *= (x[i] + x[k]) / (x[i] - x[k])
+        else:
+            q *= (x[i] - x[k]) / (x[i] + x[k])
+    return q
+
+
+@pytest.mark.parametrize("name", sorted(CAUCHY_SETS))
+def test_cauchy_kernel_against_exact_rationals(name):
+    # G's entries are 1/(x_j + x_k) rounded once; each mixed scale is its
+    # exact value rounded once at 32 bits above the working precision, so
+    # within one unit of 2^-prec; each block entry is within the two
+    # roundings perron_lambda_max is told of, and the trace's upper end
+    # lies above the exact trace, by under 32 units of 2^(1-prec)
+    rng = Random(name)
+    N = 12
+    for bits in (64, 256):
+        fam = dual_family(_cauchy_set(name, bits), N, bits)
+        G = fam.gram
+        x = _node_fractions(G)
+        with working_precision(fam.precision_bits):
+            prec = mp.prec
+        u = Fraction(2, 1 << prec)
+        for j in range(N):
+            assert [v._mpf_ for v in G.entries[j]] == [_rounded(1 / (x[j] + b), prec) for b in x]
+        subsets = [set(), set(range(N))] + [{k for k in range(N) if rng.random() < 0.5}
+                                             for _ in range(6)]
+        for S in subsets:
+            n1, n2, d, e = _mixed_scales(Partition.from_monomial_set({k + 1 for k in S}, N), fam)
+            for idx, s in ((n1, d), (n2, e)):
+                exact = [_subset_factor(x, S, i) for i in idx]
+                assert s == [_rounded(q, prec + 32) for q in exact]
+                for v, q in zip(s, exact):
+                    assert abs(_exact(mp.make_mpf(v)) - q) * (1 << prec) <= abs(q)
+                if not idx:
+                    continue
+                with working_precision(fam.precision_bits):
+                    block = _perron_block(*G.nodes, idx, s)
+                    trace = _exact(_trace_up(*G.nodes, idx, s))
+                for a, i in enumerate(idx):
+                    for b, j in enumerate(idx):
+                        want = abs(exact[a] * exact[b]) / (x[i] + x[j])
+                        got = _exact(block[a][b])
+                        assert want * (1 - u) ** 2 <= got and got * (1 - u) ** 2 <= want
+                want = sum(q * q / (2 * x[i]) for q, i in zip(exact, idx))
+                assert want <= trace <= want * (1 + 32 * u)
+
+
+@pytest.mark.parametrize("name", sorted(CAUCHY_SETS))
+def test_cauchy_factors_keep_their_bits_in_any_order(name):
+    # the products are exact integers, so no order of the subset moves a bit
+    rng = Random(name)
+    G = gram_matrix(_cauchy_set(name, 256), 256)
+    X, t = G.nodes
+    with working_precision(256):
+        for _ in range(4):
+            S = [k for k in range(16) if rng.random() < 0.5]
+            want = _cauchy_factors(X, t, S, range(16))
+            for _ in range(3):
+                rng.shuffle(S)
+                assert _cauchy_factors(X, t, S, range(16)) == want
 
 
 # ---------------------------------------------------------------------------
