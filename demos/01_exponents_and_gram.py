@@ -45,7 +45,7 @@ print("det =", mp.nstr(cauchy_determinant(G), 10), " (1/240 =", mp.nstr(mpf(1) /
 Minv, residual = cauchy_inverse(G)
 print("closed-form inverse:")
 print(matrix(Minv))
-print("identity residual max|G*Minv - I| =", mp.nstr(residual, 3))
+print("certified bound on max|G*Minv - I| =", mp.nstr(residual, 3))
 
 print("\n== distances to the span of the other monomials ==")
 print("D_{n,N} shrinks as more competitors arrive, and the dual norm is")

@@ -23,7 +23,7 @@ print("norms:", [mp.nstr(v, 8) for v in fam.norms], " (sqrt(48), sqrt(80))")
 
 print("\n== squares, N = 10 ==")
 fam10 = dual_family(squares, 10, 256)
-print("biorthogonality residual:", mp.nstr(fam10.biorthogonality_residual, 3))
+print("biorthogonality residual (certified bound):", mp.nstr(fam10.biorthogonality_residual, 3))
 print("norm * deficit (should be 1):",
       [mp.nstr(fam10.norms[n] * fam10.projection_deficit[n], 8) for n in (0, 4, 9)])
 

@@ -46,8 +46,8 @@ cert = synthesis_certificate(op10, fam10)
 print("status:", cert.status)
 for item in cert.items:
     print(f"  {item.name:22s} passed={item.passed}")
-print("eigen residual:  ", mp.nstr(cert.eigen_residual, 3))
-print("adjoint residual:", mp.nstr(cert.adjoint_residual, 3))
+print("eigen bound:     ", mp.nstr(cert.eigen_residual, 3))
+print("adjoint bound:   ", mp.nstr(cert.adjoint_residual, 3))
 print("kernel sigma_min:", mp.nstr(cert.kernel_min_singular, 3))
 print("normality defect:", mp.nstr(cert.normality_defect, 6))
 

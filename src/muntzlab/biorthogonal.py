@@ -21,7 +21,7 @@ from mpmath import log, matrix, mpf, sqrt
 from .config import working_precision
 from .errors import InputError, ParameterError
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _norms_and_distances, gram_form, identity_residual,
+from .gram import (GramMatrix, _identity_bound, _norms_and_distances, gram_form,
                    inverse_with_escalation)
 from .linalg import _doubles
 
@@ -115,13 +115,13 @@ class NormGrowthReport:
 def dual_family(lam: ExponentSequence, N: int, precision_bits: int = 256) -> BiorthogonalFamily:
     """Construct the truncated dual family via the closed-form Gram inverse.
 
-    Escalates precision (doubling) if the inverse residual misses the
-    10^(-bits/8) target at the requested precision; the reported
-    biorthogonality residual max_{j,n} |<e_j, r_n> - delta_jn| is exactly
-    the Gram identity residual because the inner products are analytic.
-    The norms ((G^-1)_nn)^(1/2) and the deficits, their reciprocals, come
-    from the row factors the inverse was built from (G.row_factors), not
-    from its rounded diagonal.
+    Escalates precision (doubling) if the inverse's certified bound misses
+    the 10^(-bits/8) target at the requested precision; the reported
+    biorthogonality_residual is that certified bound on max_{j,n}
+    |<e_j, r_n> - delta_jn| = max|G C - I|, the inner products being
+    analytic, and G itself is not formed.  The norms ((G^-1)_nn)^(1/2) and
+    the deficits, their reciprocals, come from the row factors the inverse
+    was built from (G.row_factors), not from its rounded diagonal.
     """
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
@@ -144,9 +144,10 @@ def dual_family(lam: ExponentSequence, N: int, precision_bits: int = 256) -> Bio
 
 
 def biorthogonality_residual(family: BiorthogonalFamily):
-    """Recompute max_{j,n} |<e_j, r_n^(N)> - delta_jn| from scratch."""
+    """Recompute the certified bound on max_{j,n} |<e_j, r_n^(N)> - delta_jn|
+    from the family's Gram nodes and row factors (gram._identity_bound)."""
     with working_precision(family.precision_bits):
-        return identity_residual(family.gram.entries, family.inverse_rows)
+        return _identity_bound(family.gram)
 
 
 def norm_growth_check(family: BiorthogonalFamily, epsilon: float) -> NormGrowthReport:

@@ -175,11 +175,12 @@ def cmd_project(args, cfg):
 
 def cmd_recover(args, cfg):
     f = load_series(args.f, cfg.precision_bits)
-    fam = biorthogonal.dual_family(f.lam if args.lam is None else load_exponents(args.lam),
-                                   args.n, cfg.precision_bits)
+    lam = f.lam if args.lam is None else load_exponents(args.lam)
+    if 1 <= args.n <= len(lam):  # else dual_family reports the bad --n
+        indices = _indices(args, args.n)
+    fam = biorthogonal.dual_family(lam, args.n, cfg.precision_bits)
     coeffs = muntz_space.recovered_coefficients(f, fam)
     bits = fam.precision_bits
-    indices = _indices(args, fam.truncation)
     rows = [with_config({"n": n, "coefficient": complex_pair(coeffs[n - 1], bits)}, cfg)
             for n in indices]
     _emit(dump_json_lines(rows, args.out), args.out)

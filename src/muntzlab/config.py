@@ -27,7 +27,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "biorthogonality": 1e-40,
     # max |distance * dual_norm - 1|
     "duality": 1e-25,
-    # eigen/adjoint relation residuals in the operator certificate
+    # bounds on the eigen/adjoint relation residuals in the operator certificate
     "eigen_residual": 1e-40,
     "adjoint_residual": 1e-40,
     # normality defect must exceed this to certify "not normal"

@@ -22,9 +22,10 @@ kernels on those integers give every Cauchy-like value, with no logarithm:
 So each is within one unit of 2^-prec relative of the exact value for the
 rounded exponents.  A repeated node is a DegenerateInputError from _nodes.
 
-G and its inverse are rows of mpf.  _exact_product, the one G*M kernel,
-forms every entry as an exact integer dot product at one power of two;
-identity_residual and gram_product round its entries as fdot rounds them.
+G and its inverse are rows of mpf; G is formed on the first read of
+GramMatrix.entries.  No G*M product is formed: since G G^-1 = I exactly,
+_identity_bound certifies max|G M - I| a priori in O(N^2) from the nodes
+and the row factors, and cauchy_inverse checks that bound before it forms M.
 
 gram_form is the one exact kernel for the norm of a Muntz polynomial and
 the pairing of two, for any int or mpf exponents: one power-of-two scale
@@ -33,13 +34,14 @@ makes every denominator an integer, so the sum is exact in Python integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf, sqrt
-from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_div, mpf_mul, mpf_sqrt, mpf_sub,
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_div, mpf_mul, mpf_sqrt,
                           round_nearest as RND)
 
 from .config import inverse_residual_tolerance, working_precision
@@ -53,17 +55,25 @@ _MAX_DOUBLINGS = 6
 
 @dataclass
 class GramMatrix:
-    """Gram matrix of a Muntz monomial prefix at a stated precision, as rows of
-    mpf, with the integer nodes (X, t) of _nodes it was built from."""
+    """Gram matrix of a Muntz monomial prefix at a stated precision, held as
+    the integer nodes (X, t) of _nodes; its rows of mpf are formed on first
+    read of entries."""
 
     lam: ExponentSequence
-    entries: list
     precision_bits: int
     nodes: tuple
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.nodes[0])
+
+    @cached_property
+    def entries(self) -> list:
+        """G as rows of mpf, each 1/(x_j + x_k) rounded once at the Gram's
+        precision, built on first use and kept."""
+        X, t = self.nodes
+        with working_precision(self.precision_bits):
+            return _cauchy_rows(X, t, [fone] * len(X), range(len(X)))
 
     def entry(self, j: int, k: int):
         """G_jk with 1-based indices."""
@@ -150,14 +160,14 @@ def _cauchy_rows(X, t, s, idx):
 
 
 def gram_matrix(lam: ExponentSequence, precision_bits: int = 256) -> GramMatrix:
-    """Build G_jk = 1/(lambda_j + lambda_k + 1) = 1/(x_j + x_k) at the given
-    precision, each entry rounded once from the exact nodes."""
+    """G_jk = 1/(lambda_j + lambda_k + 1) = 1/(x_j + x_k) at the given
+    precision: the exact nodes now, the entries (each rounded once from
+    them) on first read of GramMatrix.entries."""
     if precision_bits < 64:
         raise ParameterError(f"precision_bits must be >= 64, got {precision_bits}")
     with working_precision(precision_bits):
-        X, t = _nodes(lam)
-        entries = _cauchy_rows(X, t, [fone] * len(X), range(len(X)))
-    return GramMatrix(lam, entries, precision_bits, (X, t))
+        nodes = _nodes(lam)
+    return GramMatrix(lam, precision_bits, nodes)
 
 
 def cauchy_determinant(G: GramMatrix):
@@ -174,86 +184,83 @@ def cauchy_determinant(G: GramMatrix):
         return mp.make_mpf(mpf_div(from_man_exp(num, t * N), from_man_exp(den, 0), mp.prec, RND))
 
 
+def _identity_bound(G: GramMatrix):
+    """Certified e >= |(G~ M - I)_ij| and |(G M - I)_ij| for all i, j, at
+    working precision, in O(N^2) and before M is formed.
+
+    G is exact, G~ its stored rounding and M the _cauchy_rows of
+    G.row_factors.  With u = 2^-prec, G~_ij = G_ij (1 + d) and M_ij =
+    C_ij (1 + d_i)(1 + d_j)(1 + d) for the exact inverse C_ij = a_i a_j /
+    (x_i + x_j), where |d| <= u and |d_i| <= 2^-_GUARD u (the row factors).
+    As G C = I, both residuals are at most (2u + 2^(2-_GUARD) u) s with
+    s = max_i sum_k G_ik max_j |C_kj|, and max_j |C_kj| = |a_k| max_j |a_j| /
+    (x_k + x_j).  Every row has s_i >= (G C)_ii = 1, so e = c s with c = 4u
+    also covers rounding G~ M - I to working precision entry by entry.
+
+    s is summed in doubles on one power-of-two scale: |a_k| 2^-Q <= 1 with
+    2^Q above the largest |a_k|, and 1/(x_i + x_k) < 1, each correctly
+    rounded from integers.  It is then raised by (N + 16) 2^-52 relative,
+    above the N + 6 roundings of 2^-53 that each term and the sum take, and
+    by N 2^-1050 for terms under the double range.
+    """
+    X, t = G.nodes
+    N, T = len(X), 1 << t
+    H = [[0.0] * N for _ in range(N)]
+    for i in range(N):
+        for k in range(i, N):
+            H[i][k] = H[k][i] = T / (X[i] + X[k])
+    raw = G.row_factors
+    Q = max(ex + bc for _, _, ex, bc in raw)
+    a = [math.ldexp(man / (1 << bc), ex + bc - Q) for _, man, ex, bc in raw]
+    b = [ak * max(map(mul, a, row)) for ak, row in zip(a, H)]
+    s = max(sum(map(mul, b, row)) for row in H)
+    s = (s + N * 2.0 ** -1050) * (1 + (N + 16) * 2.0 ** -52)
+    return mp.ldexp(mpf(s), 2 * Q + 2 - mp.prec)
+
+
 def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
-    """Closed-form inverse of the Gram matrix, with its identity residual.
+    """Closed-form inverse of the Gram matrix, with its certified bound.
 
     Returns
     -------
-    (M, residual)
+    (M, bound)
         M is the symmetric inverse as rows of mpf, M_ij = A_i A_j / (x_i + x_j),
         the _cauchy_rows of G.row_factors, each entry rounded once at working
-        precision; residual is max|G*M - I| computed at working precision.
+        precision; bound is _identity_bound(G), at least max|G*M - I| for the
+        exact G and for its stored rounding.
 
     Raises
     ------
     PrecisionInsufficientError
-        If the residual exceeds ``residual_tol`` (default 10^(-bits/8));
-        the caller must raise precision_bits and rebuild.
+        If the bound exceeds ``residual_tol`` (default 10^(-bits/8)), before
+        any row of M is formed; the caller must raise precision_bits and
+        rebuild.
     """
     if residual_tol is None:
         residual_tol = inverse_residual_tolerance(G.precision_bits)
     with working_precision(G.precision_bits):
+        bound = _identity_bound(G)
+        if not bound <= mpf(residual_tol):
+            raise PrecisionInsufficientError(
+                f"G*M - I bound {mp.nstr(bound, 5)} exceeds {residual_tol} "
+                f"at {G.precision_bits} bits; raise precision_bits",
+                residual=bound,
+                precision_bits=G.precision_bits,
+            )
         X, t = G.nodes
         M = _cauchy_rows(X, t, G.row_factors, range(len(X)))
-        residual = identity_residual(G.entries, M)
-    if not residual <= mpf(residual_tol):
-        raise PrecisionInsufficientError(
-            f"G*M - I residual {mp.nstr(residual, 5)} exceeds {residual_tol} "
-            f"at {G.precision_bits} bits; raise precision_bits",
-            residual=residual,
-            precision_bits=G.precision_bits,
-        )
-    return M, residual
-
-
-def _one_scale(rows):
-    """(A, e) for rows of finite mpf: integers A_ik with A_ik 2^e the entries."""
-    raw = [[v._mpf_ for v in row] for row in rows]
-    e = min((ex for row in raw for _, man, ex, _ in row if man), default=0)
-    A = [[0 if not man else -(man << (ex - e)) if sign else man << (ex - e)
-          for sign, man, ex, _ in row] for row in raw]
-    return A, e
-
-
-def _exact_product(G, M):
-    """(S, e) for rows of finite real mpf: integers S_ij with S_ij 2^e exactly
-    (G M)_ij, each an integer dot product of G and M scaled by _one_scale."""
-    (A, ea), (B, eb) = _one_scale(G), _one_scale(zip(*M))
-    return [[sum(map(mul, row, col)) for col in B] for row in A], ea + eb
-
-
-def gram_product(G, M):
-    """G*M as rows of mpf, each exact entry rounded once at working precision:
-    the value fdot gives wherever its own sum keeps every term, and so the
-    value of mpmath's matrix product."""
-    prec = mp.prec
-    S, e = _exact_product(G, M)
-    return [[mp.make_mpf(from_man_exp(s, e, prec, RND)) for s in row] for row in S]
-
-
-def identity_residual(G, M):
-    """max-norm of G*M - I at working precision, for rows of finite real mpf.
-
-    Each diagonal entry of _exact_product is rounded, then 1 is subtracted,
-    as fdot(...) - 1 rounds; the off-diagonal sums are compared as integers
-    and only the largest is rounded, since rounding to nearest is monotone
-    and symmetric.  The result is that of gram_product(G, M) - I.
-    """
-    prec = mp.prec
-    S, e = _exact_product(G, M)
-    top = max((abs(s) for i, row in enumerate(S) for s in row[:i] + row[i + 1:]), default=0)
-    diag = [mpf_sub(from_man_exp(S[i][i], e, prec, RND), fone, prec, RND) for i in range(len(S))]
-    return max(mp.make_mpf(mpf_abs(v)) for v in diag + [from_man_exp(top, e, prec, RND)])
+    return M, bound
 
 
 def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
                             residual_tol: Optional[float] = None):
     """gram_matrix + cauchy_inverse, doubling precision (at most _MAX_DOUBLINGS
-    times) until the residual passes.
+    times) until the certified bound passes.
 
-    The residual target stays pinned to the *requested* precision, so
-    escalation refines the arithmetic without moving the goalposts.
-    Returns (GramMatrix, inverse, residual); the GramMatrix carries the
+    The target stays pinned to the *requested* precision, so escalation
+    refines the arithmetic without moving the goalposts.  A failed attempt
+    forms the nodes, the row factors and the bound, never a matrix.
+    Returns (GramMatrix, inverse, bound); the GramMatrix carries the
     precision that finally succeeded.
     """
     if residual_tol is None:
@@ -263,8 +270,8 @@ def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
     for _ in range(_MAX_DOUBLINGS + 1):
         G = gram_matrix(lam, bits)
         try:
-            M, residual = cauchy_inverse(G, residual_tol=residual_tol)
-            return G, M, residual
+            M, bound = cauchy_inverse(G, residual_tol=residual_tol)
+            return G, M, bound
         except PrecisionInsufficientError as exc:
             last_exc = exc
             bits *= 2

@@ -1,10 +1,12 @@
 import random
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, settings, strategies as st
 from mpmath import cholesky, diag, matrix, mp, mpf
+from mpmath.libmp import fone, from_man_exp, mpf_abs, mpf_sub, round_nearest
 
 import muntzlab
 from muntzlab import dual_family, generate_exponents
@@ -41,6 +43,42 @@ def exponent_sets(draw, max_n=10):
     assume(all(v != int(v) for v in values))
     assume(all(b - a >= DEFAULT_DELTA_MIN for a, b in zip(values, values[1:])))
     return generate_exponents("custom", {"values": values}, N)
+
+
+def _one_scale(rows):
+    """(A, e) for rows of finite mpf: integers A_ik with A_ik 2^e the entries."""
+    raw = [[v._mpf_ for v in row] for row in rows]
+    e = min((ex for row in raw for _, man, ex, _ in row if man), default=0)
+    A = [[0 if not man else -(man << (ex - e)) if sign else man << (ex - e)
+          for sign, man, ex, _ in row] for row in raw]
+    return A, e
+
+
+def _exact_product(G, M):
+    """(S, e): integers S_ij with S_ij 2^e exactly (G M)_ij, for rows of finite real mpf."""
+    (A, ea), (B, eb) = _one_scale(G), _one_scale(zip(*M))
+    return [[sum(map(mul, row, col)) for col in B] for row in A], ea + eb
+
+
+def gram_product(G, M):
+    """Oracle G*M as rows of mpf: each exact entry rounded once at working
+    precision, the value mp.fdot (and mpmath's matrix product) gives wherever
+    its own sum keeps every term."""
+    S, e = _exact_product(G, M)
+    return [[mp.make_mpf(from_man_exp(s, e, mp.prec, round_nearest)) for s in row] for row in S]
+
+
+def identity_residual(G, M):
+    """Oracle max|G*M - I| at working precision, for rows of finite real mpf:
+    the exact product, each diagonal entry rounded and 1 subtracted as
+    fdot(...) - 1 rounds, the largest off-diagonal entry rounded once (the
+    value of gram_product(G, M) - I)."""
+    prec = mp.prec
+    S, e = _exact_product(G, M)
+    top = max((abs(s) for i, row in enumerate(S) for s in row[:i] + row[i + 1:]), default=0)
+    diag_ = [mpf_sub(from_man_exp(S[i][i], e, prec, round_nearest), fone, prec, round_nearest)
+             for i in range(len(S))]
+    return max(mp.make_mpf(mpf_abs(v)) for v in diag_ + [from_man_exp(top, e, prec, round_nearest)])
 
 
 def cholesky_oracle(family, exact=False):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpc, mpf
 
-from muntzlab import dual_family, project, working_precision
+from muntzlab import cli, dual_family, project, working_precision
 from muntzlab.cli import main
 from muntzlab.reports import load_series
 
@@ -108,9 +108,14 @@ def test_project_and_recover(lambda_file, tmp_path):
 
 
 @pytest.mark.parametrize("index", ["0", "-1", "7"])
-def test_index_outside_the_truncation_is_typed_error(lambda_file, tmp_path, capsys, index):
+def test_index_outside_the_truncation_is_typed_error(lambda_file, tmp_path, capsys, index,
+                                                    monkeypatch):
     # checked on every path: picked by position, 0 and -1 would name the last
-    # report or coefficient
+    # report or coefficient.  recover checks it before building any dual
+    def no_family(*args):
+        pytest.fail("dual_family called on a bad --index")
+
+    monkeypatch.setattr(cli.biorthogonal, "dual_family", no_family)
     series = tmp_path / "series.json"
     series.write_text(json.dumps({"lambda_ref": "lambda.json", "coeffs": [[1, 0], [0, 0], [2, 0]]}))
     out = tmp_path / "rows.jsonl"
@@ -123,6 +128,17 @@ def test_index_outside_the_truncation_is_typed_error(lambda_file, tmp_path, caps
         assert err["error"] == "InputError", argv
         assert "outside 1..6" in err["message"], argv
         assert not out.exists()
+
+
+def test_recover_keeps_the_error_of_a_bad_n(lambda_file, tmp_path, capsys):
+    # --index is checked against --n only when --n is a valid truncation
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"lambda_ref": "lambda.json", "coeffs": [[1, 0]]}))
+    for n, error in (("0", "ParameterError"), ("99", "InputError")):
+        capsys.readouterr()
+        assert main(["recover", "--f", str(series), "--n", n, "--index", "7"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error and "--index" not in err["message"], n
 
 
 def test_project_artifact_carries_full_precision(lambda_file, tmp_path):

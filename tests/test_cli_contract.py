@@ -10,7 +10,7 @@ below reproduce.
 
 The operator certificate (squares, N = 10, 512 bits) is held to the digest
 of the fields that do not rest on an iteration's last digits: the status,
-every item's name, verdict and tolerance, the eigen and adjoint residuals,
+every item's name, verdict and tolerance, the eigen and adjoint bounds,
 the envelope bounds, the reported spectrum and the mixed-system floor.
 
 The printed sigma_min of ``hereditary`` and the certificate's floor do
@@ -24,10 +24,15 @@ import json
 
 from mpmath import mp, mpf
 
+from muntzlab import dual_family, working_precision
 from muntzlab.cli import main
+from muntzlab.reports import load_exponents
 
-from conftest import mixed_sigma_oracle
+from conftest import identity_residual, mixed_sigma_oracle
 
+# the duals files' biorthogonality_residual is the certified bound on
+# G*M - I (pinned when it replaced the computed residual; no other byte
+# moved), and lies above the oracle's residual (below)
 DIGESTS = {
     "lambda.json": "c3ae84d1d1693db6b8e56a218bfba8842fbcbe15c60aa5144187570ddae5ef49",
     "lambda16.json": "fc7902a9d6f885d85fb54a0372c975009931ee3aedfb900bacc71db5e9a59dfd",
@@ -35,11 +40,11 @@ DIGESTS = {
     "gram.json": "f214a669a344efd09e7abf14239018827b189051bcb92f7f7db3a9919efbdece",
     "dist.jsonl": "707994154972c6b5ce2961d6c0f6060739056f81eb827abe667aecc94f509ffe",
     "dist_eps.jsonl": "95671a832c6d4b26dad31060655320067f792a60e0a315acce0ff98397223fdf",
-    "duals.json": "f879df1b816540ca4fa585e72e77707fb98fa16f9b20bacd173998854ebfad84",
-    "duals64.json": "c46e30a5d7a4f97b2f58a7f677a80944abb12759d5932bb433f79a3a67481dbb",
-    "duals512.json": "c38461609d7314d2c5d26bdfc06204422ead4177a6a4821476457e6ba315746c",
-    "duals16_64.json": "d03ecb1c8a672f07b6b80b8b2b5831c89c5e1e32b39d7c89553a61b19f10b08d",
-    "duals15_64.json": "6bd24cb75d3eb5e05c41da228a09931ff89acf9190c8ab7d4f7509436ed603e2",
+    "duals.json": "989fc1a90b6128af799cd52e895449f7b066d2501c6915a034d52cd488c313f7",
+    "duals64.json": "4bc9951c97c35a28ebc97e1a0c2f4832b98270f0b5eb1bbb411e4e2ff85778fa",
+    "duals512.json": "7dc9862b4e7eebeac8fad4ce3d09119e85bc1c147f69bd06a5b4086b7424a968",
+    "duals16_64.json": "bcee934f9bf0f4f2594a408bb2c0eeb0cf6f2f3e40322c40b5d95814f8cc39ae",
+    "duals15_64.json": "ba8a36db8add758d5d9cc6e8d6e2feae4af9d3c4df5382a0e74fe3d22ac3c588",
 }
 
 # bits each 16-term 64-bit run ends at: squares stay, p = 1.5 escalates once
@@ -74,6 +79,13 @@ def test_gram_algebra_artifacts_are_byte_identical(tmp_path, monkeypatch):
     assert got == DIGESTS
     for name, bits in BITS_USED.items():
         assert json.loads((tmp_path / name).read_text())["precision_bits_used"] == bits
+    for argv in COMMANDS:
+        if argv[0] == "biorthogonal":
+            opt = dict(zip(argv[1::2], argv[2::2]))
+            fam = dual_family(load_exponents(opt["--lambda"]), int(opt["--n"]), int(opt["--bits"]))
+            with working_precision(fam.precision_bits):
+                assert identity_residual(fam.gram.entries, fam.inverse_rows) <= \
+                    fam.biorthogonality_residual
 
 
 SERIES = {"lambda_ref": "lambda.json", "coeffs": [[1, 0], [0.5, 0]], "rule": {"name": "inv_n"}}
@@ -98,13 +110,13 @@ SERIES_COMMANDS = [
      "--out", "radial.json"],
 ]
 
-# pinned when the mixed scales became exact products rounded once: of these
-# fields only the floor moved, in its last printed digit (up, and still
-# below the oracle at 1024 bits)
+# pinned when the eigen and adjoint residuals became bounds from the
+# family's certified G*M - I bound: of these fields only those two moved,
+# each up (above the residuals the parent computed); every verdict kept
 CERTIFICATE_DIGESTS = {
-    "0.3": "42b8a7555430d50e9c47c93b0e31815237876780024c752040795c1b9639499d",
-    "0.5": "43ae9198d1a2e26fd9fb3d7f591db0a8baae275d8d241b0ae6ed724a5b549d96",
-    "0.8": "32ac34a14731f089677780876bf523ff033ea7cb0a38695655c096bacbeb7eff",
+    "0.3": "6eed7c543132e2b87de78fd1c6b7c3074ce72baea1d0c52ec43e8632186e60c3",
+    "0.5": "1af430bb6942b90b031b87419a43acd3e1496b96f70ed97e7e2e15a4dcf11040",
+    "0.8": "8c136bef808d77bd4429c44611a6dde4a3b5d97b7fcf99272988c0f338785c30",
 }
 
 

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import matrix, mp, mpc, mpf, sqrt
-from mpmath.libmp import from_man_exp, from_rational, mpf_exp, mpf_log, mpf_sqrt, round_nearest
+from mpmath.libmp import fone, from_man_exp, from_rational, mpf_exp, mpf_log, mpf_sqrt, round_nearest
 
 from muntzlab import (
     DegenerateInputError,
@@ -28,10 +28,9 @@ from muntzlab import gram
 from muntzlab.completeness import _mixed_scales, _perron_block, _trace_up
 from muntzlab.config import inverse_residual_tolerance
 from muntzlab.exponents import ExponentSequence
-from muntzlab.gram import (_cauchy_factors, gram_form, gram_product, identity_residual,
-                           inverse_with_escalation)
+from muntzlab.gram import _cauchy_factors, _identity_bound, gram_form, inverse_with_escalation
 
-from conftest import exponent_sets
+from conftest import exponent_sets, gram_product, identity_residual
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_1 = generate_exponents("integers", {"values": [1]}, 1)
@@ -410,15 +409,17 @@ def _check_cauchy_formulas(lam, N, bits):
     oracle = _CauchyOracle(lam.values[:N], bits)
     want_M = oracle.inverse()
     with working_precision(bits):
-        want_res = _fdot_residual(G.entries, want_M)
-    if want_res <= mpf(inverse_residual_tolerance(bits)):
+        bound = _identity_bound(G)
+        assert identity_residual(G.entries, want_M) <= bound
+    if bound <= mpf(inverse_residual_tolerance(bits)):
         M, res = cauchy_inverse(G)
-        assert repr(M) == repr(want_M)
-        assert repr(res) == repr(want_res)
+        assert repr(res) == repr(bound)
     else:
         with pytest.raises(PrecisionInsufficientError) as info:
             cauchy_inverse(G)
-        assert repr(info.value.residual) == repr(want_res)
+        assert repr(info.value.residual) == repr(bound)
+        M, _ = cauchy_inverse(G, residual_tol=mp.inf)
+    assert repr(M) == repr(want_M)
     det = cauchy_determinant(G)
     assert repr(det) == repr(oracle.determinant())
 
@@ -479,7 +480,8 @@ def test_escalated_inverse_bit_identical_to_per_pair():
     want_M = _CauchyOracle(lam.values, 128).inverse()
     assert repr(M) == repr(want_M)
     with working_precision(128):
-        assert repr(res) == repr(_fdot_residual(G.entries, want_M))
+        assert repr(res) == repr(_identity_bound(G))
+        assert identity_residual(G.entries, want_M) <= res
 
 
 @pytest.mark.parametrize("name, N", [("squares", 16), ("custom", 12)])
@@ -492,7 +494,8 @@ def test_accurate_inverse_meets_the_64_bit_target_without_escalating(name, N):
 
 
 # ---------------------------------------------------------------------------
-# the exact G*M kernel is fdot's, bit for bit
+# the oracles' exact G*M kernel is fdot's, bit for bit, and the certified
+# bound lies above it
 
 
 def _fdot_residual(G, M):
@@ -508,14 +511,77 @@ def _fdot_residual(G, M):
 def test_identity_residual_is_fdot_bit_for_bit(lam, bits):
     # N = 1, tight gaps, and with no residual target the 64-bit sets that
     # miss it (and escalate in dual_family) are compared too; gram_product
-    # is held to mpmath's matrix product on the same draws
+    # is held to mpmath's matrix product on the same draws.  The inverse
+    # keeps every bit, and its reported bound lies above the oracle
     G = gram_matrix(lam, bits)
     M, res = cauchy_inverse(G, residual_tol=mp.inf)
+    assert repr(M) == repr(_CauchyOracle(lam.values, bits).inverse())
     with working_precision(bits):
         want = _fdot_residual(G.entries, M)
         assert repr(identity_residual(G.entries, M)) == repr(want)
         _assert_product_is_mpmaths(G, M)
-    assert repr(res) == repr(want)
+    assert want <= res
+
+
+def _exact_gram_residual(G, M):
+    """max|G M - I| for the exact Gram on G's nodes at three times the
+    working precision, far below the rounding the bound covers."""
+    X, t = G.nodes
+    with mp.workprec(3 * mp.prec):
+        exact = [[mp.ldexp(1, t) / (a + b) for b in X] for a in X]
+        return max(abs(mp.fdot(row, col) - (i == j)) for i, row in enumerate(exact)
+                   for j, col in enumerate(zip(*M)))
+
+
+@given(lam=exponent_sets(max_n=16), bits=st.sampled_from([64, 128, 256, 512]))
+def test_certified_bound_covers_both_residuals_property(lam, bits):
+    # the bound covers G~ M - I for the stored Gram (the oracle, rounded as
+    # fdot rounds) and G M - I for the exact one, and so escalates whenever
+    # the oracle would
+    G = gram_matrix(lam, bits)
+    M, bound = cauchy_inverse(G, residual_tol=mp.inf)
+    tol = mpf(inverse_residual_tolerance(bits))
+    with working_precision(bits):
+        oracle = identity_residual(G.entries, M)
+        assert oracle <= bound
+        assert _exact_gram_residual(G, M) <= bound
+    if oracle > tol:
+        with pytest.raises(PrecisionInsufficientError):
+            cauchy_inverse(gram_matrix(lam, bits))
+
+
+def test_gram_entries_are_formed_on_first_read():
+    # the rows a lazy read builds are the eager _cauchy_rows rows, at the
+    # Gram's precision whatever the ambient one; dual_family never reads them
+    lam = _cauchy_set("power1.5", 256).prefix(12)
+    fam = dual_family(lam, 12, 256)
+    assert "entries" not in fam.gram.__dict__
+    G = gram_matrix(lam, 256)
+    X, t = G.nodes
+    with working_precision(256):
+        eager = gram._cauchy_rows(X, t, [fone] * 12, range(12))
+    with mp.workprec(53):
+        lazy = G.entries
+    assert repr(lazy) == repr(eager)
+    assert G.entries is lazy and repr(fam.gram.entries) == repr(eager)
+
+
+def test_failed_attempt_forms_no_matrix(monkeypatch):
+    # p = 1.5 at N = 16 misses the 64-bit target: the bound decides before
+    # any row of G or of the inverse is formed
+    calls = []
+    rows = gram._cauchy_rows
+
+    def counting(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(gram, "_cauchy_rows", counting)
+    with pytest.raises(PrecisionInsufficientError):
+        cauchy_inverse(gram_matrix(_cauchy_set("power1.5", 64), 64))
+    assert calls == []
+    G, _, _ = inverse_with_escalation(_cauchy_set("power1.5", 64), 64)
+    assert G.precision_bits == 128 and len(calls) == 1
 
 
 def _assert_product_is_mpmaths(G, M):
@@ -565,14 +631,14 @@ def test_exact_product_keeps_the_term_fdot_drops(monkeypatch):
 
 # every family the duals benchmark builds, pinned when the Cauchy algebra
 # moved to exact integer row products: repr at 1024 bits shows every bit.
-# power1.5 was pinned again when G's entries became 1/(x_j + x_k) rounded
-# once: its duals, norms and deficits kept their bits, only the residual of
-# the better rounded G moved
+# Pinned again when the residual became the a-priori certified bound: the
+# duals, norms, deficits and bits kept every bit, only the residual moved,
+# and it lies above the oracle's G*M - I for every family
 FAMILY_DIGESTS = {
-    "custom": "785e352468a59d8feb913e1a167b8faa6823175b60f89202ce058c4d4a3ba3db",
-    "lacunary2": "1c59b3bc8751392be3bf7efeaf1bf11f950298894ee8dddf5a36cd39294b0514",
-    "power1.5": "7dbf0bc1aaa021e0b80fbaa4fca3036b543c71d616050c824285c1373404c29c",
-    "squares": "6db615b2dae21922e060f5128ec9e95a0556c2566ace383f50d44dc6e516012b",
+    "custom": "b07ec5793e7e2fc4efb3a65dbc00f838ceaa2ec56311672c544f499061a5664d",
+    "lacunary2": "b6b44512e8651842b0d226f5d42ef75eaf987279b60f567cdfade6b93e1ecfc7",
+    "power1.5": "26bb6a1d65fdd9dff9c437300827d9ac5df50e826e232a5b57b4c03c69d8bb11",
+    "squares": "b6cc7506300d13b2518af83275c7eaf10b854f203269cf8df0620615efeebee2",
 }
 # (name, N) whose 64-bit request escalates to 128 bits
 ESCALATED = {("power1.5", 16), ("custom", 16)}
@@ -585,6 +651,9 @@ def test_dual_families_are_pinned(name):
         for bits in (64, 256, 512):
             fam = dual_family(_cauchy_set(name, bits), N, bits)
             assert fam.precision_bits == (128 if bits == 64 and (name, N) in ESCALATED else bits)
+            with working_precision(fam.precision_bits):
+                assert identity_residual(fam.gram.entries, fam.inverse_rows) <= \
+                    fam.biorthogonality_residual
             with mp.workprec(1024):
                 text = repr((fam.inverse_rows, fam.norms, fam.projection_deficit,
                              fam.biorthogonality_residual, fam.precision_bits))

@@ -21,9 +21,10 @@ from muntzlab import (
 )
 from muntzlab import completeness
 from muntzlab.config import DEFAULT_TOLERANCES, RunConfig
+from muntzlab.gram import gram_form
 from muntzlab.operators import _norm_enclosure, _tail_enclosure
 
-from conftest import commutator_norm, operator_norm, orthonormal_matrix
+from conftest import commutator_norm, gram_product, operator_norm, orthonormal_matrix
 
 LAM_12 = generate_exponents("integers", {"values": [1, 2]}, 2)
 LAM_SQ = generate_exponents("power", {"p": 2}, 12)
@@ -158,14 +159,39 @@ def test_spectrum_matches_eigenvalues(fam_squares_10):
 
 
 def test_spectrum_rests_on_the_eigen_relations(fam_12):
-    # with no room for rounding in the eigen residual, item 2 fails and the
-    # spectrum report loses its footing with it
+    # with no room for rounding in the eigen bound, item 2 is open (the
+    # relations hold for the exact family, so rounding never refutes them)
+    # and the spectrum report loses its footing with it
     op = dilation_operator(LAM_12, 0.5, 2)
     strict = RunConfig(precision_bits=256,
                        tolerances=dict(DEFAULT_TOLERANCES, eigen_residual=1e-300))
     cert = synthesis_certificate(op, fam_12, strict)
-    assert cert.item("eigen_relations").passed is False
-    assert cert.item("spectrum").passed is False
+    assert cert.item("eigen_relations").passed is None
+    assert cert.item("spectrum").passed is None
+    assert cert.status == "inconclusive"
+
+
+def test_relations_are_never_refuted_by_rounding():
+    # squares, rho = 0.5, N = 6: at 128 bits the bounds on items 2 and 3 lie
+    # above 1e-40, so the items are open, not failed; from 192 bits on they
+    # pass.  Each bound lies above the relation's residual computed from the
+    # oracle's B = G C at the family's bits
+    op = dilation_operator(LAM_SQ, 0.5, 6)
+    for bits in (128, 192, 256):
+        fam = dual_family(LAM_SQ, 6, bits)
+        cert = synthesis_certificate(op, fam)
+        items = [cert.item("eigen_relations"), cert.item("adjoint_relations")]
+        assert all(it.passed is not False for it in items)
+        assert cert.status == ("inconclusive" if bits == 128 else "pass")
+        with working_precision(bits):
+            B = gram_product(fam.gram.entries, fam.inverse_rows)
+            u = [mpf(v) for v in op.u]
+            eig = max(mp.sqrt(gram_form(fam.lam.values, [B[k][n] * u[n] - (u[k] if n == k else 0)
+                                                         for n in range(6)])[0])
+                      for k in range(6))
+            adj = max(abs(mp.fsum(u[n] * B[j][n] * B[n][k] for n in range(6)) - (u[k] if j == k else 0))
+                      for j in range(6) for k in range(6))
+        assert eig <= cert.eigen_residual and adj <= cert.adjoint_residual
 
 
 def test_spectrum_against_general_eigensolver(fam_12):
