@@ -7,8 +7,9 @@ These truncated duals are computable proxies for the duals of the full
 system; their drift under growing N is measured, never assumed away.
 
 All inner products among monomials use the exact formula
-<t^a, t^b> = 1/(a+b+1), and norms of coefficient vectors go through the
-exact kernel gram.gram_form; no quadrature enters any check in this module.
+<t^a, t^b> = 1/(a+b+1), and the truncation drift is Pythagoras on the
+exact integer row products of gram (gram._row_products); no quadrature
+enters any check in this module.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from mpmath import log, matrix, mpf, sqrt
+from mpmath import log, matrix, mp, mpf, sqrt
+from mpmath.libmp import from_man_exp, mpf_div, round_nearest as RND
 
 from .config import working_precision
 from .errors import InputError, ParameterError
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _identity_bound, _norms_and_distances, gram_form,
+from .gram import (GramMatrix, _identity_bound, _nodes, _norms_and_distances, _row_products,
                    inverse_with_escalation)
 from .linalg import _doubles
 
@@ -172,18 +174,18 @@ def truncation_convergence(lam: ExponentSequence, n: int, N1: int, N2: int,
                            precision_bits: int = 256):
     """L2 drift ||r_n^(N2) - r_n^(N1)|| between truncation levels.
 
-    The N1 coefficient vector is zero-padded to length N2 and the
-    difference is measured by the exact Gram form at size N2.
+    r_n^(N1) is the projection of r_n^(N2) onto the smaller span, so by
+    Pythagoras the squared drift is ||r_n^(N2)||^2 - ||r_n^(N1)||^2 =
+    (A_{n,N2}^2 - A_{n,N1}^2) / (2 x_n), with A_{n,N} = P / (Q 2^t) from
+    gram._row_products: one exact integer quotient, rounded once before the root.
     """
     if not 1 <= n <= N1 <= N2 <= len(lam):
         raise InputError(f"need 1 <= n <= N1 <= N2 <= {len(lam)}, got n={n}, N1={N1}, N2={N2}")
-    if N1 == N2:
-        return mpf(0)
-    fam1 = dual_family(lam, N1, precision_bits)
-    fam2 = dual_family(lam, N2, precision_bits)
-    bits = max(fam1.precision_bits, fam2.precision_bits)
-    with working_precision(bits):
-        C1, C2 = fam1.inverse_rows, fam2.inverse_rows
-        d = [C2[k][n - 1] - (C1[k][n - 1] if k < N1 else 0) for k in range(N2)]
-        q, _ = gram_form(fam2.lam.values, d)
-        return sqrt(abs(q))
+    with working_precision(precision_bits):
+        X, t = _nodes(lam.prefix(N2))
+        # (P, Q) over the prefix N2 is (p rp, q rq)
+        p, q = _row_products(X, n - 1, range(N1))
+        rp, rq = _row_products(X, n - 1, range(N1, N2))
+        num = from_man_exp(p * p * (rp * rp - rq * rq), -t - 1)
+        den = from_man_exp(q * q * rq * rq * X[n - 1], 0)
+        return sqrt(mp.make_mpf(mpf_div(num, den, mp.prec, RND)))

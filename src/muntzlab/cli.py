@@ -296,7 +296,6 @@ def _common(sub):
     sub.add_argument("--bits", type=int, default=None, help="working precision in bits")
     sub.add_argument("--config", default=None, help="JSON run-config file (flags override)")
     sub.add_argument("--seed", type=int, default=None, help="seed for sampled sweeps")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
     sub.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
 
@@ -316,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("gram", help="Gram matrix as decimal strings")
     s.add_argument("--lambda", dest="lam", required=True)
     s.add_argument("--n", type=int, required=True)
+    s.add_argument("--format", choices=("json", "csv"), default=None)
     _common(s)
     s.set_defaults(func=cmd_gram)
 

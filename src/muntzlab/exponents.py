@@ -53,10 +53,6 @@ class ExponentSequence:
     def __getitem__(self, i):
         return self.values[i]
 
-    @property
-    def length(self) -> int:
-        return len(self.values)
-
     def value(self, n: int):
         """Exponent lambda_n with the 1-based index used in reports."""
         if not 1 <= n <= len(self.values):

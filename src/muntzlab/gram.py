@@ -163,8 +163,6 @@ def gram_matrix(lam: ExponentSequence, precision_bits: int = 256) -> GramMatrix:
     """G_jk = 1/(lambda_j + lambda_k + 1) = 1/(x_j + x_k) at the given
     precision: the exact nodes now, the entries (each rounded once from
     them) on first read of GramMatrix.entries."""
-    if precision_bits < 64:
-        raise ParameterError(f"precision_bits must be >= 64, got {precision_bits}")
     with working_precision(precision_bits):
         nodes = _nodes(lam)
     return GramMatrix(lam, precision_bits, nodes)
@@ -322,18 +320,12 @@ def distance_lower_bound_check(lam: ExponentSequence, N: int, epsilon: float,
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
     with working_precision(precision_bits):
         eps = mpf(epsilon)
-        base = []
         rows = range(N)
         X, t = _nodes(lam.prefix(N))
         pairs = _norms_and_distances(rows, X, t, _cauchy_factors(X, t, rows, rows))
-        for i, (dual, d) in enumerate(pairs):
-            rep = DistanceReport(n=i + 1, truncation=N, distance=d, dual_norm=dual)
-            base.append((rep, d / (1 - eps) ** mpf(lam.values[i])))
-        m_fit = min(r for _, r in base)
-    reports = [
-        DistanceReport(rep.n, rep.truncation, rep.distance, rep.dual_norm, epsilon, m_fit)
-        for rep, _ in base
-    ]
+        m_fit = min(d / (1 - eps) ** mpf(v) for (_, d), v in zip(pairs, lam.values))
+    reports = [DistanceReport(i + 1, N, d, dual, epsilon, m_fit)
+               for i, (dual, d) in enumerate(pairs)]
     return reports, m_fit
 
 

@@ -17,7 +17,7 @@ partial sums), which is exactly what quadratic_form_partial_sums reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf, sqrt
@@ -27,8 +27,8 @@ from .config import DEFAULT_TOLERANCES, working_precision
 from .errors import DomainError, InputError
 from .exponents import ExponentSequence
 from .gram import gram_form
-from .muntz_space import (MuntzSeries, QuadratureSpec, SeriesOrCallable, distance_to,
-                          dual_pairings, moments_and_norm2)
+from .muntz_space import (MuntzSeries, QuadratureSpec, SeriesOrCallable, _coefficient_at,
+                          distance_to, dual_pairings, moments_and_norm2)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,6 @@ class HardyReport:
     closure_flag: Optional[str] = None           # yes | no | inconclusive
     residual_trend: tuple = ()                   # ((N, residual), ...)
     recovered: tuple = ()
-    radial_bound_M: Optional[object] = None
-    radial_integral_estimates: dict = field(default_factory=dict)
     notes: str = ""
 
 
@@ -56,13 +54,14 @@ def checkpoints(K: int) -> list:
     return sorted({max(1, K // 8), max(1, K // 4), max(1, K // 2), K})
 
 
-def _coefficient_partial_sums(coefficient, K: int):
-    """((k, sum_{n<=k} |c_n|^2), ...) at the checkpoints of K; c_n = coefficient(n)."""
+def _coefficient_partial_sums(f: MuntzSeries, K: int):
+    """((k, sum_{n<=k} |c_n|^2), ...) at the checkpoints of K: the stored
+    coefficients of f first, then its rule."""
     ks = checkpoints(K)
     sums = []
     acc = mpf(0)
     for n in range(1, K + 1):
-        acc += abs(mpc(coefficient(n))) ** 2
+        acc += abs(mpc(_coefficient_at(f, n))) ** 2
         if n in ks:
             sums.append((n, acc))
     return tuple(sums)
@@ -76,24 +75,18 @@ def h2_membership(f: MuntzSeries, K: int = 1000) -> HardyReport:
     inconclusive and the partial sums are the whole report.
     """
     _require_integer_lambda(f.lam)
+    budget = K if f.rule is not None and f.lam.extendable else min(K, f.n_terms)
+    with working_precision(128):
+        sums = _coefficient_partial_sums(f, budget)
     if f.finite:
-        with working_precision(128):
-            sums = _coefficient_partial_sums(f.coefficient, min(K, f.n_terms))
         return HardyReport(member="yes", l2_coeff_sums=sums,
                            coefficient_certificate="finite sum")
-    with working_precision(128):
-        budget = K if f.lam.extendable else min(K, len(f.lam))
-        sums = _coefficient_partial_sums(f.rule.coefficient, budget)
     cert = f.rule.l2_class
-    if cert == "convergent":
-        member = "yes"
-        note = f"rule {f.rule.name}{f.rule.params} certifies a convergent square-sum"
-    elif cert == "divergent":
-        member = "no"
-        note = f"rule {f.rule.name}{f.rule.params} certifies a divergent square-sum"
-    else:
-        member = "inconclusive"
+    member = {"convergent": "yes", "divergent": "no"}.get(cert, "inconclusive")
+    if member == "inconclusive":
         note = "no comparison certificate on the rule; partial sums only"
+    else:
+        note = f"rule {f.rule.name}{f.rule.params} certifies a {cert} square-sum"
     return HardyReport(member=member, l2_coeff_sums=sums,
                        coefficient_certificate=cert, notes=note)
 
@@ -190,15 +183,19 @@ def _sliver_integral_bound(lam: ExponentSequence, h):
     return None
 
 
+# h: the closed-form radial integral stops at t = 1 - h, and the sliver bound covers the rest
+_BOUNDARY_CUT = 1e-3
+
+
 def radial_l2_bound(f: MuntzSeries, theta: float, K: int = 200,
-                    precision_bits: int = 256, boundary_cut: float = 1e-3) -> RadialBoundReport:
+                    precision_bits: int = 256) -> RadialBoundReport:
     """Certified bound M and the closed-form radial L2 integral.
 
     M = (sum_{n<=K} |c_n|^2 + coefficient tail) * (sum_{n<=K} 1/(2 lambda_n+1)
     + reciprocal tail); both tails must be certified (rule comparison and
     exponent-kind bound), and M does not involve theta.
 
-    With a = 1 - boundary_cut and v_n = c_n e^(i theta lambda_n) a^(lambda_n+1/2),
+    With a = 1 - _BOUNDARY_CUT and v_n = c_n e^(i theta lambda_n) a^(lambda_n+1/2),
     the integral of |sum_{n<=P} c_n (t e^(i theta))^lambda_n|^2 over [0, a]
     is the Gram form sum_{n,m<=P} v_n conj(v_m) / (lambda_n + lambda_m + 1),
     over a prefix long enough that t^lambda at the cut is ~ exp(-60).
@@ -230,7 +227,7 @@ def radial_l2_bound(f: MuntzSeries, theta: float, K: int = 200,
             if not f.lam.extendable:
                 raise InputError(
                     f"exponent kind {f.lam.kind!r} has no reciprocal-tail bound")
-        h = mpf(boundary_cut)
+        h = mpf(_BOUNDARY_CUT)
         # prefix long enough that t^lambda at the cut is ~ exp(-60)
         if f.finite:
             need = Kc
@@ -280,7 +277,7 @@ def radial_l2_bound(f: MuntzSeries, theta: float, K: int = 200,
             tail = sqrt(f.rule.l2_tail_bound(P) * mono_tail)
             err += 2 * sqrt(integral + err) * tail + tail ** 2
         return RadialBoundReport(bound_M, integral, remainder,
-                                 0.0 if f.finite else float(h), err)
+                                 0.0 if f.finite else _BOUNDARY_CUT, err)
 
 
 def quadratic_form_partial_sums(rule, lam: ExponentSequence, checkpoints: Sequence[int]):

@@ -15,13 +15,14 @@ moment vector, ||f||^2, the moments behind <f, f*>) runs in one panelled
 tanh-sinh pass that calls f once per node.  Each integral keeps mpmath's
 own stopping rule per panel and escalates on its own, so its value and
 error estimate are those of a separate mp.quad run, bit for bit.  An
-escalation round keeps the panels it shares with the round before and
-calls f there only at the one degree it adds.  project hands its pass on
-with the series it returns, so projection_residual(f, family, f_star)
-with the same f object, spec and bits integrates nothing.  Across calls
-only the node powers t^lambda are cached (_NODE_POWERS, at most 4 MiB,
-least recently used out first), never values of f: a black box may be
-impure, and every call integrates it afresh.
+escalation round re-sums the panels it shares with the round before from
+the pass's table of f values and calls f only at the one degree it adds.
+project hands its pass on with the series it returns, so
+projection_residual(f, family, f_star) with the same f object, spec and
+bits integrates nothing.  Across calls only the node powers t^lambda are
+cached (_NODE_POWERS, at most 4 MiB, least recently used out first),
+never values of f: a black box may be impure, and every call integrates
+it afresh.
 """
 
 from __future__ import annotations
@@ -170,18 +171,22 @@ class MuntzSeries:
         return len(self.coeffs) if self.finite else len(self.lam)
 
     def coefficient(self, n: int):
-        """c_n, 1-based; stored prefix wins over the rule."""
-        if n <= len(self.coeffs):
-            return self.coeffs[n - 1]
-        if self.rule is not None and n <= len(self.lam):
-            return self.rule.coefficient(n)
-        if self.finite:
-            return 0
-        raise InputError(f"coefficient index {n} beyond exponent prefix {len(self.lam)}")
+        """c_n, 1-based, within the exponent prefix of a rule series."""
+        if self.rule is not None and n > len(self.lam):
+            raise InputError(f"coefficient index {n} beyond exponent prefix {len(self.lam)}")
+        return _coefficient_at(self, n)
 
     def term_items(self):
         """(lambda_n, c_n) pairs over the usable prefix."""
         return [(self.lam.values[n - 1], self.coefficient(n)) for n in range(1, self.n_terms + 1)]
+
+
+def _coefficient_at(f: MuntzSeries, n: int):
+    """c_n at any n >= 1: the stored prefix first, then the rule (0 past a
+    finite series)."""
+    if n <= len(f.coeffs):
+        return f.coeffs[n - 1]
+    return 0 if f.rule is None else f.rule.coefficient(n)
 
 
 def finite_series(lam: ExponentSequence, coeffs: Sequence) -> MuntzSeries:
@@ -305,7 +310,8 @@ class QuadratureSpec:
     integral sharing one black box f runs in the same pass, which calls f
     once per node; each keeps its own stopping rule per panel and its own
     escalation, and only the integrals still above ``tol`` run the next
-    round, which keeps the step sums of the panels it shares with this one.
+    round, which reads f on the panels it shares with this one from the
+    pass's table of f values.
     """
 
     tol: float = 1e-30
@@ -406,49 +412,42 @@ def _part_values(part, key, ts, fs):
     return [part(x, v) for x, v in zip(ts, fs)]
 
 
-def _tanh_sinh_panel(f, parts, a, b, maxdegree, states):
+def _tanh_sinh_panel(f_at, parts, a, b, maxdegree):
     """mp.quad(lambda t: p(t, f(t)), [a, b], maxdegree) for every part p at once.
 
     Follows mpmath's TanhSinh.summation on one panel: degree d reuses the
     degree d-1 step sum and adds the new nodes from the rule's own node
     cache, and each part stops at the first degree whose estimate_error
-    meets eps/8 at the working precision, with 20 guard bits.  f is called
-    once per node while any part still runs.
-
-    states holds each part's (step sums, error estimate) so far: empty for
-    a fresh part, or what an earlier call on this panel left at a lower
-    maxdegree.  A part that settled there keeps its value, and one that
-    did not goes on from the next degree, as mp.quad's own loop would.
-    Returns one (value, error) per part, each value rounded to the working
-    precision, and the new states.
+    meets eps/8 at the working precision, with 20 guard bits.  f_at(key, ts)
+    gives f at the nodes ts of the node-cache key (a, b, degree, prec); it
+    is asked once per degree while any part still runs.  Returns one
+    (value, error) per part, each value rounded to the working precision.
     """
     rule = mp._tanh_sinh    # the TanhSinh instance, and node cache, that mp.quad uses
     prec = mp.prec
     eps = mp.eps / 8
-    states = list(states)
-    running = [k for k, (sums, err) in enumerate(states) if len(sums) < 2 or not err <= eps]
-    first = len(states[running[0]][0]) + 1 if running else maxdegree + 1
+    sums = [[] for _ in parts]
+    errs = [mpf(0)] * len(parts)
+    running = range(len(parts))
     with mp.workprec(prec + 20):
-        for degree in range(first, maxdegree + 1):
+        for degree in range(1, maxdegree + 1):
             if not running:
                 break
             nodes = rule.get_nodes(a, b, degree, prec)
             key = (a, b, degree, prec)
             ts = [x for x, _ in nodes]
             ws = [w for _, w in nodes]
-            fs = [f(x) for x in ts]
+            fs = f_at(key, ts)
             h = mpf(2) ** -degree
             for k in running:
-                sums, err = states[k]
-                S = sums[-1] / (h * 2) if sums else mp.zero
+                S = sums[k][-1] / (h * 2) if sums[k] else mp.zero
                 S += mp.fdot(ws, _part_values(parts[k], key, ts, fs))
-                sums = sums + [h * S]
+                sums[k].append(h * S)
                 if degree > 1:
-                    err = rule.estimate_error(sums, prec, eps)
-                states[k] = sums, err
+                    errs[k] = rule.estimate_error(sums[k], prec, eps)
             if degree > 1:
-                running = [k for k in running if not states[k][1] <= eps]
-    return [(+sums[-1], err) for sums, err in states], states
+                running = [k for k in running if not errs[k] <= eps]
+    return [(+s[-1], err) for s, err in zip(sums, errs)]
 
 
 def _panel_quad(f, parts, spec: QuadratureSpec, bits: int, optional: int = 0):
@@ -457,35 +456,37 @@ def _panel_quad(f, parts, spec: QuadratureSpec, bits: int, optional: int = 0):
     Each part gets exactly the value and error estimate of its own
     quad_unit_interval call: the same panels, the same tanh-sinh rule and
     stopping rule, and the same escalation, which re-runs only the parts
-    whose summed estimate is still above spec.tol.  A round keeps the
-    previous round's panels [ratio^j, ratio^(j-1)] for j <= levels; there
-    a part carries its step sums over and goes on at the new top degree,
-    without calling f again at nodes it already has.
+    whose summed estimate is still above spec.tol.  f is called only
+    through one table for this call, keyed by the node-cache key (a, b,
+    degree, prec): a round keeps the previous round's panels [ratio^j,
+    ratio^(j-1)] for j <= levels, re-sums their lower degrees from the
+    table and calls f there only at the degree it adds.
 
     Returns one (value, error) per part.  The last ``optional`` parts only
     escalate alongside the others: one still above tol when the others are
     done comes back as None.  QuadratureError carries the first other part
     that never met the tolerance.
     """
+    table = {}
+
+    def f_at(key, ts):
+        fs = table.get(key)
+        if fs is None:
+            fs = table[key] = [f(x) for x in ts]
+        return fs
+
     results = [None] * len(parts)
     todo = list(range(len(parts)))
     required = len(parts) - optional
-    carried = {}    # (j, part) -> panel state of the previous round
-    fresh = ([], mpf(0))
     with working_precision(bits):
         tol = mpf(spec.tol)
         ratio = mpf(spec.ratio)
         levels, degree = spec.levels, spec.maxdegree
         for _ in range(spec.max_rounds + 1):
             points = [mpf(0)] + [ratio ** j for j in range(levels, 0, -1)] + [mpf(1)]
-            # panel [ratio^j, ratio^(j-1)] is labelled j; [0, ratio^levels] is not kept
-            labels = [None] + list(range(levels, 0, -1))
             sums = [(mpc(0), mpf(0))] * len(todo)
-            states = {}
-            for j, a, b in zip(labels, points[:-1], points[1:]):
-                before = [carried.get((j, k), fresh) for k in todo]
-                panel, after = _tanh_sinh_panel(f, [parts[k] for k in todo], a, b, degree, before)
-                states.update(((j, k), s) for k, s in zip(todo, after))
+            for a, b in zip(points[:-1], points[1:]):
+                panel = _tanh_sinh_panel(f_at, [parts[k] for k in todo], a, b, degree)
                 sums = [(total + v, err + abs(e)) for (total, err), (v, e) in zip(sums, panel)]
             failed = []
             for k, (total, err) in zip(todo, sums):
@@ -497,8 +498,6 @@ def _panel_quad(f, parts, spec: QuadratureSpec, bits: int, optional: int = 0):
                     results[k] = None
                 return results
             todo = [k for k, _, _ in failed]
-            kept = set(todo)
-            carried = {(j, k): s for (j, k), s in states.items() if j is not None and k in kept}
             levels += 4
             degree += 1
     _, total, err = failed[0]
@@ -776,7 +775,11 @@ def _quad_form_norm(d, A) -> float:
     return math.sqrt(max(_quad_form(d, A), 0.0))
 
 
-def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
+# term budget of approximate_in_span: its prefix doubles from 256 up to this
+_MAX_SPAN_TERMS = 4096
+
+
+def approximate_in_span(f: MuntzSeries, eps: float,
                         rho_cap: float = 1 - 1e-9) -> SpanApproximation:
     """Two-stage span approximation: dilate, then truncate.
 
@@ -807,16 +810,15 @@ def approximate_in_span(f: MuntzSeries, eps: float, max_terms: int = 4096,
     K = 256
     tail = _rule_series_tail_product_bound(f.rule, f.lam, K)
     extendable = f.lam.extendable
-    while tail is not None and tail > eps / 2 and K < max_terms and extendable:
-        K = min(2 * K, max_terms)
+    while tail is not None and tail > eps / 2 and K < _MAX_SPAN_TERMS and extendable:
+        K = min(2 * K, _MAX_SPAN_TERMS)
         tail = _rule_series_tail_product_bound(f.rule, f.lam, K)
     if not extendable:
         K = min(K, len(f.lam))
 
     lam = f.lam if len(f.lam) >= K else f.lam.extended(K)
     lams = np.array([float(v) for v in lam.values[:K]])
-    cs = np.array([complex(f.coefficient(n)) if n <= len(f.coeffs)
-                   else complex(f.rule.coefficient(n)) for n in range(1, K + 1)])
+    cs = np.array([complex(_coefficient_at(f, n)) for n in range(1, K + 1)])
     if np.allclose(cs.imag, 0.0):
         cs = cs.real
     # the Gram kernel 1 / (lambda_i + lambda_j + 1), built in one K x K array

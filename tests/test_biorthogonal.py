@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
-from mpmath import log, matrix, mpf, sqrt
+from mpmath import log, matrix, mp, mpf, sqrt
 
 from muntzlab import (
     InputError,
@@ -98,6 +100,44 @@ def test_truncation_drift_via_norm_identity(p):
         want = sqrt(1 / d10 ** 2 - 1 / d6 ** 2)
         assert abs(drift - want) <= mpf(2) ** -250 * want
     assert drift > 0
+
+
+def _dual_column(x, n):
+    """Column n (0-based) of the exact inverse of G_ik = 1/(x_i + x_k), by
+    Gauss-Jordan elimination in fractions.Fraction (G is positive definite,
+    so no pivot vanishes)."""
+    N = len(x)
+    rows = [[1 / (x[i] + x[k]) for k in range(N)] + [Fraction(int(i == n))] for i in range(N)]
+    for c in range(N):
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(N):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[N] for row in rows]
+
+
+@pytest.mark.parametrize("p", [2, 1.5], ids=["squares", "power1.5"])
+def test_truncation_drift_within_two_units_of_exact_rationals(p):
+    # the oracle takes the exponents as the kernel rounds them at the working
+    # precision, solves both dual columns in exact rationals and forms the
+    # squared drift ||r_3^(12) - r_3^(8)||^2 as an exact Gram form
+    lam = generate_exponents("power", {"p": p}, 12)
+    drift = truncation_convergence(lam, 3, 8, 12, 256)
+    with working_precision(256):
+        prec = mp.prec
+        x = []
+        for v in lam.values:
+            sign, man, exp, _ = mpf(v)._mpf_
+            assert not sign
+            x.append((Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp))
+                     + Fraction(1, 2))
+    c8, c12 = _dual_column(x[:8], 2), _dual_column(x, 2)
+    d = [c - (c8[k] if k < 8 else 0) for k, c in enumerate(c12)]
+    drift2 = sum(d[i] * d[k] / (x[i] + x[k]) for i in range(12) for k in range(12))
+    with mpmath.workprec(2 * prec):
+        want = sqrt(mpf(drift2.numerator) / drift2.denominator)
+        assert abs(drift - want) <= 2 * mpf(2) ** -prec * want
 
 
 def test_truncation_drift_decreases_as_head_grows(lam_squares):

@@ -49,6 +49,15 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+def test_format_flag_belongs_to_gram_alone(lambda_file, tmp_path):
+    # only gram writes CSV or JSON on request; elsewhere --format is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["biorthogonal", "--lambda", str(lambda_file), "--n", "3", "--format", "csv",
+              "--out", str(tmp_path / "duals.json")])
+    assert info.value.code == 2
+    assert not (tmp_path / "duals.json").exists()
+
+
 def test_gram_csv_decimal_strings(lambda_file, tmp_path):
     out = tmp_path / "gram.csv"
     assert main(["gram", "--lambda", str(lambda_file), "--n", "3", "--bits", "256",

@@ -48,6 +48,19 @@ def test_finite_series_always_member():
     assert h2_membership(f).member == "yes"
 
 
+def test_partial_sums_read_the_stored_prefix_before_the_rule():
+    # c_1..c_3 = 5 are stored and the rule 1/n supplies the rest
+    lam = generate_exponents("integers", {"values": list(range(1, 21))}, 20)
+    report = h2_membership(MuntzSeries(lam, (5, 5, 5), rule_from_name("inv_n")), K=8)
+    assert report.member == "yes"
+    with working_precision(128):
+        tail = sum(mpf(1) / n ** 2 for n in range(4, 9))
+        want = [(1, 25), (2, 50), (4, 75 + mpf(1) / 16), (8, 75 + tail)]
+        for (k, got), (k_want, value) in zip(report.l2_coeff_sums, want):
+            assert k == k_want and abs(got - value) <= mpf(2) ** -120 * value
+    assert len(report.l2_coeff_sums) == len(want)
+
+
 def test_membership_requires_integer_exponents():
     lam = generate_exponents("custom", {"values": [0.5, 1.5, 3.5]}, 3)
     with pytest.raises(DomainError):
