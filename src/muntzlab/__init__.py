@@ -68,7 +68,6 @@ from .hardy import (
 from .muntz_space import (
     CoefficientRule,
     MuntzSeries,
-    QuadratureSpec,
     SpanApproximation,
     approximate_in_span,
     coefficient_recover,

@@ -105,10 +105,14 @@ def cmd_gen_exponents(args, cfg):
 
 
 def cmd_gram(args, cfg):
+    # --format first, then a .csv path, then the config's format; the
+    # config records the format written
+    if not args.format and (args.out or "").endswith(".csv"):
+        cfg = cfg.with_overrides(output_format="csv")
     lam = load_exponents(args.lam).prefix(args.n)
     G = gram.gram_matrix(lam, cfg.precision_bits)
     rows = [[decimal_str(v, G.precision_bits) for v in row] for row in G.entries]
-    if cfg.output_format == "csv" or (args.out or "").endswith(".csv"):
+    if cfg.output_format == "csv":
         text = dump_csv(rows, [f"g{j + 1}" for j in range(args.n)], cfg, args.out)
     else:
         payload = with_config({"lambda": lam.as_dict(), "entries": rows,
@@ -315,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("gram", help="Gram matrix as decimal strings")
     s.add_argument("--lambda", dest="lam", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--format", choices=("json", "csv"), default=None)
+    s.add_argument("--format", choices=("json", "csv"), default=None,
+                   help="default: csv for a .csv --out path, else the config's format")
     _common(s)
     s.set_defaults(func=cmd_gram)
 

@@ -63,13 +63,7 @@ from .config import rank_collapse_threshold, working_precision
 from .errors import InputError
 from .gram import _cauchy_factors, _cauchy_rows
 from .linalg import _grow, perron_lambda_max
-from .muntz_space import (
-    QuadratureSpec,
-    SeriesOrCallable,
-    distance_to,
-    dual_pairings,
-    moments_and_norm2,
-)
+from .muntz_space import SeriesOrCallable, distance_to, dual_pairings, moments_and_norm2
 
 # two roundings per block entry and three in sqrt(1/upper): see _sigma_ends
 _ROUNDINGS = 5
@@ -217,16 +211,14 @@ def _inverse_apply(G, idx, d, v):
 
 
 def mixed_reconstruction_residual(target: SeriesOrCallable, partition: Partition,
-                                  family: BiorthogonalFamily,
-                                  quad: QuadratureSpec = QuadratureSpec()):
+                                  family: BiorthogonalFamily):
     """Least-squares residual of the target against one mixed system
     (mixed_reconstruction_residuals for a single partition)."""
-    return mixed_reconstruction_residuals(target, [partition], family, quad)[0]
+    return mixed_reconstruction_residuals(target, [partition], family)[0]
 
 
 def mixed_reconstruction_residuals(target: SeriesOrCallable, partitions,
-                                   family: BiorthogonalFamily,
-                                   quad: QuadratureSpec = QuadratureSpec()):
+                                   family: BiorthogonalFamily):
     """Least-squares residuals of the target against each partition's mixed system.
 
     The normal equations split by the block identity: the monomial block
@@ -242,7 +234,7 @@ def mixed_reconstruction_residuals(target: SeriesOrCallable, partitions,
     """
     scales = [_mixed_scales(part, family) for part in partitions]
     N, bits = family.truncation, family.precision_bits
-    b, norm2 = moments_and_norm2(target, family.lam, N, quad, bits)
+    b, norm2 = moments_and_norm2(target, family.lam, N, bits)
     a = dual_pairings(family, b)
     G, C = family.gram.entries, family.inverse_rows
     lams = family.lam.values[:N]

@@ -1,9 +1,10 @@
 """Run configuration: working precision, tolerances, output options.
 
-All numerical routines take an explicit ``precision_bits`` argument; the
-global mpmath context is only ever changed inside ``with working_precision``
-blocks, so concurrent callers with different settings do not interfere
-as long as they stay on separate threads of execution per mpmath's rules.
+All numerical routines take an explicit ``precision_bits`` argument and
+change the global mpmath context only inside ``with working_precision``
+blocks, which restore it on exit.  That context (``mp.prec``) is one per
+process, so the package is single-threaded: two threads inside numerical
+routines at once would change each other's precision.
 """
 
 from __future__ import annotations
@@ -23,24 +24,28 @@ PRECISION_ENV_VAR = "MUNTZ_PRECISION_BITS"
 GUARD_BITS = 16
 
 DEFAULT_TOLERANCES: dict[str, float] = {
-    # max |<e_j, r_n> - delta_jn| accepted for a dual family
+    # max |<e_j, r_n> - delta_jn| for a dual family; recorded only, nothing
+    # reads it (dual_family certifies against inverse_residual_tolerance)
     "biorthogonality": 1e-40,
-    # max |distance * dual_norm - 1|
+    # max |distance * dual_norm - 1|; recorded only, nothing reads it
     "duality": 1e-25,
     # bounds on the eigen/adjoint relation residuals in the operator certificate
     "eigen_residual": 1e-40,
     "adjoint_residual": 1e-40,
     # normality defect must exceed this to certify "not normal"
     "normality_defect_min": 1e-12,
-    # default absolute tolerance for adaptive quadrature
+    # absolute quadrature tolerance; recorded only, nothing reads it (the
+    # quadrature target is inverse_residual_tolerance(bits))
     "quadrature": 1e-30,
     # stopping rule of the eigenvalue kernels (linalg.SIGMA_REL_TOL); a
     # --config override is recorded in the artifact, but the kernels stop
     # on this default
     "singular_value_rel": 1e-20,
-    # residual threshold below which a projection counts as exact
+    # residual threshold below which a projection counts as exact, and the
+    # trailing-ratio threshold above which a residual trend counts as
+    # stagnant; hardy reads these defaults, and a --config override is
+    # recorded only
     "closure_residual": 1e-10,
-    # trailing-ratio threshold above which a residual trend counts as stagnant
     "stagnation_ratio": 0.8,
 }
 

@@ -27,8 +27,8 @@ from .config import DEFAULT_TOLERANCES, working_precision
 from .errors import DomainError, InputError
 from .exponents import ExponentSequence
 from .gram import gram_form
-from .muntz_space import (MuntzSeries, QuadratureSpec, SeriesOrCallable, _coefficient_at,
-                          distance_to, dual_pairings, moments_and_norm2)
+from .muntz_space import (MuntzSeries, SeriesOrCallable, _coefficient_at, distance_to,
+                          dual_pairings, moments_and_norm2)
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def h2_membership(f: MuntzSeries, K: int = 1000) -> HardyReport:
                        coefficient_certificate=cert, notes=note)
 
 
-def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily,
-                                 quad: QuadratureSpec = QuadratureSpec()) -> HardyReport:
+def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily) -> HardyReport:
     """Desk-scale realization of the two-sided membership criterion.
 
     (a) projection residuals over growing truncations decide closeness to
@@ -110,7 +109,7 @@ def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily
     # moments and the target norm are computed once; each sub-truncation
     # pairs the prefix of the moment vector with its own Gram inverse, and
     # the last step (Ns = N) leaves the family's pairings in coeffs
-    b, norm2 = moments_and_norm2(f, family.lam, N, quad, bits)
+    b, norm2 = moments_and_norm2(f, family.lam, N, bits)
     trend = []
     steps = sorted({max(2, N - 6), max(2, N - 4), max(2, N - 2), N})
     for Ns in steps:

@@ -17,9 +17,12 @@ own stopping rule per panel and escalates on its own, so its value and
 error estimate are those of a separate mp.quad run, bit for bit.  An
 escalation round re-sums the panels it shares with the round before from
 the pass's table of f values and calls f only at the one degree it adds.
-project hands its pass on with the series it returns, so
-projection_residual(f, family, f_star) with the same f object, spec and
-bits integrates nothing.  Across calls only the node powers t^lambda are
+An integral is done when its summed error estimate meets 10^(-bits/8),
+the target config.inverse_residual_tolerance sets for the closed forms,
+so the precision asked for sets the quadrature target too.  project
+hands its pass on with the series it returns, so
+projection_residual(f, family, f_star) with the same f object and bits
+integrates nothing.  Across calls only the node powers t^lambda are
 cached (_NODE_POWERS, at most 4 MiB, least recently used out first),
 never values of f: a black box may be impure, and every call integrates
 it afresh.
@@ -36,7 +39,7 @@ from typing import Callable, Optional, Sequence, Union
 from mpmath import conj, mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily
-from .config import working_precision
+from .config import inverse_residual_tolerance, working_precision
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -299,40 +302,15 @@ def series_inner_product(f: MuntzSeries, g: MuntzSeries, precision_bits: int = 2
 # adaptive panel quadrature on (0, 1)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive panel quadrature targets.
-
-    Panels are geometrically refined toward t = 0 (integrands behave like
-    t^lambda_1 there); each panel runs tanh-sinh at working precision with
-    its own error estimate, and the whole ladder escalates (more panels,
-    higher degree) until the summed estimate meets ``tol``.  Every
-    integral sharing one black box f runs in the same pass, which calls f
-    once per node; each keeps its own stopping rule per panel and its own
-    escalation, and only the integrals still above ``tol`` run the next
-    round, which reads f on the panels it shares with this one from the
-    pass's table of f values.
-    """
-
-    tol: float = 1e-30
-    levels: int = 6
-    ratio: float = 0.5
-    maxdegree: int = 6
-    max_rounds: int = 3
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ParameterError("quadrature tol must be positive")
-        if not 0 < self.ratio < 1:
-            raise ParameterError("panel ratio must lie in (0,1)")
-        # below degree 3 tanh-sinh has no comparison level and reports a
-        # meaningless zero error estimate
-        if self.maxdegree < 3:
-            raise ParameterError("maxdegree must be >= 3 for a usable error estimate")
-        if self.levels < 0:
-            raise ParameterError(f"levels must be >= 0, got {self.levels}")
-        if self.max_rounds < 0:
-            raise ParameterError(f"max_rounds must be >= 0, got {self.max_rounds}")
+# The panel ladder of _panel_quad.  Round one splits (0, 1) at ratio^j,
+# j = 1..levels (panels refined toward t = 0, where integrands behave like
+# t^lambda_1), and runs tanh-sinh to maxdegree on each panel; each of up to
+# _QUAD_ROUNDS further rounds adds 4 levels and one degree.  Below degree 3
+# tanh-sinh has no comparison level and reports a meaningless zero error.
+_QUAD_LEVELS = 6
+_QUAD_RATIO = 0.5
+_QUAD_MAXDEGREE = 6
+_QUAD_ROUNDS = 3
 
 
 class _NodePowers:
@@ -450,22 +428,24 @@ def _tanh_sinh_panel(f_at, parts, a, b, maxdegree):
     return [(+s[-1], err) for s, err in zip(sums, errs)]
 
 
-def _panel_quad(f, parts, spec: QuadratureSpec, bits: int, optional: int = 0):
+def _panel_quad(f, parts, bits: int, optional: int = 0):
     """Integrate every part p(t, f(t)) over (0, 1) in one pass of f.
 
     Each part gets exactly the value and error estimate of its own
     quad_unit_interval call: the same panels, the same tanh-sinh rule and
     stopping rule, and the same escalation, which re-runs only the parts
-    whose summed estimate is still above spec.tol.  f is called only
-    through one table for this call, keyed by the node-cache key (a, b,
-    degree, prec): a round keeps the previous round's panels [ratio^j,
-    ratio^(j-1)] for j <= levels, re-sums their lower degrees from the
-    table and calls f there only at the degree it adds.
+    whose summed estimate is still above the target 10^(-bits/8) (the
+    config.inverse_residual_tolerance of the bits).  The ladder is read
+    from the _QUAD_* constants at call time.  f is called only through one
+    table for this call, keyed by the node-cache key (a, b, degree, prec):
+    a round keeps the previous round's panels [ratio^j, ratio^(j-1)] for
+    j <= levels, re-sums their lower degrees from the table and calls f
+    there only at the degree it adds.
 
     Returns one (value, error) per part.  The last ``optional`` parts only
-    escalate alongside the others: one still above tol when the others are
-    done comes back as None.  QuadratureError carries the first other part
-    that never met the tolerance.
+    escalate alongside the others: one still above the target when the
+    others are done comes back as None.  QuadratureError carries the first
+    other part that never met the target.
     """
     table = {}
 
@@ -479,10 +459,10 @@ def _panel_quad(f, parts, spec: QuadratureSpec, bits: int, optional: int = 0):
     todo = list(range(len(parts)))
     required = len(parts) - optional
     with working_precision(bits):
-        tol = mpf(spec.tol)
-        ratio = mpf(spec.ratio)
-        levels, degree = spec.levels, spec.maxdegree
-        for _ in range(spec.max_rounds + 1):
+        tol = mpf(inverse_residual_tolerance(bits))
+        ratio = mpf(_QUAD_RATIO)
+        levels, degree = _QUAD_LEVELS, _QUAD_MAXDEGREE
+        for _ in range(_QUAD_ROUNDS + 1):
             points = [mpf(0)] + [ratio ** j for j in range(levels, 0, -1)] + [mpf(1)]
             sums = [(mpc(0), mpf(0))] * len(todo)
             for a, b in zip(points[:-1], points[1:]):
@@ -501,7 +481,7 @@ def _panel_quad(f, parts, spec: QuadratureSpec, bits: int, optional: int = 0):
             levels += 4
             degree += 1
     _, total, err = failed[0]
-    raise QuadratureError(f"quadrature error {mp.nstr(err, 5)} above tol={spec.tol}",
+    raise QuadratureError(f"quadrature error {mp.nstr(err, 5)} above tol={mp.nstr(tol, 5)}",
                           achieved=total)
 
 
@@ -517,15 +497,12 @@ def _norm2_part(t, v):
     return abs(v) ** 2
 
 
-def quad_unit_interval(integrand: Callable, spec: QuadratureSpec = QuadratureSpec(),
-                       precision_bits: int = 256):
+def quad_unit_interval(integrand: Callable, precision_bits: int = 256):
     """Integrate over (0,1) with panelled tanh-sinh; returns (value, error)."""
-    return _panel_quad(integrand, [lambda t, v: v], spec, precision_bits)[0]
+    return _panel_quad(integrand, [lambda t, v: v], precision_bits)[0]
 
 
-def quadrature_inner_product(f: SeriesOrCallable, g: MuntzSeries,
-                             quad: QuadratureSpec = QuadratureSpec(),
-                             precision_bits: int = 256):
+def quadrature_inner_product(f: SeriesOrCallable, g: MuntzSeries, precision_bits: int = 256):
     """<f, g> for black-box f against a finite series g.
 
     Realised as sum_k conj(c_k) * integral f(t) t^lambda_k dt: one smooth,
@@ -537,7 +514,7 @@ def quadrature_inner_product(f: SeriesOrCallable, g: MuntzSeries,
         return series_inner_product(f, g, precision_bits), mpf(0)
     with working_precision(precision_bits):
         items = [(lv, ck) for lv, ck in g.term_items() if ck != 0]
-        moments = _panel_quad(f, _moment_parts([lv for lv, _ in items]), quad, precision_bits)
+        moments = _panel_quad(f, _moment_parts([lv for lv, _ in items]), precision_bits)
         total = mpc(0)
         err = mpf(0)
         for (_, ck), (val, e) in zip(items, moments):
@@ -553,7 +530,7 @@ def _exponent_prefix(lam: ExponentSequence, N: int):
 
 
 def monomial_moments(f: SeriesOrCallable, lam: ExponentSequence, N: int,
-                     quad: QuadratureSpec = QuadratureSpec(), precision_bits: int = 256):
+                     precision_bits: int = 256):
     """Moment vector b_k = <f, e_k> = integral f(t) t^lambda_k dt, k <= N.
 
     A black box f is integrated against every t^lambda_k in one pass.
@@ -563,42 +540,42 @@ def monomial_moments(f: SeriesOrCallable, lam: ExponentSequence, N: int,
         if isinstance(f, MuntzSeries):
             items = f.term_items()
             return [sum(cj / (mpf(lj) + mpf(lv) + 1) for lj, cj in items) for lv in exponents]
-        return [val for val, _ in _panel_quad(f, _moment_parts(exponents), quad, precision_bits)]
+        return [val for val, _ in _panel_quad(f, _moment_parts(exponents), precision_bits)]
 
 
 def moments_and_norm2(f: SeriesOrCallable, lam: ExponentSequence, N: int,
-                      quad: QuadratureSpec = QuadratureSpec(), precision_bits: int = 256):
+                      precision_bits: int = 256):
     """(monomial_moments(f, lam, N), ||f||^2); a black box gives both from one pass.
 
     A series, whose distances are exact Gram forms, gets None for ||f||^2.
     """
     if isinstance(f, MuntzSeries):
-        return monomial_moments(f, lam, N, quad, precision_bits), None
-    return _black_box_pass(f, lam, N, quad, precision_bits)
+        return monomial_moments(f, lam, N, precision_bits), None
+    return _black_box_pass(f, lam, N, precision_bits)
 
 
-def _black_box_pass(f, lam, N, quad, bits, norm2_optional=False):
+def _black_box_pass(f, lam, N, bits, norm2_optional=False):
     """Moments of a black box f and ||f||^2 from one pass of f.
 
-    With norm2_optional, an ||f||^2 still above tol when the moments are
-    done comes back as None instead of raising QuadratureError.
+    With norm2_optional, an ||f||^2 still above the target when the moments
+    are done comes back as None instead of raising QuadratureError.
     """
     parts = _moment_parts(_exponent_prefix(lam, N)) + [_norm2_part]
-    *moments, norm2 = _panel_quad(f, parts, quad, bits, optional=int(norm2_optional))
+    *moments, norm2 = _panel_quad(f, parts, bits, optional=int(norm2_optional))
     return [val for val, _ in moments], None if norm2 is None else norm2[0]
 
 
 class _QuadPass:
     """The moments and ||f||^2 of one pass of the black box f."""
 
-    __slots__ = ("f", "quad", "bits", "moments", "norm2")
+    __slots__ = ("f", "bits", "moments", "norm2")
 
-    def __init__(self, f, quad, bits, moments, norm2):
-        self.f, self.quad, self.bits, self.moments, self.norm2 = f, quad, bits, moments, norm2
+    def __init__(self, f, bits, moments, norm2):
+        self.f, self.bits, self.moments, self.norm2 = f, bits, moments, norm2
 
-    def serves(self, f, quad, bits) -> bool:
-        """Whether this pass is the one a call with f, quad and bits would make."""
-        return f is self.f and quad == self.quad and bits == self.bits
+    def serves(self, f, bits) -> bool:
+        """Whether this pass is the one a call with f and bits would make."""
+        return f is self.f and bits == self.bits
 
 
 # ---------------------------------------------------------------------------
@@ -639,23 +616,20 @@ def distance_to(f: SeriesOrCallable, lams, cs, b, norm2):
     return sqrt(res2) if res2 > 0 else mpf(0)
 
 
-def recovered_coefficients(f: SeriesOrCallable, family: BiorthogonalFamily,
-                           quad: QuadratureSpec = QuadratureSpec()):
+def recovered_coefficients(f: SeriesOrCallable, family: BiorthogonalFamily):
     """All dual pairings <f, r_n^(N)>, n = 1..N, moments computed once."""
-    b = monomial_moments(f, family.lam, family.truncation, quad, family.precision_bits)
+    b = monomial_moments(f, family.lam, family.truncation, family.precision_bits)
     return dual_pairings(family, b)
 
 
-def coefficient_recover(f: SeriesOrCallable, family: BiorthogonalFamily, n: int,
-                        quad: QuadratureSpec = QuadratureSpec()):
+def coefficient_recover(f: SeriesOrCallable, family: BiorthogonalFamily, n: int):
     """Single dual pairing <f, r_n^(N)> (1-based n)."""
     if not 1 <= n <= family.truncation:
         raise InputError(f"n={n} outside 1..{family.truncation}")
-    return recovered_coefficients(f, family, quad)[n - 1]
+    return recovered_coefficients(f, family)[n - 1]
 
 
-def project(f: SeriesOrCallable, family: BiorthogonalFamily,
-            quad: QuadratureSpec = QuadratureSpec()) -> MuntzSeries:
+def project(f: SeriesOrCallable, family: BiorthogonalFamily) -> MuntzSeries:
     """Associated series f* = sum_n <f, r_n^(N)> t^lambda_n.
 
     This is the orthogonal projection onto the truncated span: its
@@ -664,42 +638,41 @@ def project(f: SeriesOrCallable, family: BiorthogonalFamily,
 
     For a black box f, the moments and ||f||^2 come from one pass, which
     the returned series carries (outside its comparisons) so that
-    projection_residual(f, family, f_star) with this same f object, quad
-    and bit count does not integrate again.  An ||f||^2 that has not
+    projection_residual(f, family, f_star) with this same f object and bit
+    count does not integrate again.  An ||f||^2 that has not
     settled when the moments have is not carried.
     """
     lam = family.lam.prefix(family.truncation)
     if isinstance(f, MuntzSeries):
-        return MuntzSeries(lam, tuple(recovered_coefficients(f, family, quad)))
+        return MuntzSeries(lam, tuple(recovered_coefficients(f, family)))
     bits = family.precision_bits
-    b, norm2 = _black_box_pass(f, family.lam, family.truncation, quad, bits, norm2_optional=True)
+    b, norm2 = _black_box_pass(f, family.lam, family.truncation, bits, norm2_optional=True)
     f_star = MuntzSeries(lam, tuple(dual_pairings(family, b)))
     if norm2 is not None:
-        object.__setattr__(f_star, "_pass", _QuadPass(f, quad, bits, tuple(b), norm2))
+        object.__setattr__(f_star, "_pass", _QuadPass(f, bits, tuple(b), norm2))
     return f_star
 
 
 def projection_residual(f: SeriesOrCallable, family: BiorthogonalFamily,
-                        f_star: Optional[MuntzSeries] = None,
-                        quad: QuadratureSpec = QuadratureSpec()):
+                        f_star: Optional[MuntzSeries] = None):
     """L2 distance_to(f, f*) from f to the truncated span.
 
     Without f_star, f* comes from the moments of one moments_and_norm2 pass.
-    With an f_star that project made from this same black box f, quad and
-    bit count, the pass it carries is used and f is not called.
+    With an f_star that project made from this same black box f and bit
+    count, the pass it carries is used and f is not called.
     """
     bits = family.precision_bits
     with working_precision(bits):
         if f_star is None:
-            b, norm2 = moments_and_norm2(f, family.lam, family.truncation, quad, bits)
+            b, norm2 = moments_and_norm2(f, family.lam, family.truncation, bits)
             lams, cs = family.lam.values[:family.truncation], dual_pairings(family, b)
         else:
             lams, cs = _terms(f_star)
             b = norm2 = None
-            if f_star._pass is not None and f_star._pass.serves(f, quad, bits):
+            if f_star._pass is not None and f_star._pass.serves(f, bits):
                 b, norm2 = f_star._pass.moments, f_star._pass.norm2
             elif not isinstance(f, MuntzSeries):
-                b, norm2 = moments_and_norm2(f, f_star.lam, f_star.n_terms, quad, bits)
+                b, norm2 = moments_and_norm2(f, f_star.lam, f_star.n_terms, bits)
         return distance_to(f, lams, cs, b, norm2)
 
 
@@ -794,7 +767,9 @@ def approximate_in_span(f: MuntzSeries, eps: float,
     error is still above eps at ``rho_cap`` although the rule's tail bound
     is finite, which proves sum |c_n| ||e_n|| < inf and so f in the closed
     span.  Without that bound the same failure raises NonMemberSignal, as
-    does a prefix quadratic form whose increments do not decay.
+    does a prefix quadratic form whose increments do not decay; that
+    heuristic runs only when there is no tail bound, since a finite one
+    proves membership however slowly the prefix norms settle.
     """
     import numpy as np
 
@@ -825,13 +800,15 @@ def approximate_in_span(f: MuntzSeries, eps: float,
     A = np.add.outer(lams, lams)
     A += 1.0
     np.divide(1.0, A, out=A)
-    # monotone-bounded precondition: partial norms at K/4, K/2, K must show
-    # shrinking increments (c_n = 1 on squares diverges logarithmically)
-    sums = [_quad_form(cs[:k], A[:k, :k]) for k in (max(1, K // 4), max(1, K // 2), K)]
-    inc1, inc2 = sums[1] - sums[0], sums[2] - sums[1]
-    if inc2 > 1e-12 and inc1 > 1e-12 and inc2 > 0.9 * inc1:
-        raise NonMemberSignal(f"prefix norm increments do not decay ({inc1:.3e} -> {inc2:.3e}); "
-                              "the quadratic form looks divergent")
+    # without a tail bound, partial norms at K/4, K/2, K must show shrinking
+    # increments (c_n = 1 on squares diverges logarithmically); a finite
+    # tail bound already proves membership, however slowly the norms settle
+    if tail is None:
+        sums = [_quad_form(cs[:k], A[:k, :k]) for k in (max(1, K // 4), max(1, K // 2), K)]
+        inc1, inc2 = sums[1] - sums[0], sums[2] - sums[1]
+        if inc2 > 1e-12 and inc1 > 1e-12 and inc2 > 0.9 * inc1:
+            raise NonMemberSignal(f"prefix norm increments do not decay ({inc1:.3e} -> "
+                                  f"{inc2:.3e}); the quadratic form looks divergent")
 
     def dilation_error(rho: float) -> float:
         with np.errstate(under="ignore"):

@@ -30,7 +30,6 @@ from . import completeness as _completeness
 from .linalg import pencil_lambda_max
 from .muntz_space import (
     MuntzSeries,
-    QuadratureSpec,
     SeriesOrCallable,
     recovered_coefficients,
 )
@@ -91,12 +90,12 @@ def dilation_operator(lam: ExponentSequence, rho: float, N: int) -> MuntzOperato
     return MuntzOperator(lam=prefix, u=u, rho=rho, truncation=N)
 
 
-def apply_operator(op: MuntzOperator, f: SeriesOrCallable, family: BiorthogonalFamily,
-                   quad: QuadratureSpec = QuadratureSpec()) -> MuntzSeries:
+def apply_operator(op: MuntzOperator, f: SeriesOrCallable,
+                   family: BiorthogonalFamily) -> MuntzSeries:
     """T f = sum_{n<=N} <f, r_n> u_n t^lambda_n as a finite series."""
     if family.truncation != op.truncation:
         raise InputError("operator and family truncations differ")
-    coeffs = recovered_coefficients(f, family, quad)
+    coeffs = recovered_coefficients(f, family)
     with working_precision(family.precision_bits):
         scaled = tuple(c * u for c, u in zip(coeffs, op.u))
     return MuntzSeries(family.lam.prefix(op.truncation), scaled)

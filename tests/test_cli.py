@@ -70,6 +70,25 @@ def test_gram_csv_decimal_strings(lambda_file, tmp_path):
     assert len(first) > 60  # full-precision decimal, not a float repr
 
 
+@pytest.mark.parametrize("flag, suffix, written", [
+    (["--format", "json"], ".csv", "json"),
+    (["--format", "csv"], ".json", "csv"),
+    ([], ".csv", "csv"),
+    ([], ".json", "json"),
+], ids=["json_flag_csv_path", "csv_flag_json_path", "csv_path", "json_path"])
+def test_gram_writes_and_records_one_format(lambda_file, tmp_path, flag, suffix, written):
+    # --format first, then a .csv path, then the config's format; the
+    # config line or object records the format written
+    out = tmp_path / ("gram" + suffix)
+    assert main(["gram", "--lambda", str(lambda_file), "--n", "2", *flag, "--out", str(out)]) == 0
+    text = out.read_text()
+    if written == "csv":
+        config = json.loads(text.splitlines()[0][len("# config "):])
+    else:
+        config = json.loads(text)["config"]
+    assert config["output_format"] == written
+
+
 def test_distance_json_lines(lambda_file, tmp_path):
     out = tmp_path / "dist.jsonl"
     assert main(["distance", "--lambda", str(lambda_file), "--n", "4", "--all",

@@ -12,7 +12,6 @@ from muntzlab import (
     NonMemberSignal,
     ParameterError,
     QuadratureError,
-    QuadratureSpec,
     approximate_in_span,
     coefficient_recover,
     dual_family,
@@ -20,6 +19,7 @@ from muntzlab import (
     finite_series,
     generate_exponents,
     l2_norm,
+    power_rule,
     project,
     projection_residual,
     quadrature_inner_product,
@@ -28,6 +28,7 @@ from muntzlab import (
     series_inner_product,
     working_precision,
 )
+from muntzlab import muntz_space
 from muntzlab.gram import gram_form
 from muntzlab.muntz_space import (
     _quad_form,
@@ -149,17 +150,12 @@ def test_quadrature_against_dual(fam_12):
     assert abs(v - (-mpf(2) / 5)) < 1e-10
 
 
-def test_quadrature_failure_reports_achieved():
-    spec = QuadratureSpec(tol=1e-60, maxdegree=3, max_rounds=0)
+def test_quadrature_failure_reports_achieved(monkeypatch):
+    monkeypatch.setattr(muntz_space, "_QUAD_MAXDEGREE", 3)
+    monkeypatch.setattr(muntz_space, "_QUAD_ROUNDS", 0)
     with pytest.raises(QuadratureError) as info:
-        quad_unit_interval(lambda t: mp.sin(1 / (t + mpf("1e-30"))), spec, 64)
+        quad_unit_interval(lambda t: mp.sin(1 / (t + mpf("1e-30"))), 64)
     assert info.value.achieved is not None
-
-
-@pytest.mark.parametrize("bad", [{"maxdegree": 1}, {"levels": -1}, {"max_rounds": -1}])
-def test_quadrature_spec_rejects_out_of_range_counts(bad):
-    with pytest.raises(ParameterError):
-        QuadratureSpec(**bad)
 
 
 def test_monomial_moments_rejects_more_moments_than_exponents():
@@ -257,18 +253,28 @@ def test_residual_integrates_an_equal_but_different_black_box(fam_12):
     assert repr(res) == repr(projection_residual(lambda t: t ** 3, fam_12, _bare(f_star)))
 
 
-@pytest.mark.parametrize("change", ["quad", "bits"])
-def test_residual_integrates_for_another_spec_or_bit_count(fam_12, lam_12, change):
+def test_residual_integrates_for_another_bit_count(fam_12, lam_12):
     f = _counted(lambda t: t ** 3)
     f_star = project(f, fam_12)
-    if change == "quad":
-        fam, quad = fam_12, QuadratureSpec(tol=1e-25)
-    else:
-        fam, quad = dual_family(lam_12, 2, 128), QuadratureSpec()
+    fam = dual_family(lam_12, 2, 128)
     calls = f.calls
-    res = projection_residual(f, fam, f_star, quad)
+    res = projection_residual(f, fam, f_star)
     assert f.calls > calls
-    assert repr(res) == repr(projection_residual(f, fam, _bare(f_star), quad))
+    assert repr(res) == repr(projection_residual(f, fam, _bare(f_star)))
+
+
+def test_black_box_projection_at_64_bits_matches_256_bits(lam_squares):
+    # the quadrature target follows the bits (10^-8 at 64), so a 64-bit
+    # black-box projection runs and agrees with the 256-bit one to it
+    f = lambda t: t ** 3
+    runs = []
+    for bits in (64, 256):
+        fam = dual_family(lam_squares, 6, bits)
+        f_star = project(f, fam)
+        runs.append((f_star.coeffs, projection_residual(f, fam, f_star)))
+    (coeffs_64, res_64), (coeffs_256, res_256) = runs
+    assert max(abs(a - b) for a, b in zip(coeffs_64, coeffs_256)) < 1e-8
+    assert abs(res_64 - res_256) < 1e-8
 
 
 def test_unsettled_norm_does_not_fail_project(fam_12):
@@ -363,6 +369,18 @@ def test_blocked_complex_quadratic_form_matches_the_whole_product(K):
     d = rng.standard_normal(K) + 1j * rng.standard_normal(K)
     assert _quad_form(d, A) == float((d.conj() @ A @ d).real)
     assert _quad_form(d.real, A) == float((d.real @ A @ d.real).real)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+def test_approximate_slowly_settling_member_is_not_signalled(eps):
+    # c_n = n^-0.3 on lambda_n = n^1.5: the tail bound (10.72 at K = 256,
+    # 9.33 at 4096) proves membership, while the prefix norm increments
+    # decay too slowly for the heuristic that serves rules without a bound
+    lam = generate_exponents("power", {"p": 1.5}, 16)
+    f = MuntzSeries(lam, (), power_rule(0.3))
+    ap = approximate_in_span(f, eps)
+    assert ap.tail_bound is not None
+    assert ap.certified_error < 2 * eps
 
 
 def test_approximate_divergent_rule_raises():
