@@ -17,7 +17,7 @@ from mpmath import mpc, mpf
 
 from . import biorthogonal, completeness, gram, hardy, muntz_space, operators
 from .config import RunConfig, default_precision_bits, working_precision
-from .errors import InputError, MuntzError
+from .errors import InputError, MuntzError, ParameterError
 from .exponents import generate_exponents
 from .reports import (
     complex_pair,
@@ -59,23 +59,28 @@ def _parse_complex(raw: str, precision_bits: int):
 
 
 def make_config(args) -> RunConfig:
-    base = {}
+    """RunConfig from MUNTZ_PRECISION_BITS, then a --config JSON object with
+    the keys precision_bits and seed (any other key is an error), then
+    --bits and --seed."""
+    keys = {"precision_bits": default_precision_bits(), "seed": 0}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            base = json.load(fh)
-    cfg = RunConfig(
-        precision_bits=base.get("precision_bits", default_precision_bits()),
-        tolerances={**RunConfig().tolerances, **base.get("tolerances", {})},
-        output_format=base.get("output_format", "json"),
-        seed=base.get("seed", 0),
-    )
-    if getattr(args, "bits", None):
-        cfg = cfg.with_overrides(precision_bits=args.bits)
+            try:
+                base = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"--config {args.config} is not JSON: {exc}") from exc
+        if not isinstance(base, dict):
+            raise ParameterError(f"--config {args.config} must hold a JSON object")
+        unknown = sorted(set(base) - set(keys))
+        if unknown:
+            raise ParameterError(f"--config {args.config}: unknown keys {unknown}; "
+                                 "only precision_bits and seed are read")
+        keys.update(base)
+    if getattr(args, "bits", None) is not None:
+        keys["precision_bits"] = args.bits
     if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
-    if getattr(args, "format", None):
-        cfg = cfg.with_overrides(output_format=args.format)
-    return cfg
+        keys["seed"] = args.seed
+    return RunConfig(**keys)
 
 
 def _indices(args, N: int):
@@ -105,14 +110,12 @@ def cmd_gen_exponents(args, cfg):
 
 
 def cmd_gram(args, cfg):
-    # --format first, then a .csv path, then the config's format; the
-    # config records the format written
-    if not args.format and (args.out or "").endswith(".csv"):
-        cfg = cfg.with_overrides(output_format="csv")
+    # --format if given, else CSV for a .csv --out path, else JSON
+    fmt = args.format or ("csv" if (args.out or "").endswith(".csv") else "json")
     lam = load_exponents(args.lam).prefix(args.n)
     G = gram.gram_matrix(lam, cfg.precision_bits)
     rows = [[decimal_str(v, G.precision_bits) for v in row] for row in G.entries]
-    if cfg.output_format == "csv":
+    if fmt == "csv":
         text = dump_csv(rows, [f"g{j + 1}" for j in range(args.n)], cfg, args.out)
     else:
         payload = with_config({"lambda": lam.as_dict(), "entries": rows,
@@ -206,8 +209,14 @@ def cmd_operator_certify(args, cfg):
     lam = load_exponents(args.lam)
     fam = biorthogonal.dual_family(lam, args.n, cfg.precision_bits)
     op = operators.dilation_operator(fam.lam, args.rho, args.n)
-    cert = operators.synthesis_certificate(op, fam, cfg)
+    cert = operators.synthesis_certificate(op, fam)
     bits = fam.precision_bits
+
+    def threshold(t):
+        # a JSON number while a double holds it exactly, else its decimal string
+        if t is None:
+            return None
+        return float(t) if mpf(float(t)) == t else decimal_str(t, 53)
 
     def show(v):
         if v is None:
@@ -223,7 +232,7 @@ def cmd_operator_certify(args, cfg):
     payload = with_config({
         "status": cert.status,
         "items": [{"name": it.name, "passed": it.passed, "value": show(it.value),
-                   "tolerance": it.tolerance, "detail": it.detail} for it in cert.items],
+                   "tolerance": threshold(it.tolerance), "detail": it.detail} for it in cert.items],
         "spectrum": [complex_pair(s, bits) for s in cert.spectrum],
         "normality_defect": show(cert.normality_defect),
         "eigen_residual": show(cert.eigen_residual),
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda", dest="lam", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="default: csv for a .csv --out path, else the config's format")
+                   help="default: csv for a .csv --out path, else json")
     _common(s)
     s.set_defaults(func=cmd_gram)
 

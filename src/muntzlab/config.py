@@ -1,4 +1,9 @@
-"""Run configuration: working precision, tolerances, output options.
+"""Run configuration: working precision and seed, and the thresholds that follow the bits.
+
+A run is set by two keys, ``precision_bits`` and ``seed``; every artifact
+records both.  The residual and rank thresholds are functions of the bits
+(inverse_residual_tolerance, rank_collapse_threshold); the other
+thresholds are constants of the one module that reads each.
 
 All numerical routines take an explicit ``precision_bits`` argument and
 change the global mpmath context only inside ``with working_precision``
@@ -10,10 +15,11 @@ routines at once would change each other's precision.
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .errors import ParameterError
 
@@ -22,32 +28,6 @@ PRECISION_ENV_VAR = "MUNTZ_PRECISION_BITS"
 #: Guard bits added on top of the requested precision inside kernels, so
 #: that results rounded back to the stated precision are fully accurate.
 GUARD_BITS = 16
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    # max |<e_j, r_n> - delta_jn| for a dual family; recorded only, nothing
-    # reads it (dual_family certifies against inverse_residual_tolerance)
-    "biorthogonality": 1e-40,
-    # max |distance * dual_norm - 1|; recorded only, nothing reads it
-    "duality": 1e-25,
-    # bounds on the eigen/adjoint relation residuals in the operator certificate
-    "eigen_residual": 1e-40,
-    "adjoint_residual": 1e-40,
-    # normality defect must exceed this to certify "not normal"
-    "normality_defect_min": 1e-12,
-    # absolute quadrature tolerance; recorded only, nothing reads it (the
-    # quadrature target is inverse_residual_tolerance(bits))
-    "quadrature": 1e-30,
-    # stopping rule of the eigenvalue kernels (linalg.SIGMA_REL_TOL); a
-    # --config override is recorded in the artifact, but the kernels stop
-    # on this default
-    "singular_value_rel": 1e-20,
-    # residual threshold below which a projection counts as exact, and the
-    # trailing-ratio threshold above which a residual trend counts as
-    # stagnant; hardy reads these defaults, and a --config override is
-    # recorded only
-    "closure_residual": 1e-10,
-    "stagnation_ratio": 0.8,
-}
 
 
 def default_precision_bits() -> int:
@@ -65,48 +45,42 @@ def default_precision_bits() -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Reproducibility envelope embedded into every emitted report."""
+    """Reproducibility envelope embedded into every emitted report: the
+    working precision and the seed of sampled sweeps, both integers."""
 
     precision_bits: int = field(default_factory=default_precision_bits)
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    output_format: str = "json"
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("precision_bits", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.precision_bits < 64:
             raise ParameterError(f"precision_bits must be >= 64, got {self.precision_bits}")
-        if self.output_format not in ("json", "csv"):
-            raise ParameterError(f"output_format must be json or csv, got {self.output_format!r}")
-        for name, value in self.tolerances.items():
-            if not value > 0:
-                raise ParameterError(f"tolerance {name!r} must be positive, got {value}")
-
-    def tolerance(self, name: str) -> float:
-        try:
-            return self.tolerances[name]
-        except KeyError:
-            return DEFAULT_TOLERANCES[name]
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
     def as_dict(self) -> dict:
-        return {
-            "precision_bits": self.precision_bits,
-            "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-            "output_format": self.output_format,
-            "seed": self.seed,
-        }
+        return {"precision_bits": self.precision_bits, "seed": self.seed}
 
 
-def inverse_residual_tolerance(precision_bits: int) -> float:
-    """Residual threshold 10^(-bits/8) for closed-form inverse checks."""
-    return 10.0 ** (-(precision_bits / 8.0))
+def _power_of_ten(exponent: float):
+    """10^exponent as an mpf: the double while that is normal, so a threshold
+    keeps its bits, else mpmath's power at 53 bits, so it never underflows."""
+    value = 10.0 ** exponent
+    if value >= sys.float_info.min:
+        return mpf(value)
+    with mp.workprec(53):
+        return mpf(10) ** exponent
 
 
-def rank_collapse_threshold(precision_bits: int) -> float:
-    """Scale-aware cutoff 10^(-bits/4) separating rank collapse from rounding."""
-    return 10.0 ** (-(precision_bits / 4.0))
+def inverse_residual_tolerance(precision_bits: int):
+    """Residual threshold 10^(-bits/8) for closed-form inverse checks (an mpf)."""
+    return _power_of_ten(-(precision_bits / 8.0))
+
+
+def rank_collapse_threshold(precision_bits: int):
+    """Scale-aware cutoff 10^(-bits/4) separating rank collapse from rounding (an mpf)."""
+    return _power_of_ten(-(precision_bits / 4.0))
 
 
 @contextmanager

@@ -240,7 +240,7 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
         bound = _identity_bound(G)
         if not bound <= mpf(residual_tol):
             raise PrecisionInsufficientError(
-                f"G*M - I bound {mp.nstr(bound, 5)} exceeds {residual_tol} "
+                f"G*M - I bound {mp.nstr(bound, 5)} exceeds {mp.nstr(mpf(residual_tol), 5)} "
                 f"at {G.precision_bits} bits; raise precision_bits",
                 residual=bound,
                 precision_bits=G.precision_bits,

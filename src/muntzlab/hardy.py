@@ -23,12 +23,18 @@ from typing import Optional, Sequence
 from mpmath import mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily, dual_family
-from .config import DEFAULT_TOLERANCES, working_precision
+from .config import working_precision
 from .errors import DomainError, InputError
 from .exponents import ExponentSequence
 from .gram import gram_form
 from .muntz_space import (MuntzSeries, SeriesOrCallable, _coefficient_at, distance_to,
                           dual_pairings, moments_and_norm2)
+
+# closure_membership_via_frame: a final projection residual at most this
+# (relative to the coefficients' size) counts as in the span, and a
+# trailing residual ratio at least _STAGNATION_RATIO as stagnant
+_CLOSURE_RESIDUAL = 1e-10
+_STAGNATION_RATIO = 0.8
 
 
 @dataclass(frozen=True)
@@ -96,11 +102,11 @@ def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily
 
     (a) projection residuals over growing truncations decide closeness to
     the span; (b) the recovered dual pairings supply the coefficient
-    square-sums.  "yes" needs the residual below tolerance and decaying
+    square-sums.  "yes" needs the final residual at most _CLOSURE_RESIDUAL
+    times max(1, sqrt of the coefficient square-sum) and decaying
     square-sum increments; a stagnating residual (trailing ratio at or
-    above the default "stagnation_ratio") is the desk signature of a
-    positive distance and yields "no"; anything in between stays
-    inconclusive.  The residual tolerance is the default "closure_residual".
+    above _STAGNATION_RATIO) is the desk signature of a positive distance
+    and yields "no"; anything in between stays inconclusive.
     """
     _require_integer_lambda(family.lam)
     N = family.truncation
@@ -127,10 +133,10 @@ def closure_membership_via_frame(f: SeriesOrCallable, family: BiorthogonalFamily
         scale = max(mpf(1), sqrt(acc))
 
     res_final = trend[-1][1]
-    if res_final <= mpf(DEFAULT_TOLERANCES["closure_residual"]) * scale:
+    if res_final <= mpf(_CLOSURE_RESIDUAL) * scale:
         closure = "yes"
     elif (len(trend) >= 2 and trend[-2][1] > 0
-          and res_final / trend[-2][1] >= mpf(DEFAULT_TOLERANCES["stagnation_ratio"])):
+          and res_final / trend[-2][1] >= mpf(_STAGNATION_RATIO)):
         closure = "no"
     else:
         closure = "inconclusive"

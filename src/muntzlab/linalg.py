@@ -20,11 +20,11 @@ import math
 from mpmath import matrix, mp, mpc, mpf, sqrt
 from mpmath.libmp import mpf_shift, round_nearest, to_float
 
-from .config import DEFAULT_TOLERANCES, working_precision
+from .config import working_precision
 from .errors import DegenerateInputError, InputError, PrecisionInsufficientError
 
-# the kernels stop on the default; a --config override is only recorded
-SIGMA_REL_TOL = DEFAULT_TOLERANCES["singular_value_rel"]
+# relative stopping rule of the eigenvalue kernels
+SIGMA_REL_TOL = 1e-20
 MAX_POWER_ITER = 2000
 
 

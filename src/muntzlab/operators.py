@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from mpmath import conj, mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily, norm_growth_check
-from .config import RunConfig, rank_collapse_threshold, working_precision
+from .config import inverse_residual_tolerance, rank_collapse_threshold, working_precision
 from .errors import InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
 from . import completeness as _completeness
@@ -33,6 +33,9 @@ from .muntz_space import (
     SeriesOrCallable,
     recovered_coefficients,
 )
+
+# certificate item 7: a normality defect above this certifies "not normal"
+_NORMALITY_DEFECT_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ class CertificateItem:
     name: str
     passed: Optional[bool]         # None marks an inconclusive sub-check
     value: object
-    tolerance: Optional[float] = None
+    tolerance: object = None       # the threshold the value is held to
     detail: str = ""
 
 
@@ -211,8 +214,7 @@ def _verdict(proved: bool, refuted: bool) -> Optional[bool]:
     return True if proved else (False if refuted else None)
 
 
-def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
-                          config: Optional[RunConfig] = None) -> SynthesisCertificate:
+def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily) -> SynthesisCertificate:
     """Evaluate the seven certificate items plus the mixed-system floor.
 
     Items: (1) finite-rank approximation errors decay under the envelope,
@@ -229,14 +231,16 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
     Ends that prove the opposite fail an item; overlaps leave it open.
     Items 2 and 3 are certified bounds (eigen_residual, adjoint_residual)
     from the family's biorthogonality bound, in O(N): each item passes
-    below its tolerance and is open above it, never failed by rounding.
+    below inverse_residual_tolerance(bits) = 10^(-bits/8), the target
+    dual_family certifies G*M - I against, and is open above it, never
+    failed by rounding.  Item 7 passes when the normality defect exceeds
+    1e-12.
     Item 8 (named mixed_system_sample) covers all 2^N partitions with one
     completeness.mixed_system_floor call: by interlacing, sigma_min of
     every mixed system is at least sqrt(lambda_min(diag(G, G^-1))), and the
     item passes when the certified lower end of that floor, the item value,
     exceeds rank_collapse_threshold(bits).
     """
-    config = config or RunConfig(precision_bits=family.precision_bits)
     N = op.truncation
     bits = family.precision_bits
     items = []
@@ -275,10 +279,9 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
         w = [1 / sqrt(2 * mpf(v) + 1) for v in family.lam.values[:N]]
         eig_res = e * mp.fsum(a * b for a, b in zip(us, w)) * up
         adj_res = (2 * e + N * e * e) * max(us) * up
-    tol_eig = config.tolerance("eigen_residual")
-    add("eigen_relations", _verdict(eig_res < mpf(tol_eig), False), eig_res, tol_eig)
-    tol_adj = config.tolerance("adjoint_residual")
-    add("adjoint_relations", _verdict(adj_res < mpf(tol_adj), False), adj_res, tol_adj)
+    relation_tol = inverse_residual_tolerance(bits)
+    add("eigen_relations", _verdict(eig_res < relation_tol, False), eig_res, relation_tol)
+    add("adjoint_relations", _verdict(adj_res < relation_tol, False), adj_res, relation_tol)
 
     # 4. kernel triviality: sigma_min(M) = 1/||M^-1||, M^-1 = M_w for w = 1/u
     collapse_tol = rank_collapse_threshold(bits)
@@ -305,8 +308,8 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily,
 
     # 7. non-normality
     defect = normality_defect(op, family)
-    tol_defect = config.tolerance("normality_defect_min")
-    add("not_normal", defect > mpf(tol_defect) if N >= 2 else None, defect, tol_defect,
+    add("not_normal", defect > _NORMALITY_DEFECT_MIN if N >= 2 else None, defect,
+        _NORMALITY_DEFECT_MIN,
         detail="non-orthogonal eigenvectors force a positive commutator norm")
 
     # 8. every mixed system at once (hereditary completeness input): the

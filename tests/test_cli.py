@@ -77,16 +77,41 @@ def test_gram_csv_decimal_strings(lambda_file, tmp_path):
     ([], ".json", "json"),
 ], ids=["json_flag_csv_path", "csv_flag_json_path", "csv_path", "json_path"])
 def test_gram_writes_and_records_one_format(lambda_file, tmp_path, flag, suffix, written):
-    # --format first, then a .csv path, then the config's format; the
-    # config line or object records the format written
+    # --format if given, else CSV for a .csv --out path, else JSON; the
+    # config records the bits and seed alone, in either format
     out = tmp_path / ("gram" + suffix)
     assert main(["gram", "--lambda", str(lambda_file), "--n", "2", *flag, "--out", str(out)]) == 0
-    text = out.read_text()
+    lines = out.read_text().splitlines()
     if written == "csv":
-        config = json.loads(text.splitlines()[0][len("# config "):])
+        assert lines[0].startswith("# config ") and lines[1] == "g1,g2"
+        config = json.loads(lines[0][len("# config "):])
     else:
-        config = json.loads(text)["config"]
-    assert config["output_format"] == written
+        data = json.loads("\n".join(lines))
+        assert len(data["entries"]) == 2
+        config = data["config"]
+    assert set(config) == {"precision_bits", "seed"}
+
+
+@pytest.mark.parametrize("text", [
+    '{"precision_bits": "256"}',
+    '[1, 2]',
+    '{bad',
+    '{"seed": "x"}',
+    '{"precision_bits": 128.5}',
+    '{"tolerances": {"eigen_residual": 1e-300}}',
+    '{"output_format": "csv"}',
+], ids=["bits_string", "list", "not_json", "seed_string", "bits_float", "tolerances",
+        "output_format"])
+def test_malformed_config_is_typed_error(lambda_file, tmp_path, capsys, text):
+    # a --config file holds precision_bits and seed, both integers, and
+    # nothing else; anything more or other is a ParameterError, no traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "g.json"
+    assert main(["gram", "--lambda", str(lambda_file), "--n", "2", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+    assert not out.exists()
 
 
 def test_distance_json_lines(lambda_file, tmp_path):
@@ -336,6 +361,15 @@ def test_config_file_with_flag_override(lambda_file, tmp_path):
     data = read_json(out)
     assert data["config"]["precision_bits"] == 192
     assert data["config"]["seed"] == 9
+
+
+def test_bits_below_64_is_typed_error(lambda_file, tmp_path, capsys):
+    # --bits 0 is refused like any other value below 64, not read as unset
+    out = tmp_path / "g.json"
+    assert main(["gram", "--lambda", str(lambda_file), "--n", "2", "--bits", "0",
+                 "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+    assert not out.exists()
 
 
 def test_missing_file_is_reported(tmp_path, capsys):

@@ -19,8 +19,8 @@ from muntzlab import (
     synthesis_certificate,
     working_precision,
 )
-from muntzlab import completeness
-from muntzlab.config import DEFAULT_TOLERANCES, RunConfig
+from muntzlab import completeness, operators
+from muntzlab.config import inverse_residual_tolerance
 from muntzlab.gram import gram_form
 from muntzlab.operators import _norm_enclosure, _tail_enclosure
 
@@ -158,31 +158,45 @@ def test_spectrum_matches_eigenvalues(fam_squares_10):
         assert all(abs(M[n, j]) < mpf(10) ** -100 for j in range(n))
 
 
-def test_spectrum_rests_on_the_eigen_relations(fam_12):
+def test_spectrum_rests_on_the_eigen_relations(fam_12, monkeypatch):
     # with no room for rounding in the eigen bound, item 2 is open (the
     # relations hold for the exact family, so rounding never refutes them)
     # and the spectrum report loses its footing with it
+    monkeypatch.setattr(operators, "inverse_residual_tolerance", lambda bits: mpf(1e-300))
     op = dilation_operator(LAM_12, 0.5, 2)
-    strict = RunConfig(precision_bits=256,
-                       tolerances=dict(DEFAULT_TOLERANCES, eigen_residual=1e-300))
-    cert = synthesis_certificate(op, fam_12, strict)
+    cert = synthesis_certificate(op, fam_12)
     assert cert.item("eigen_relations").passed is None
     assert cert.item("spectrum").passed is None
     assert cert.status == "inconclusive"
 
 
+@pytest.mark.parametrize("bits", [64, 128])
+def test_relations_decide_at_64_and_128_bits(bits):
+    # squares, rho = 0.5, N = 6: the bounds on items 2 and 3 (6.0e-20 and
+    # 3.3e-39 for item 2) lie far below 10^(-bits/8), the target the family
+    # certifies G*M - I against, so the certificate decides at low bits too
+    op = dilation_operator(LAM_SQ, 0.5, 6)
+    fam = dual_family(LAM_SQ, 6, bits)
+    cert = synthesis_certificate(op, fam)
+    for name in ("eigen_relations", "adjoint_relations"):
+        item = cert.item(name)
+        assert item.tolerance == inverse_residual_tolerance(bits)
+        assert item.passed is True and item.value < item.tolerance
+    assert cert.status == "pass"
+
+
 def test_relations_are_never_refuted_by_rounding():
-    # squares, rho = 0.5, N = 6: at 128 bits the bounds on items 2 and 3 lie
-    # above 1e-40, so the items are open, not failed; from 192 bits on they
-    # pass.  Each bound lies above the relation's residual computed from the
-    # oracle's B = G C at the family's bits
+    # squares, rho = 0.5, N = 6: the bounds on items 2 and 3 lie below
+    # 10^(-bits/8) at every bit count tried, so the items pass and the
+    # certificate with them.  Each bound lies above the relation's residual
+    # computed from the oracle's B = G C at the family's bits
     op = dilation_operator(LAM_SQ, 0.5, 6)
     for bits in (128, 192, 256):
         fam = dual_family(LAM_SQ, 6, bits)
         cert = synthesis_certificate(op, fam)
         items = [cert.item("eigen_relations"), cert.item("adjoint_relations")]
         assert all(it.passed is not False for it in items)
-        assert cert.status == ("inconclusive" if bits == 128 else "pass")
+        assert cert.status == "pass"
         with working_precision(bits):
             B = gram_product(fam.gram.entries, fam.inverse_rows)
             u = [mpf(v) for v in op.u]
