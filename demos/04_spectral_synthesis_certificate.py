@@ -8,7 +8,10 @@ no orthonormal basis is formed.  The certificate
 checks, at finite truncation, every property that the synthesis argument
 needs: compactness via finite-rank decay, the eigen and adjoint
 relations, kernel triviality, the spectrum, simplicity, non-normality,
-and a certified floor on sigma_min over every mixed system.
+and a certified floor on sigma_min over every mixed system.  An item
+passes on a certified end that proves its property and fails only on one
+that proves the negation; at rho = 0.8 the tails are not monotone, and
+the certificate still passes.
 """
 
 from mpmath import matrix, mp
@@ -55,17 +58,21 @@ print("\nfinite-rank errors ||T - T_m|| against the decay envelope:")
 print("   m    computed        envelope bound")
 for m, computed, bound in cert.finite_rank_errors:
     print(f"  {m:2d}   {mp.nstr(computed, 6):>12}    {mp.nstr(bound, 6):>12}")
-print("(monotone from m = 1 on; dropping the first rank-one piece of a")
-print("non-normal operator can raise the norm, and at N=10 it does.  Each")
-print("norm is a certified enclosure from pencil_lambda_max: the item")
-print("passes only if upper(m+1) < lower(m) and upper(m) <= bound.  An")
-print("iteration that reaches its step limit hands its last iterate to the")
-print("certificate; it does not make the item inconclusive.)")
+print("(each norm is a certified enclosure from pencil_lambda_max, and the")
+print("item passes when every upper end is at most its bound: the envelope")
+print("falls to 0 at m = N, so the tails decay.  It fails only when a lower")
+print("end lies above the bound.  An iteration that reaches its step limit")
+print("hands its last iterate to the certificate; it does not make the item")
+print("inconclusive.)")
 
-print("\n== rho = 0.8: a certified failure of the decay item ==")
+print("\n== rho = 0.8: tails that grow before they decay ==")
 cert8 = synthesis_certificate(dilation_operator(squares, 0.8, 10), fam10)
 print("status:", cert8.status, " finite_rank_decay passed =",
       cert8.item("finite_rank_decay").passed)
-for m, lower, upper in cert8.finite_rank_enclosures[1:3]:
-    print(f"  ||T - T_{m}|| in [{mp.nstr(lower, 8)}, {mp.nstr(upper, 8)}]")
-print("(the tails grow from m = 1 to m = 2, with disjoint enclosures)")
+print("   m    certified enclosure of ||T - T_m||       envelope bound")
+for (m, lower, upper), (_, _, bound) in zip(cert8.finite_rank_enclosures[:5],
+                                            cert8.finite_rank_errors):
+    print(f"  {m:2d}   [{mp.nstr(lower, 8):>12}, {mp.nstr(upper, 8):>12}]    {mp.nstr(bound, 6):>12}")
+print("(the tails grow from m = 0 to m = 3, with disjoint enclosures, yet every")
+print("one lies under the envelope: compactness needs ||T - T_m|| -> 0, not a")
+print("monotone approach, so the item passes)")

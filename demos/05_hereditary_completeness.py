@@ -5,8 +5,8 @@ for their duals and the mixed family still spans everything.  At finite
 truncation that is an invertibility statement, checked here exhaustively
 for N = 10 (all 1024 partitions) and summarised by the smallest singular
 value.  Each check encloses sigma_min between a certified lower bound and
-the power-iteration estimate; a system counts as invertible when the
-lower bound clears 10^(-bits/4).  The reconstruction residual of an
+the power-iteration estimate; a positive lower bound proves the system
+invertible, however small it is.  The reconstruction residual of an
 outside target is the same for every partition: all mixed systems span
 the same truncated space.
 """

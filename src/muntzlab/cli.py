@@ -61,7 +61,7 @@ def _parse_complex(raw: str, precision_bits: int):
 def make_config(args) -> RunConfig:
     """RunConfig from MUNTZ_PRECISION_BITS, then a --config JSON object with
     the keys precision_bits and seed (any other key is an error), then
-    --bits and --seed."""
+    --bits and, on hereditary alone, --seed."""
     keys = {"precision_bits": default_precision_bits(), "seed": 0}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -308,7 +308,6 @@ def cmd_hardy(args, cfg):
 def _common(sub):
     sub.add_argument("--bits", type=int, default=None, help="working precision in bits")
     sub.add_argument("--config", default=None, help="JSON run-config file (flags override)")
-    sub.add_argument("--seed", type=int, default=None, help="seed for sampled sweeps")
     sub.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
 
@@ -384,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda", dest="lam", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--partitions", default="all", help="all | sample:<count>")
+    s.add_argument("--seed", type=int, default=None, help="seed of --partitions sample:<count>")
     _common(s)
     s.set_defaults(func=cmd_hereditary)
 

@@ -18,8 +18,8 @@ G^-1 = D_A G D_A (D_A over the prefix) gives (G^-1[N2,N2])^-1 = E G[N2,N2] E
 with E_i = prod_{k in N1} (x_i - x_k)/(x_i + x_k).  Up to signs these are
 the positive |d| G[U,U] |d|, so sigma_min^2 is 1 over the Perron root of
 their direct sum, which linalg.perron_lambda_max encloses for the exact
-blocks at the family's nodes.  The invertibility verdict rests on the
-certified lower bound, and the reconstruction residual applies the same
+blocks at the family's nodes.  A positive certified lower bound proves
+a system invertible, and the reconstruction residual applies the same
 inverses to its normal equations.
 
 Scales, blocks and traces come from gram's one Cauchy kernel on the
@@ -53,13 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
-from typing import Optional
 
 from mpmath import mp, mpf, sqrt
 from mpmath.libmp import fone, mpf_abs, mpf_sum, round_nearest as RND
 
 from .biorthogonal import BiorthogonalFamily
-from .config import rank_collapse_threshold, working_precision
+from .config import working_precision
 from .errors import InputError
 from .gram import _cauchy_factors, _cauchy_rows
 from .linalg import _grow, perron_lambda_max
@@ -114,7 +113,8 @@ class MixedCheck:
 
     min_singular is the power-iteration estimate sqrt(1/theta);
     sigma_lower is certified, sigma_lower < sigma_min <= min_singular up to
-    the rounding of theta.  invertible is sigma_lower > threshold.
+    the rounding of theta.  invertible is sigma_lower > 0: a positive lower
+    end proves the system invertible.
     iterations counts the mpmath power-iteration steps of the dominant
     block (or the most of either, when both ran), after the float
     pre-phase that seeds them (linalg._float_seed).
@@ -123,7 +123,6 @@ class MixedCheck:
     partition: Partition
     min_singular: object
     invertible: bool
-    threshold: float
     sigma_lower: object
     iterations: int
 
@@ -172,22 +171,18 @@ def _sigma_ends(scaled, family: BiorthogonalFamily):
         return sqrt(1 / theta), sqrt(1 / upper), iterations
 
 
-def mixed_completeness_check(partition: Partition, family: BiorthogonalFamily,
-                             threshold: Optional[float] = None) -> MixedCheck:
+def mixed_completeness_check(partition: Partition, family: BiorthogonalFamily) -> MixedCheck:
     """Smallest singular value of the mixed system and the invertibility flag.
 
     sigma_min^2 is 1 over lambda_max of the blocks' closed-form inverses
     |d| G[N1,N1] |d| and |e| G[N2,N2] |e|; X is never formed.
     perron_lambda_max encloses it as theta <= lambda_max <= upper (theta up
     to rounding): min_singular is sqrt(1/theta), sigma_lower is
-    sqrt(1/upper), and the system counts as invertible when sigma_lower >
-    threshold (default rank_collapse_threshold(bits)).
+    sqrt(1/upper), and the system is invertible when sigma_lower > 0.
     """
     n1, n2, d, e = _mixed_scales(partition, family)
-    if threshold is None:
-        threshold = rank_collapse_threshold(family.precision_bits)
     sigma, lower, iterations = _sigma_ends([(n1, d), (n2, e)], family)
-    return MixedCheck(partition, sigma, bool(lower > mpf(threshold)), threshold, lower, iterations)
+    return MixedCheck(partition, sigma, bool(lower > 0), lower, iterations)
 
 
 def mixed_system_floor(family: BiorthogonalFamily):

@@ -1,9 +1,10 @@
-"""Run configuration: working precision and seed, and the thresholds that follow the bits.
+"""Run configuration: working precision and seed, and the threshold that follows the bits.
 
 A run is set by two keys, ``precision_bits`` and ``seed``; every artifact
-records both.  The residual and rank thresholds are functions of the bits
-(inverse_residual_tolerance, rank_collapse_threshold); the other
-thresholds are constants of the one module that reads each.
+records both.  The residual threshold is a function of the bits
+(inverse_residual_tolerance); the other thresholds are constants of the
+one module that reads each.  No rank or invertibility verdict has a
+threshold: each rests on a certified lower end being positive.
 
 All numerical routines take an explicit ``precision_bits`` argument and
 change the global mpmath context only inside ``with working_precision``
@@ -76,11 +77,6 @@ def _power_of_ten(exponent: float):
 def inverse_residual_tolerance(precision_bits: int):
     """Residual threshold 10^(-bits/8) for closed-form inverse checks (an mpf)."""
     return _power_of_ten(-(precision_bits / 8.0))
-
-
-def rank_collapse_threshold(precision_bits: int):
-    """Scale-aware cutoff 10^(-bits/4) separating rank collapse from rounding (an mpf)."""
-    return _power_of_ten(-(precision_bits / 4.0))
 
 
 @contextmanager

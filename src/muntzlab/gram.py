@@ -250,19 +250,18 @@ def cauchy_inverse(G: GramMatrix, residual_tol: Optional[float] = None):
     return M, bound
 
 
-def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256,
-                            residual_tol: Optional[float] = None):
+def inverse_with_escalation(lam: ExponentSequence, precision_bits: int = 256):
     """gram_matrix + cauchy_inverse, doubling precision (at most _MAX_DOUBLINGS
     times) until the certified bound passes.
 
-    The target stays pinned to the *requested* precision, so escalation
-    refines the arithmetic without moving the goalposts.  A failed attempt
-    forms the nodes, the row factors and the bound, never a matrix.
+    The target, inverse_residual_tolerance at the *requested* precision,
+    stays pinned, so escalation refines the arithmetic without moving the
+    goalposts.  A failed attempt forms the nodes, the row factors and the
+    bound, never a matrix.
     Returns (GramMatrix, inverse, bound); the GramMatrix carries the
     precision that finally succeeded.
     """
-    if residual_tol is None:
-        residual_tol = inverse_residual_tolerance(precision_bits)
+    residual_tol = inverse_residual_tolerance(precision_bits)
     bits = precision_bits
     last_exc = None
     for _ in range(_MAX_DOUBLINGS + 1):

@@ -11,8 +11,9 @@ the iterate.  (M_w = L^T W L^(-T) for G = L L^T is that operator in
 orthonormal coordinates; no factor L is formed.)  Certificate items 1
 and 4 use these norms: the tails ||T - T_m|| (w = (0..0, u_{m+1}..u_N))
 and sigma_min(M) = 1/||M_{1/u}||.  The normality defect is a trace
-identity in G, C and u.  A step limit never makes an item inconclusive;
-a failed certificate does.
+identity in G, C and u.  An item passes on a certified end that proves
+its property and fails only on one that proves the negation.  A step
+limit never makes an item inconclusive; a failed certificate does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 from mpmath import conj, mp, mpc, mpf, sqrt
 
 from .biorthogonal import BiorthogonalFamily, norm_growth_check
-from .config import inverse_residual_tolerance, rank_collapse_threshold, working_precision
+from .config import inverse_residual_tolerance, working_precision
 from .errors import InputError, ParameterError, PrecisionInsufficientError
 from .exponents import ExponentSequence
 from . import completeness as _completeness
@@ -224,11 +225,13 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily) -> Synt
     (6) simplicity (distinct eigenvalues), (7) positive normality defect,
     (8) invertibility of every mixed system at this truncation.
 
-    Items 1 and 4 decide on certified ends (finite_rank_enclosures): the
-    tails decrease when upper(m+1) < lower(m), lie under the envelope when
-    upper(m) <= bound, and the kernel is trivial when the lower end of
-    sigma_min(M), the item value, exceeds rank_collapse_threshold(bits).
-    Ends that prove the opposite fail an item; overlaps leave it open.
+    Items 1 and 4 decide on certified ends (finite_rank_enclosures).  Item 1
+    passes when every tail's upper end is at most its envelope, a closed
+    form that falls to 0 at m = N, and fails when a lower end lies above
+    it; whether the tails decrease is read from the enclosures, not
+    judged.  M is similar to diag(u) with no u_n zero, so item 4 passes
+    when the lower end of sigma_min(M), the item value, is positive: it
+    never fails, and is open only when the pencil certificate raises.
     Items 2 and 3 are certified bounds (eigen_residual, adjoint_residual)
     from the family's biorthogonality bound, in O(N): each item passes
     below inverse_residual_tolerance(bits) = 10^(-bits/8), the target
@@ -239,7 +242,7 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily) -> Synt
     completeness.mixed_system_floor call: by interlacing, sigma_min of
     every mixed system is at least sqrt(lambda_min(diag(G, G^-1))), and the
     item passes when the certified lower end of that floor, the item value,
-    exceeds rank_collapse_threshold(bits).
+    is positive.
     """
     N = op.truncation
     bits = family.precision_bits
@@ -254,14 +257,12 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily) -> Synt
         lo, est, hi = zip(*(_tail_enclosure(op, family, m) for m in range(N + 1)))
         fr = tuple(zip(range(N + 1), est, bounds))
         fr_enclosures = tuple(zip(range(N + 1), lo, hi))
-        # monotonicity holds from m=1 on; dropping the first rank-one piece
-        # of a non-normal operator can raise the norm (observed at N=10)
-        proved = (all(hi[m + 1] < lo[m] for m in range(1, N))
-                  and all(h <= b for h, b in zip(hi, bounds)))
-        refuted = (any(lo[m + 1] >= hi[m] for m in range(1, N))
-                   or any(v > b for v, b in zip(lo, bounds)))
-        add("finite_rank_decay", _verdict(proved, refuted), fr,
-            detail="strictly decreasing for m >= 1, zero at m=N, under the envelope")
+        # the envelope falls to 0 at m = N, so tails under it decay; they need
+        # not decrease (at rho = 0.8 on squares, N = 10, they grow from m = 0
+        # to m = 3), and compactness does not ask them to
+        add("finite_rank_decay", _verdict(all(h <= b for h, b in zip(hi, bounds)),
+                                          any(v > b for v, b in zip(lo, bounds))), fr,
+            detail="every tail under the envelope, which is zero at m=N")
     except PrecisionInsufficientError as exc:
         add("finite_rank_decay", None, str(exc))
         fr = fr_enclosures = ()
@@ -283,14 +284,15 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily) -> Synt
     add("eigen_relations", _verdict(eig_res < relation_tol, False), eig_res, relation_tol)
     add("adjoint_relations", _verdict(adj_res < relation_tol, False), adj_res, relation_tol)
 
-    # 4. kernel triviality: sigma_min(M) = 1/||M^-1||, M^-1 = M_w for w = 1/u
-    collapse_tol = rank_collapse_threshold(bits)
+    # 4. kernel triviality: sigma_min(M) = 1/||M^-1||, M^-1 = M_w for w = 1/u.
+    # M is similar to diag(u) with every u_n non-zero, so a positive lower
+    # end proves the kernel trivial; however small, it is conditioning
     try:
         with working_precision(bits):
-            inverse_ends = _norm_enclosure([1 / mp.mpmathify(u) for u in op.u], family)
-            sigma_lower, kernel_sigma, sigma_upper = (1 / v for v in reversed(inverse_ends))
-        add("kernel_trivial", _verdict(sigma_lower > collapse_tol, sigma_upper <= collapse_tol),
-            sigma_lower, collapse_tol)
+            inverse_u = [1 / mp.mpmathify(u) for u in op.u]
+            _, inverse_est, inverse_upper = _norm_enclosure(inverse_u, family)
+            sigma_lower, kernel_sigma = 1 / inverse_upper, 1 / inverse_est
+        add("kernel_trivial", _verdict(sigma_lower > 0, False), sigma_lower, 0)
     except PrecisionInsufficientError as exc:
         kernel_sigma = None
         add("kernel_trivial", None, str(exc))
@@ -316,7 +318,7 @@ def synthesis_certificate(op: MuntzOperator, family: BiorthogonalFamily) -> Synt
     # interlacing floor sigma_min >= sqrt(lambda_min(diag(G, G^-1)))
     try:
         _, floor_lower, _ = _completeness.mixed_system_floor(family)
-        add("mixed_system_sample", floor_lower > collapse_tol, floor_lower, collapse_tol,
+        add("mixed_system_sample", _verdict(floor_lower > 0, False), floor_lower, 0,
             detail=f"all {2 ** N} partitions, certified lower end of the interlacing "
                    "floor on sigma_min reported")
     except PrecisionInsufficientError as exc:

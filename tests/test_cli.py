@@ -50,12 +50,18 @@ def test_usage_error_exit_code():
 
 
 def test_format_flag_belongs_to_gram_alone(lambda_file, tmp_path):
-    # only gram writes CSV or JSON on request; elsewhere --format is a usage error
-    with pytest.raises(SystemExit) as info:
-        main(["biorthogonal", "--lambda", str(lambda_file), "--n", "3", "--format", "csv",
-              "--out", str(tmp_path / "duals.json")])
-    assert info.value.code == 2
-    assert not (tmp_path / "duals.json").exists()
+    # only gram writes CSV or JSON on request; elsewhere --format is a usage
+    # error.  Likewise only hereditary samples, so --seed is its flag alone
+    for flag in (["--format", "csv"], ["--seed", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main(["biorthogonal", "--lambda", str(lambda_file), "--n", "3", *flag,
+                  "--out", str(tmp_path / "duals.json")])
+        assert info.value.code == 2
+        assert not (tmp_path / "duals.json").exists()
+    out = tmp_path / "mixed.csv"
+    assert main(["hereditary", "--lambda", str(lambda_file), "--n", "3",
+                 "--partitions", "sample:4", "--seed", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0][len("# config "):])["seed"] == 5
 
 
 def test_gram_csv_decimal_strings(lambda_file, tmp_path):
@@ -333,8 +339,7 @@ def test_decimal_inputs_carry_the_stated_bits(tmp_path):
 
 def test_determinism_byte_identical(lambda_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["operator", "certify", "--lambda", str(lambda_file), "--rho", "0.5",
-            "--n", "4", "--seed", "5"]
+    args = ["operator", "certify", "--lambda", str(lambda_file), "--rho", "0.5", "--n", "4"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

@@ -119,11 +119,15 @@ SERIES_COMMANDS = [
 # each up (above the residuals the parent computed); every verdict kept.
 # Re-pinned when items 2 and 3 took the tolerance 10^(-bits/8) in place of
 # the fixed 1e-40: the parent's contract with those two tolerances set to
-# 1e-64 (512 bits) hashes to the digest here; no verdict moved
+# 1e-64 (512 bits) hashes to the digest here; no verdict moved.
+# Re-pinned when the verdicts came to rest on certified ends alone: the
+# parent's contract with the kernel_trivial and mixed_system_sample
+# tolerances set to 0.0 and, at rho = 0.8 only, finite_rank_decay and the
+# status set to pass hashes to the digest here; no value moved
 CERTIFICATE_DIGESTS = {
-    "0.3": "b747b8cb26c8710eb15c377be9c6e6fef873ac49afea0ec354d0f9cf8ff6e14a",
-    "0.5": "db95344ce9b59d316c837ec059a034cc200451478e84289d048f90bdcb6ca0d7",
-    "0.8": "e38efa3832c1a3db36806056a6173a595a22e5c7b62a882053b0759972860846",
+    "0.3": "86acd81c5ed2cfab573ebf8e933902fde1218e6a5631d563a1cccc3e2f2b153d",
+    "0.5": "e2034915440884f8ed0fcb4abe5c0d0d536a4a9202548df8d49ce06e36392cb9",
+    "0.8": "9877b65e2636af12aa36b79345e674d12a7daa809ae4b394da3dbc58ca92e2c5",
 }
 
 
@@ -180,7 +184,7 @@ def test_certificate_verdicts_and_exact_fields(tmp_path, monkeypatch):
             assert main(["operator", "certify", "--lambda", "lambda.json", "--rho", rho,
                          "--n", "10", "--bits", "512", "--out", "cert.json"]) == 0
             data = json.loads((tmp_path / "cert.json").read_text())
-            assert data["status"] == ("fail" if rho == "0.8" else "pass")
+            assert data["status"] == "pass"
             got[rho] = _certificate_contract(data)
             floors.append(next(it["value"] for it in data["items"]
                                if it["name"] == "mixed_system_sample"))

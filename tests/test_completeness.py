@@ -134,13 +134,6 @@ def test_sampled_larger_truncation(fam_squares_12):
         assert mixed_completeness_check(part, fam_squares_12).invertible
 
 
-def test_threshold_controls_flag(fam_12):
-    part = Partition.from_monomial_set({1}, 2)
-    strict = mixed_completeness_check(part, fam_12, threshold=1e6)
-    assert not strict.invertible
-    assert mixed_completeness_check(part, fam_12).invertible
-
-
 def test_singleton_partition_trivially_invertible():
     lam1 = generate_exponents("integers", {"values": [1]}, 1)
     fam = dual_family(lam1, 1, 256)

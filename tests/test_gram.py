@@ -26,7 +26,7 @@ from muntzlab import (
 )
 from muntzlab import gram
 from muntzlab.completeness import _mixed_scales, _perron_block, _trace_up
-from muntzlab.config import inverse_residual_tolerance, rank_collapse_threshold
+from muntzlab.config import inverse_residual_tolerance
 from muntzlab.exponents import ExponentSequence
 from muntzlab.gram import _cauchy_factors, _identity_bound, gram_form, inverse_with_escalation
 
@@ -157,25 +157,25 @@ def test_duplicate_exponents_rejected():
     assert fam.biorthogonality_residual <= mpf(inverse_residual_tolerance(64))
 
 
-def test_insufficient_precision_raises_and_escalation_recovers():
+def test_insufficient_precision_raises_and_escalation_recovers(monkeypatch):
     lam = generate_exponents("power", {"p": 2}, 8)
     G = gram_matrix(lam, 64)
     with pytest.raises(PrecisionInsufficientError) as info:
         cauchy_inverse(G, residual_tol=1e-60)
     assert info.value.residual is not None
-    G2, M, residual = inverse_with_escalation(lam, 64, residual_tol=1e-60)
+    # a target far below 64 bits' reach forces the escalation
+    monkeypatch.setattr(gram, "inverse_residual_tolerance", lambda bits: 1e-60)
+    G2, M, residual = inverse_with_escalation(lam, 64)
     assert residual < mpf("1e-60")
     assert G2.precision_bits > 64
 
 
 def test_thresholds_never_underflow():
-    # 10^(-bits/8) and 10^(-bits/4) as doubles read 0.0 from about 2590 and
-    # 1292 bits, where no bound could pass; at 1024 bits and below they are
-    # the doubles, bit for bit
+    # 10^(-bits/8) as a double reads 0.0 from about 2590 bits, where no
+    # bound could pass; at 1024 bits and below it is the double, bit for bit
     for bits in (64, 128, 192, 256, 512, 768, 1024):
         assert inverse_residual_tolerance(bits) == 10.0 ** -(bits / 8)
-        assert rank_collapse_threshold(bits) == 10.0 ** -(bits / 4)
-    assert inverse_residual_tolerance(4096) > 0 and rank_collapse_threshold(4096) > 0
+    assert inverse_residual_tolerance(4096) > 0
     assert dual_family(generate_exponents("power", {"p": 2}, 2), 2, 2600).precision_bits == 2600
 
 
